@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import _lockstep
 from .configurations import (
     Configuration,
     Point,
@@ -30,7 +33,7 @@ from .configurations import (
     in_ball,
 )
 from .measure import BallRegion, BoxRegion
-from .rates import DegenerateStateError, RateModel
+from .rates import ContactModel, DegenerateStateError, RateModel
 
 __all__ = [
     "ChainEvent",
@@ -182,6 +185,16 @@ class NullTarget(TargetPiece):
             return True
         return any(self.contains(state.without_index(i)) for i in range(len(state)))
 
+    @abc.abstractmethod
+    def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
+        """Whether ``state`` is inside through a witness that involves ``newborn``.
+
+        ``contains(state)`` equals ``contains(state without newborn) or
+        entered_by_birth(state, newborn)``, so for a state that was
+        outside before the birth this decides membership after it while
+        looking only at the new point.
+        """
+
 
 @dataclass(frozen=True)
 class ExactPointTarget(NullTarget):
@@ -194,6 +207,9 @@ class ExactPointTarget(NullTarget):
 
     def contains(self, state: Configuration) -> bool:
         return self.point in state
+
+    def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
+        return newborn == self.point
 
     def label(self) -> str:
         return f"null:exact_point{self.point!r}"
@@ -209,6 +225,9 @@ class HyperplaneTarget(NullTarget):
     def contains(self, state: Configuration) -> bool:
         axis, value = self.axis, self.value
         return any(p[axis] == value for p in state)
+
+    def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
+        return newborn[self.axis] == self.value
 
     def label(self) -> str:
         return f"null:hyperplane(axis={self.axis}, value={self.value!r})"
@@ -229,6 +248,10 @@ class PairDistanceTarget(NullTarget):
                 if euclidean(pts[i], pts[j]) == d:
                     return True
         return False
+
+    def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
+        d = self.distance
+        return any(p != newborn and euclidean(p, newborn) == d for p in state)
 
     def label(self) -> str:
         return f"null:pair_distance({self.distance!r})"
@@ -262,30 +285,28 @@ class TargetSet:
 def _advance(
     state: Configuration, model: RateModel, rng: np.random.Generator
 ) -> tuple[Configuration, str, Point]:
-    """One kernel move; returns the new state with the move's kind and point."""
-    death_rates = model.death_rates(state)
-    death_mass = sum(death_rates)
-    birth_mass = model.total_birth_mass(state)
-    total = death_mass + birth_mass
+    """One kernel move; returns the new state with the move's kind and point.
+
+    The death mass is the last running sum of the death rates, added
+    left to right, so it does not depend on how ``sum`` rounds.
+    """
+    partial = list(accumulate(model.death_rates(state)))
+    death_mass = partial[-1] if partial else 0.0
+    total = death_mass + model.total_birth_mass(state)
     if not total > 0.0:
         raise DegenerateStateError(
             f"state of size {len(state)} has zero total jump rate"
         )
     u = rng.random() * total
+    points = state.points
     if u < death_mass:
-        acc = 0.0
-        index = len(death_rates) - 1
-        for i, rate in enumerate(death_rates):
-            acc += rate
-            if u < acc:
-                index = i
-                break
-        point = state.points[index]
-        return state.without_index(index), "death", point
+        index = min(bisect_right(partial, u), len(partial) - 1)
+        return Configuration._wrap(points[:index] + points[index + 1:]), "death", points[index]
     location = model.sample_birth_location(state, rng)
-    while location in state:
+    while location in points:
         location = model.sample_birth_location(state, rng)
-    return state.with_point(location), "birth", location
+    slot = bisect(points, location)
+    return Configuration._wrap(points[:slot] + (location,) + points[slot:]), "birth", location
 
 
 def step(
@@ -423,6 +444,53 @@ class HittingEstimate:
         return cls(hits, replicas, hits / replicas, low, high, max_steps)
 
 
+def _replica_seed(root: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """The stream of replica ``index``: what ``root.spawn`` gives a fresh root.
+
+    Unlike ``spawn`` it leaves ``root`` untouched, so passing the same
+    seed sequence twice gives the same result.
+    """
+    return np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (index,), pool_size=root.pool_size
+    )
+
+
+def _root_seed(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+# Replicas per block.  A lockstep block keeps a generator and rows of
+# uniforms and points alive for each of its replicas, so the size
+# bounds the backend's memory.
+_BLOCK = 512
+
+
+def _lockstep_target(
+    initial: Configuration, model: RateModel, target: TargetSet
+) -> tuple[bool, list[tuple[np.ndarray, float]]] | None:
+    """The target as lockstep data, or None when the input needs the scalar kernel.
+
+    The lockstep backend covers the plain d=1 contact model (no
+    crowding) from a d=1 start, with targets built from the empty
+    singleton and d=1 balls; everything else runs on the scalar kernel.
+    """
+    if type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0:
+        return None
+    if initial.dimension not in (None, 1):
+        return None
+    empty = False
+    balls = []
+    for piece in target.pieces:
+        if type(piece) is EmptyTarget:
+            empty = True
+        elif type(piece) is BallTarget and piece.ball.center.dimension == 1:
+            center = np.array([p[0] for p in piece.ball.center.points])
+            balls.append((center, piece.ball.radius))
+        else:
+            return None
+    return empty, balls
+
+
 def _hit_within(
     initial: Configuration,
     model: RateModel,
@@ -443,14 +511,18 @@ def _hitting_block(
     model: RateModel,
     target: TargetSet,
     max_steps: int,
-    children: list[np.random.SeedSequence],
+    root: np.random.SeedSequence,
+    start: int,
+    stop: int,
 ) -> int:
+    """Hits among replicas ``start <= i < stop``, lockstep where the input allows."""
+    rngs = (np.random.default_rng(_replica_seed(root, i)) for i in range(start, stop))
+    spec = _lockstep_target(initial, model, target)
+    if spec is not None:
+        initial_xs = [p[0] for p in initial.points]
+        return _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
     member = target.membership
-    hits = 0
-    for child in children:
-        if _hit_within(initial, model, member, max_steps, np.random.default_rng(child)):
-            hits += 1
-    return hits
+    return sum(_hit_within(initial, model, member, max_steps, rng) for rng in rngs)
 
 
 def hitting_estimate(
@@ -464,28 +536,33 @@ def hitting_estimate(
 ) -> HittingEstimate:
     """Estimate the probability of reaching ``target`` within ``max_steps``.
 
-    Runs independent replicas, each on its own stream spawned from the
-    seed by replica index, and wraps the hit count in a Wilson 95%
-    interval.  Results do not depend on ``workers``; truncation at
+    Runs independent replicas, each on its own stream derived from the
+    seed by replica index (the seed itself is left untouched), and
+    wraps the hit count in a Wilson 95% interval.  Truncation at
     ``max_steps`` makes this a lower-bound proxy for the untruncated
     hitting probability.
+
+    Replicas run in blocks of at most 512.  For a
+    :class:`~birthdeath.rates.ContactModel` in d=1 without crowding and
+    a target made of :class:`EmptyTarget` and :class:`BallTarget`
+    pieces, a block advances in lockstep as NumPy arrays; every other
+    input runs the scalar kernel one replica at a time.  Each replica
+    reads its stream in the scalar kernel's order, so both backends
+    give bit-identical hit counts, and neither depends on ``workers``.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if max_steps < 1:
         raise ValueError("need at least one step")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(replicas)
+    root = _root_seed(seed)
     workers = max(1, int(workers))
-    if workers == 1:
-        hits = _hitting_block(initial, model, target, max_steps, children)
+    size = min(_BLOCK, -(-replicas // workers))
+    blocks = [(k, min(k + size, replicas)) for k in range(0, replicas, size)]
+    args = (initial, model, target, max_steps, root)
+    if workers == 1 or len(blocks) == 1:
+        hits = sum(_hitting_block(*args, *block) for block in blocks)
     else:
-        chunk = (replicas + workers - 1) // workers
-        blocks = [children[k : k + chunk] for k in range(0, replicas, chunk)]
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [
-                pool.submit(_hitting_block, initial, model, target, max_steps, block)
-                for block in blocks
-            ]
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            futures = [pool.submit(_hitting_block, *args, *block) for block in blocks]
             hits = sum(f.result() for f in futures)
     return HittingEstimate.from_counts(hits, replicas, max_steps)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,31 @@ def _require(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"missing key '{key}' in {context}")
     return mapping[key]
+
+
+def _number(
+    section: dict,
+    key: str,
+    default: Any,
+    context: str,
+    cast: Callable[[Any], Any] = int,
+    minimum: float | None = None,
+) -> Any:
+    """``section[key]``, or ``default`` when absent, cast to a number.
+
+    A ``None`` value is kept only where the default is ``None``; anything
+    that does not cast, or falls below ``minimum``, is a config error.
+    """
+    value = section.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{context}.{key} must be a number, got {value!r}") from err
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{context}.{key} must be at least {minimum}, got {value!r}")
+    return number
 
 
 def load_config(path: str) -> dict:
@@ -139,7 +165,8 @@ def _parse_layer_set(raw: Any, context: str) -> tuple[str, LayerSet, BoxRegion |
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
     set_id = str(raw.get("id", "set"))
-    layer = int(_require(raw, "layer", context))
+    _require(raw, "layer", context)
+    layer = _number(raw, "layer", None, context, minimum=0)
     shape_raw = _require(raw, "shape", context)
     kind = _require(shape_raw, "kind", context)
     window = _parse_box(raw["window"], f"{context}.window") if "window" in raw else None
@@ -190,11 +217,15 @@ def _gate_model(model: RateModel, config: dict, seed: int, skip: bool) -> None:
         raise ConfigError("model fails the standing conditions:\n" + report.summary())
 
 
+# Poisson draws allowed per requested validation trial state.
+_DRAWS_PER_TRIAL = 20
+
+
 def _run_validation(model: RateModel, section: dict, seed: int):
-    max_size = int(section.get("max_size", 12))
-    trials = int(section.get("trial_states", 40))
-    probes = int(section.get("probe_points", 16))
-    intensity = float(section.get("intensity", 1.0))
+    max_size = _number(section, "max_size", 12, "validate", minimum=0)
+    trials = _number(section, "trial_states", 40, "validate", minimum=0)
+    probes = _number(section, "probe_points", 16, "validate", minimum=0)
+    intensity = _number(section, "intensity", 1.0, "validate", float, minimum=0.0)
     if "window" in section:
         window = _parse_box(section["window"], "validate.window")
     else:
@@ -203,7 +234,15 @@ def _run_validation(model: RateModel, section: dict, seed: int):
         window = BoxRegion(tuple(c - reach for c in center), tuple(c + reach for c in center))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     states = [Configuration(), Configuration([model.immigration_region.center])]
+    draws = 0
     while len(states) < trials:
+        if draws == _DRAWS_PER_TRIAL * trials:
+            raise ConfigError(
+                f"validation found only {len(states)} of {trials} trial states with at most "
+                f"{max_size} points in {draws} Poisson draws; "
+                "lower validate.intensity or raise validate.max_size"
+            )
+        draws += 1
         state = sample_poisson_config(intensity, window, rng)
         if len(state) <= max_size:
             states.append(state)
@@ -219,7 +258,7 @@ def _run_validation(model: RateModel, section: dict, seed: int):
 def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
     section = config.get("simulate", {})
     initial = _parse_configuration(section.get("initial"), "simulate.initial")
-    max_steps = int(section.get("max_steps", 200))
+    max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
     target = _parse_target(section["target"], "simulate.target") if section.get("target") else None
     trajectory = simulate(initial, model, target, max_steps, np.random.SeedSequence(seed, spawn_key=(3,)))
     dimension = model.dimension
@@ -244,8 +283,8 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
         raise ConfigError("config needs a 'hitprob' section")
     initial = _parse_configuration(section.get("initial"), "hitprob.initial")
     target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target")
-    max_steps = int(section.get("max_steps", 500))
-    replicas = int(section.get("replicas", 2_000))
+    max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
+    replicas = _number(section, "replicas", 2_000, "hitprob", minimum=1)
     estimate = hitting_estimate(
         initial, target, model, max_steps, replicas,
         np.random.SeedSequence(seed, spawn_key=(4,)), workers,
@@ -281,7 +320,7 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
         raise ConfigError("config needs a 'path' section")
     goal = _parse_configuration(_require(section, "goal", "path"), "path.goal")
     radius = model.interaction_radius
-    ball_radius = float(section.get("ball_radius", radius / 8.0))
+    ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
     path = build_path(goal, radius, model.immigration_region.center)
     check = is_valid_path(path)
     if not check.valid:
@@ -312,7 +351,7 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
     section = config.get("measure")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'measure' section")
-    samples = int(section.get("samples", 20_000))
+    samples = _number(section, "samples", 20_000, "measure", minimum=1)
     raw_sets = _require(section, "sets", "measure")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ConfigError("measure.sets must be a nonempty list")
@@ -361,17 +400,16 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: in
     section = config.get("lab", {})
     defaults = SuiteSizes()
     sizes = SuiteSizes(
-        max_steps=int(section.get("max_steps", defaults.max_steps)),
-        replicas=int(section.get("replicas", defaults.replicas)),
-        null_max_steps=int(section.get("null_max_steps", defaults.null_max_steps)),
-        null_replicas=int(section.get("null_replicas", defaults.null_replicas)),
-        preservation_draws=int(section.get("preservation_draws", defaults.preservation_draws)),
-        pipeline_replicas=int(section.get("pipeline_replicas", defaults.pipeline_replicas)),
-        pipeline_extra_steps=section.get("pipeline_extra_steps", defaults.pipeline_extra_steps),
-        extinction_replicas=int(section.get("extinction_replicas", defaults.extinction_replicas)),
-        extinction_max_steps=int(section.get("extinction_max_steps", defaults.extinction_max_steps)),
-        measure_samples=int(section.get("measure_samples", defaults.measure_samples)),
-        poisson_intensity=float(section.get("poisson_intensity", defaults.poisson_intensity)),
+        **{
+            field.name: _number(
+                section,
+                field.name,
+                getattr(defaults, field.name),
+                "lab",
+                float if field.name == "poisson_intensity" else int,
+            )
+            for field in dataclasses.fields(SuiteSizes)
+        }
     )
     reports = run_default_suite(model, seed, sizes, workers)
     outdir = _ensure_outdir(outdir)
@@ -451,8 +489,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_metric(args)
         config = load_config(args.config)
         model = build_model(config)
-        seed = int(args.seed if args.seed is not None else config.get("seed", 0))
-        workers = int(args.workers if args.workers is not None else config.get("workers", 1))
+        seed = args.seed if args.seed is not None else _number(config, "seed", 0, "config")
+        workers = (
+            args.workers if args.workers is not None else _number(config, "workers", 1, "config")
+        )
         if workers < 1:
             raise ConfigError("workers must be at least 1")
         outdir = args.out if args.out is not None else str(config.get("out", "out"))

@@ -12,7 +12,7 @@ constructive path machinery to an observed hitting frequency so the
 certified corridor bound can be compared against reality.
 
 Every report row is reproducible from the model fingerprint, the
-master seed, and the row's case index; replica streams are spawned per
+master seed, and the row's case index; replica streams are derived per
 case and per replica, so results are independent of worker count.
 """
 
@@ -35,6 +35,7 @@ from .chain import (
     TargetSet,
     Trajectory,
     _advance,
+    _replica_seed,
     hitting_estimate,
     simulate,
     wilson_interval,
@@ -275,6 +276,11 @@ def null_set_experiment(
     predicate is audited on the full trajectory budget.  Any hit fails
     the row and the offending trajectory is replayed from its replica
     seed and attached to the report.
+
+    The predicates are monotone under adding points, so a death never
+    enters a set and a birth enters it only through the newborn point:
+    the full membership test runs only while a replica is inside, and
+    a birth from outside is checked with ``entered_by_birth``.
     """
     for piece in null_targets:
         if not isinstance(piece, NullTarget):
@@ -287,15 +293,22 @@ def null_set_experiment(
     failures: list[Trajectory] = []
     for start_index, start in enumerate(starts):
         case_seed = _case_seed(seed, start_index)
-        children = case_seed.spawn(replicas)
-        for replica, child in enumerate(children):
-            rng = np.random.default_rng(child)
+        start_inside = [piece.contains(start) for piece in null_targets]
+        for replica in range(replicas):
+            rng = np.random.default_rng(_replica_seed(case_seed, replica))
             state = start
             seen = [False] * len(null_targets)
+            inside = list(start_inside)
             for _ in range(max_steps):
-                state, _, _ = _advance(state, model, rng)
+                state, kind, point = _advance(state, model, rng)
                 for t_index, piece in enumerate(null_targets):
-                    if not seen[t_index] and piece.contains(state):
+                    if seen[t_index]:
+                        continue
+                    if inside[t_index]:
+                        hit = inside[t_index] = piece.contains(state)
+                    else:
+                        hit = kind == "birth" and piece.entered_by_birth(state, point)
+                    if hit:
                         seen[t_index] = True
                         hit_counts[start_index][t_index] += 1
                         failures.append(
@@ -304,9 +317,7 @@ def null_set_experiment(
                                 model,
                                 TargetSet((piece,)),
                                 max_steps,
-                                np.random.SeedSequence(
-                                    seed, spawn_key=(start_index, replica)
-                                ),
+                                _replica_seed(case_seed, replica),
                             )
                         )
     rows: list[CaseRow] = []

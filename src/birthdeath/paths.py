@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import HittingEstimate, _advance, in_ball
+from .chain import HittingEstimate, _advance, _replica_seed, _root_seed, in_ball
 from .configurations import (
     EMPTY,
     Configuration,
@@ -286,12 +286,11 @@ def corridor_event_frequency(
     if replicas < 1:
         raise ValueError("need at least one replica")
     cells = _corridor_cells(path, ball_radius)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(replicas)
+    root = _root_seed(seed)
     start = path.start
     hits = 0
-    for child in children:
-        rng = np.random.default_rng(child)
+    for replica in range(replicas):
+        rng = np.random.default_rng(_replica_seed(root, replica))
         state = start
         followed = True
         for cell in cells:

@@ -1,11 +1,15 @@
 """Jump-chain kernel, target-set, and hitting-estimate tests."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from birthdeath import _lockstep, chain
 from birthdeath import (
     EMPTY,
     BallRegion,
@@ -23,7 +27,9 @@ from birthdeath import (
     birth_probability_region,
     death_probability,
     hitting_estimate,
+    in_ball,
     replay,
+    sample_poisson_config,
     simulate,
     step,
     wilson_interval,
@@ -269,3 +275,156 @@ class TestHittingEstimate:
             hitting_estimate(EMPTY, target, m, 0, 10, seed=0)
         with pytest.raises(ValueError):
             hitting_estimate(EMPTY, target, m, 10, 0, seed=0)
+
+
+class TestNullEntryByBirth:
+    # Points on a quarter grid, so exact distances and coordinates recur.
+    grid = st.integers(-4, 8).map(lambda k: k / 4)
+
+    @given(
+        dimension=st.integers(1, 2),
+        coords=st.lists(st.tuples(grid, grid), min_size=1, max_size=7, unique=True),
+        pick=st.integers(0, 6),
+    )
+    def test_entered_by_birth_matches_membership_change(self, dimension, coords, pick):
+        state = Configuration({c[:dimension] for c in coords})
+        index = pick % len(state)
+        newborn = state.points[index]
+        before = state.without_index(index)
+        pieces = [ExactPointTarget((1.0,) * dimension), HyperplaneTarget(0, 0.25), PairDistanceTarget(1.0)]
+        for piece in pieces:
+            entered = piece.entered_by_birth(state, newborn)
+            assert piece.contains(state) == (piece.contains(before) or entered)
+            if not piece.contains(before):
+                assert entered == (piece.contains(state) and not piece.contains(before))
+
+
+class _ScalarContact(ContactModel):
+    """The contact model under another type, which keeps it on the scalar kernel."""
+
+
+class _Lattice:
+    """Generator stand-in whose uniforms are multiples of 1/8.
+
+    Births then land on a lattice and often on occupied points, which
+    exercises the collision redraw.  It counts the uniforms it hands out.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.used = 0
+
+    def random(self, size=None):
+        self.used += 1 if size is None else size
+        values = np.floor(self._rng.random(size) * 8.0) / 8.0
+        return float(values) if size is None else values
+
+
+def _spec(target):
+    return chain._lockstep_target(EMPTY, ContactModel(), target)
+
+
+class TestLockstepBackend:
+    starts = [
+        EMPTY,
+        Configuration([[0.0]]),
+        sample_poisson_config(1.0, BoxRegion((-1.5,), (1.5,)), np.random.default_rng(5)),
+        Configuration([[-0.1], [0.2]]),  # inside the two-point ball
+    ]
+    two_point = BallTarget(RhoBall(Configuration([[-1 / 6], [1 / 6]]), 0.25))
+    targets = [
+        TargetSet((EmptyTarget(),)),
+        TargetSet((BallTarget(RhoBall(Configuration([[0.1]]), 0.25)),)),
+        TargetSet((two_point,)),
+        TargetSet((EmptyTarget(), BallTarget(RhoBall(Configuration([[1 / 3]]), 0.25)), two_point)),
+    ]
+
+    def test_backend_choice_follows_the_input(self):
+        assert all(_spec(t) is not None for t in self.targets)
+        empty = self.targets[0]
+        assert chain._lockstep_target(EMPTY, _ScalarContact(), empty) is None
+        assert chain._lockstep_target(EMPTY, ContactModel(dimension=2), empty) is None
+        assert chain._lockstep_target(EMPTY, ContactModel(crowding_death=0.3), empty) is None
+        assert chain._lockstep_target(Configuration([[0.0, 1.0]]), ContactModel(), empty) is None
+        mixed = TargetSet((EmptyTarget(), ExactPointTarget((0.0,))))
+        assert chain._lockstep_target(EMPTY, ContactModel(), mixed) is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hit_counts_equal_the_scalar_kernel(self, seed, workers, monkeypatch):
+        # Small blocks, so every estimate spans several of them.
+        monkeypatch.setattr(chain, "_BLOCK", 16)
+        lockstep, scalar = ContactModel(), _ScalarContact()
+        assert len(self.starts[2]) > 1
+        for start, target, max_steps in itertools.product(self.starts, self.targets, [1, 7, 400]):
+            fast = hitting_estimate(start, target, lockstep, max_steps, 50, seed, workers)
+            slow = hitting_estimate(start, target, scalar, max_steps, 50, seed)
+            assert fast == slow, (start, target.label(), max_steps)
+
+    def test_collision_redraws_match_the_scalar_kernel(self):
+        # Dyadic masses (immigration 2, per neighbor 1) make move draws hit
+        # partial death sums exactly, which pins the dying-index tie rule.
+        model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
+        start = Configuration([[0.0], [0.5]])
+        target = TargetSet((BallTarget(RhoBall(Configuration([[0.25], [0.75]]), 0.3)),))
+        member = target.membership
+        hits = redrawn = 0
+        for seed in range(40):
+            # The scalar first-hit step of this replica, if any, within 60 steps.
+            rng, state, first = _Lattice(seed), start, None
+            births = deaths = 0
+            for step_index in range(1, 61):
+                state, kind, _ = chain._advance(state, model, rng)
+                births += kind == "birth"
+                deaths += kind == "death"
+                if member(state):
+                    first = step_index
+                    break
+            redrawn += rng.used > deaths + 3 * births
+            for max_steps in (1, 2, 10, 45, 60):
+                lockstep = _lockstep.count_hits(
+                    [0.0, 0.5], model, *_spec(target), max_steps, [_Lattice(seed)]
+                )
+                assert lockstep == int(first is not None and first <= max_steps)
+            hits += first is not None
+        assert 0 < hits < 40 and redrawn >= 10
+
+    # Eighths keep the arithmetic exact, so candidates land on the sphere.
+    eighths = st.integers(-16, 16).map(lambda k: k / 8)
+
+    @settings(max_examples=200)
+    @given(
+        center=st.lists(st.floats(-2, 2) | eighths, min_size=1, max_size=4, unique=True),
+        radius=st.floats(0.01, 1.0) | st.integers(1, 8).map(lambda k: k / 8),
+        moves=st.lists(st.lists(st.floats(-1.5, 1.5) | eighths, max_size=5), min_size=1, max_size=6),
+    )
+    def test_batched_ball_membership_matches_in_ball(self, center, radius, moves):
+        ball = RhoBall(Configuration([[c] for c in center]), radius)
+        near = [{p[0] + radius * m for p, m in zip(ball.center.points, ms)} for ms in moves]
+        configs = [Configuration([[x] for x in xs]) for xs in near]
+        width = max(len(c) for c in configs) + 1
+        rows = np.full((len(configs), width), np.inf)
+        for k, config in enumerate(configs):
+            rows[k, : len(config)] = [p[0] for p in config.points]
+        counts = np.array([len(c) for c in configs])
+        center_xs = np.array([p[0] for p in ball.center.points])
+        got = _lockstep.ball_members(rows, counts, center_xs, ball.radius)
+        assert got.tolist() == [in_ball(c, ball) for c in configs]
+
+    def test_reused_seed_sequence_gives_the_same_estimate(self):
+        target = TargetSet((EmptyTarget(),))
+        for model in (ContactModel(), _ScalarContact()):
+            root = np.random.SeedSequence(23)
+            first = hitting_estimate(Configuration([[0.1]]), target, model, 40, 80, root)
+            second = hitting_estimate(Configuration([[0.1]]), target, model, 40, 80, root)
+            assert first == second
+            assert first == hitting_estimate(Configuration([[0.1]]), target, model, 40, 80, 23)
+
+    def test_replica_seed_equals_spawn_of_a_fresh_root(self):
+        fresh = np.random.SeedSequence(23, spawn_key=(4,))
+        spawned = np.random.SeedSequence(23, spawn_key=(4,)).spawn(3)
+        for index, child in enumerate(spawned):
+            derived = chain._replica_seed(fresh, index)
+            assert derived.spawn_key == child.spawn_key
+            assert (derived.generate_state(4) == child.generate_state(4)).all()
+        assert fresh.n_children_spawned == 0

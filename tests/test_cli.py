@@ -94,6 +94,37 @@ class TestConfigErrors:
         path.write_text(json.dumps(config))
         assert main(["hitprob", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("hitprob", "max_steps", "ten"),
+            ("hitprob", "replicas", 0),
+            ("lab", "pipeline_extra_steps", "x"),
+            ("lab", "poisson_intensity", [1.0]),
+            ("measure", "samples", None),
+            ("validate", "trial_states", "many"),
+        ],
+    )
+    def test_bad_number_exits_2(self, tmp_path, capsys, command, key, value):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config[command][key] = value
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"{command}.{key}" in capsys.readouterr().err
+
+    def test_bad_measure_layer_exits_2(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["measure"]["sets"][0]["layer"] = "two"
+        path = write_config(tmp_path, config)
+        assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
+
+    def test_unreachable_validation_size_exits_2(self, tmp_path, capsys):
+        # Every Poisson draw at this intensity exceeds max_size; the
+        # validator must give up instead of drawing forever.
+        path = write_config(tmp_path, {"validate": {"intensity": 200, "trial_states": 5}})
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "trial states" in capsys.readouterr().err
+
     def test_bad_target_kind_exits_2(self, tmp_path, capsys):
         overrides = {
             "hitprob": {"initial": [], "target": [{"kind": "wormhole"}], "replicas": 5}

@@ -23,6 +23,7 @@ from birthdeath import (
     positive_measure_experiment,
     run_default_suite,
     sample_poisson_config,
+    step,
     theorem_pipeline,
 )
 from birthdeath.lab import describe_configuration
@@ -98,6 +99,29 @@ class TestPositiveMeasureExperiment:
         assert first.rows == second.rows
 
 
+class _QuarterGridContact(ContactModel):
+    """Contact rates whose newborns are rounded to a quarter grid."""
+
+    def sample_birth_location(self, state, rng):
+        (x,) = super().sample_birth_location(state, rng)
+        return (round(4.0 * x) / 4.0,)
+
+
+def _full_check_hits(model, pieces, start, start_index, max_steps, replicas, seed):
+    """Replicas visiting each piece, testing full membership after every step."""
+    counts = [0] * len(pieces)
+    for replica in range(replicas):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start_index, replica)))
+        state, seen = start, [False] * len(pieces)
+        for _ in range(max_steps):
+            state, _ = step(state, model, rng)
+            for k, piece in enumerate(pieces):
+                if not seen[k] and piece.contains(state):
+                    seen[k] = True
+                    counts[k] += 1
+    return counts
+
+
 class TestNullSetExperiment:
     def test_clean_run_records_zero_hits(self):
         m = ContactModel()
@@ -137,6 +161,22 @@ class TestNullSetExperiment:
             null_set_experiment(
                 m, [PredicateTarget(lambda s: False)], [EMPTY], max_steps=5, replicas=5, seed=1
             )
+
+    def test_birth_entry_check_counts_what_a_full_check_counts(self):
+        # Newborns on a quarter grid visit the null sets often; the audit
+        # must count every visit a membership test after each step finds.
+        m = _QuarterGridContact()
+        predicates = [ExactPointTarget((1.0,)), HyperplaneTarget(0, 0.25), PairDistanceTarget(1.0)]
+        starts = [EMPTY, Configuration([[0.0], [1.0]])]
+        report = null_set_experiment(m, predicates, starts, max_steps=20, replicas=30, seed=3)
+        expected = [
+            hits
+            for index, start in enumerate(starts)
+            for hits in _full_check_hits(m, predicates, start, index, 20, 30, seed=3)
+        ]
+        assert [row.hits for row in report.rows] == expected
+        assert all(hits > 0 for hits in expected)
+        assert len(report.failures) == sum(expected)
 
     def test_deterministic_rows(self):
         m = ContactModel()

@@ -198,6 +198,14 @@ class TestCorridorFrequency:
         two = corridor_event_frequency(path, 0.1, m, replicas=500, seed=79)
         assert one == two
 
+    def test_reused_seed_sequence_gives_the_same_frequency(self):
+        m = ContactModel()
+        path = Path((EMPTY, Configuration([[0.0]])), 1.0, (0.0,))
+        root = np.random.SeedSequence(79)
+        one = corridor_event_frequency(path, 0.1, m, replicas=300, seed=root)
+        two = corridor_event_frequency(path, 0.1, m, replicas=300, seed=root)
+        assert one == two == corridor_event_frequency(path, 0.1, m, replicas=300, seed=79)
+
     def test_corridor_with_empty_cell(self):
         # a path that dives back to empty: the cell test for the empty
         # vertex is exact emptiness
