@@ -35,7 +35,6 @@ from .chain import (
     birth_probability_region,
     death_probability,
     hitting_estimate,
-    replay,
     simulate,
     step,
     wilson_interval,
@@ -47,7 +46,6 @@ from .configurations import (
     distance_rho,
     euclidean,
     in_ball,
-    sym_project,
     symmetric_difference_size,
     unit_ball_volume,
 )
@@ -93,7 +91,6 @@ from .rates import (
     ContactModel,
     DegenerateStateError,
     RateModel,
-    total_rate,
     validate_conditions,
 )
 
@@ -153,16 +150,13 @@ __all__ = [
     "one_step_null_preservation",
     "path_length_cap",
     "positive_measure_experiment",
-    "replay",
     "run_default_suite",
     "sample_in_ball",
     "sample_poisson_config",
     "simulate",
     "step",
-    "sym_project",
     "symmetric_difference_size",
     "theorem_pipeline",
-    "total_rate",
     "unit_ball_volume",
     "validate_conditions",
     "wilson_interval",

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import abc
 import math
+import pickle
 from bisect import bisect, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ __all__ = [
     "RegionProbability",
     "step",
     "simulate",
-    "replay",
     "death_probability",
     "birth_probability_region",
     "hitting_estimate",
@@ -74,7 +74,7 @@ class Trajectory:
 
     ``terminal_reason`` is "hit_target" or "max_steps"; ``hit_step`` is
     the first-return step index when the target was reached.  States
-    along the run are reconstructed by :func:`replay`.
+    along the run are reconstructed by :meth:`states`.
     """
 
     initial: Configuration
@@ -100,16 +100,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def replay(trajectory: Trajectory) -> list[Configuration]:
-    """All states of the trajectory, from the initial one onward.
-
-    Replays the event list; a death of an absent point or a birth of a
-    present one fails loudly, so a successful replay re-checks the
-    event-consistency invariant.
-    """
-    return list(trajectory.states())
 
 
 # --- target sets ------------------------------------------------------
@@ -309,6 +299,16 @@ def _advance(
     return Configuration._wrap(points[:slot] + (location,) + points[slot:]), "birth", location
 
 
+def _walk(
+    state: Configuration, model: RateModel, rng: np.random.Generator, max_steps: int
+) -> Iterator[tuple[Configuration, str, Point]]:
+    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each."""
+    for _ in range(max_steps):
+        move = _advance(state, model, rng)
+        yield move
+        state = move[0]
+
+
 def step(
     state: Configuration,
     model: RateModel,
@@ -343,12 +343,10 @@ def simulate(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     rng = np.random.default_rng(seed)
-    state = initial
     events: list[ChainEvent] = []
     hit_step: int | None = None
     member = target.membership if target is not None else None
-    for index in range(1, max_steps + 1):
-        state, kind, point = _advance(state, model, rng)
+    for index, (state, kind, point) in enumerate(_walk(initial, model, rng, max_steps), 1):
         events.append(ChainEvent(kind, point, index))
         if member is not None and member(state):
             hit_step = index
@@ -455,6 +453,11 @@ def _replica_seed(root: np.random.SeedSequence, index: int) -> np.random.SeedSeq
     )
 
 
+def _replica_rngs(root: np.random.SeedSequence, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """One generator per replica index, each on its ``_replica_seed`` stream."""
+    return (np.random.default_rng(_replica_seed(root, i)) for i in indices)
+
+
 def _root_seed(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
@@ -491,21 +494,6 @@ def _lockstep_target(
     return empty, balls
 
 
-def _hit_within(
-    initial: Configuration,
-    model: RateModel,
-    member: Callable[[Configuration], bool],
-    max_steps: int,
-    rng: np.random.Generator,
-) -> bool:
-    state = initial
-    for _ in range(max_steps):
-        state, _, _ = _advance(state, model, rng)
-        if member(state):
-            return True
-    return False
-
-
 def _hitting_block(
     initial: Configuration,
     model: RateModel,
@@ -516,13 +504,19 @@ def _hitting_block(
     stop: int,
 ) -> int:
     """Hits among replicas ``start <= i < stop``, lockstep where the input allows."""
-    rngs = (np.random.default_rng(_replica_seed(root, i)) for i in range(start, stop))
+    rngs = _replica_rngs(root, range(start, stop))
     spec = _lockstep_target(initial, model, target)
     if spec is not None:
         initial_xs = [p[0] for p in initial.points]
         return _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
     member = target.membership
-    return sum(_hit_within(initial, model, member, max_steps, rng) for rng in rngs)
+    hits = 0
+    for rng in rngs:
+        for state, _, _ in _walk(initial, model, rng, max_steps):
+            if member(state):
+                hits += 1
+                break
+    return hits
 
 
 def hitting_estimate(
@@ -549,6 +543,8 @@ def hitting_estimate(
     input runs the scalar kernel one replica at a time.  Each replica
     reads its stream in the scalar kernel's order, so both backends
     give bit-identical hit counts, and neither depends on ``workers``.
+    With ``workers > 1`` the model and target must pickle, since they
+    go to worker processes; a lambda predicate raises ``ValueError``.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -556,6 +552,12 @@ def hitting_estimate(
         raise ValueError("need at least one step")
     root = _root_seed(seed)
     workers = max(1, int(workers))
+    if workers > 1:
+        try:
+            pickle.dumps((model, target))
+        except (pickle.PicklingError, AttributeError, TypeError) as err:
+            raise ValueError(f"workers > 1 needs a picklable model and target ({err}); "
+                             "use workers=1 or a module-level predicate") from err
     size = min(_BLOCK, -(-replicas // workers))
     blocks = [(k, min(k + size, replicas)) for k in range(0, replicas, size)]
     args = (initial, model, target, max_steps, root)

@@ -30,7 +30,7 @@ from .chain import (
     simulate,
 )
 from .configurations import Configuration, RhoBall, distance_rho
-from .lab import SuiteSizes, run_default_suite
+from .lab import SuiteSizes, default_window, run_default_suite
 from .measure import (
     AllInRegion,
     BallSet,
@@ -39,11 +39,12 @@ from .measure import (
     LayerSet,
     ProductOfDisjointBoxes,
     UnsupportedExactEvaluation,
+    ball_window,
     lp_measure_estimate,
     lp_measure_exact,
     sample_poisson_config,
 )
-from .paths import build_path, corridor_prob_lower_bound, is_valid_path, path_length_cap
+from .paths import build_path, corridor_prob_lower_bound, path_length_cap
 from .rates import ContactModel, RateModel, validate_conditions
 
 
@@ -110,15 +111,19 @@ def build_model(config: dict) -> RateModel:
         raise ConfigError(f"bad model parameters: {err}") from err
 
 
-def _parse_configuration(raw: Any, context: str) -> Configuration:
+def _parse_configuration(raw: Any, context: str, dimension: int | None) -> Configuration:
+    """A configuration whose points have ``dimension`` coordinates (any when None)."""
     if raw is None:
         raw = []
     if not isinstance(raw, list):
         raise ConfigError(f"{context} must be a list of points")
     try:
-        return Configuration(raw)
+        config = Configuration(raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {context}: {err}") from err
+    if dimension is not None and config.dimension not in (None, dimension):
+        raise ConfigError(f"{context} has {config.dimension}-D points, the model is {dimension}-D")
+    return config
 
 
 def _parse_box(raw: Any, context: str) -> BoxRegion:
@@ -130,7 +135,7 @@ def _parse_box(raw: Any, context: str) -> BoxRegion:
         raise ConfigError(f"bad {context}: {err}") from err
 
 
-def _parse_target(raw: Any, context: str) -> TargetSet:
+def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
     if isinstance(raw, dict):
         raw = raw.get("pieces", [raw])
     if not isinstance(raw, list) or not raw:
@@ -144,14 +149,16 @@ def _parse_target(raw: Any, context: str) -> TargetSet:
             if kind == "empty":
                 pieces.append(EmptyTarget())
             elif kind == "ball":
-                center = _parse_configuration(_require(item, "center", context), context)
+                center = _parse_configuration(_require(item, "center", context), context, dimension)
                 pieces.append(BallTarget(RhoBall(center, float(_require(item, "radius", context)))))
             elif kind == "exact_point":
-                pieces.append(ExactPointTarget(tuple(_require(item, "point", context))))
+                point = _parse_configuration([_require(item, "point", context)], context, dimension)
+                pieces.append(ExactPointTarget(point.points[0]))
             elif kind == "hyperplane":
-                pieces.append(
-                    HyperplaneTarget(int(_require(item, "axis", context)), float(_require(item, "value", context)))
-                )
+                axis = int(_require(item, "axis", context))
+                if not 0 <= axis < dimension:
+                    raise ConfigError(f"{context} hyperplane axis {axis} is not an axis of the {dimension}-D model")
+                pieces.append(HyperplaneTarget(axis, float(_require(item, "value", context))))
             elif kind == "pair_distance":
                 pieces.append(PairDistanceTarget(float(_require(item, "distance", context))))
             else:
@@ -161,7 +168,7 @@ def _parse_target(raw: Any, context: str) -> TargetSet:
     return TargetSet(tuple(pieces))
 
 
-def _parse_layer_set(raw: Any, context: str) -> tuple[str, LayerSet, BoxRegion | None]:
+def _parse_layer_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet, BoxRegion | None]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
     set_id = str(raw.get("id", "set"))
@@ -181,7 +188,7 @@ def _parse_layer_set(raw: Any, context: str) -> tuple[str, LayerSet, BoxRegion |
             )
             shape = ProductOfDisjointBoxes(boxes)
         elif kind == "ball":
-            center = _parse_configuration(_require(shape_raw, "center", context), context)
+            center = _parse_configuration(_require(shape_raw, "center", context), context, dimension)
             shape = BallSet(RhoBall(center, float(_require(shape_raw, "radius", context))))
         else:
             raise ConfigError(f"unknown shape kind '{kind}' in {context}")
@@ -229,9 +236,7 @@ def _run_validation(model: RateModel, section: dict, seed: int):
     if "window" in section:
         window = _parse_box(section["window"], "validate.window")
     else:
-        center = model.immigration_region.center
-        reach = model.immigration_region.radius + model.interaction_radius
-        window = BoxRegion(tuple(c - reach for c in center), tuple(c + reach for c in center))
+        window = default_window(model)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     states = [Configuration(), Configuration([model.immigration_region.center])]
     draws = 0
@@ -257,9 +262,9 @@ def _run_validation(model: RateModel, section: dict, seed: int):
 
 def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
     section = config.get("simulate", {})
-    initial = _parse_configuration(section.get("initial"), "simulate.initial")
+    initial = _parse_configuration(section.get("initial"), "simulate.initial", model.dimension)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
-    target = _parse_target(section["target"], "simulate.target") if section.get("target") else None
+    target = _parse_target(section["target"], "simulate.target", model.dimension) if section.get("target") else None
     trajectory = simulate(initial, model, target, max_steps, np.random.SeedSequence(seed, spawn_key=(3,)))
     dimension = model.dimension
     columns = ["step", "kind"] + [f"x{k}" for k in range(dimension)]
@@ -281,8 +286,8 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
     section = config.get("hitprob")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'hitprob' section")
-    initial = _parse_configuration(section.get("initial"), "hitprob.initial")
-    target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target")
+    initial = _parse_configuration(section.get("initial"), "hitprob.initial", model.dimension)
+    target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model.dimension)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
     replicas = _number(section, "replicas", 2_000, "hitprob", minimum=1)
     estimate = hitting_estimate(
@@ -318,15 +323,15 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
     section = config.get("path")
     if not isinstance(section, dict):
         raise ConfigError("config needs a 'path' section")
-    goal = _parse_configuration(_require(section, "goal", "path"), "path.goal")
+    goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model.dimension)
     radius = model.interaction_radius
     ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
     path = build_path(goal, radius, model.immigration_region.center)
-    check = is_valid_path(path)
-    if not check.valid:
-        raise ConfigError(f"constructed path failed validation at vertex {check.violation_index}")
     cap = path_length_cap(goal, radius, model.immigration_region.center)
-    bound = corridor_prob_lower_bound(path, ball_radius, model)
+    try:
+        bound = corridor_prob_lower_bound(path, ball_radius, model)
+    except ValueError as err:
+        raise ConfigError(f"path: {err}") from err
     out = os.path.join(_ensure_outdir(outdir), "path.jsonl")
     with open(out, "w") as handle:
         for vertex in path.vertices:
@@ -357,22 +362,16 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
         raise ConfigError("measure.sets must be a nonempty list")
     rows = []
     for index, raw in enumerate(raw_sets):
-        set_id, layer_set, window = _parse_layer_set(raw, f"measure.sets[{index}]")
+        set_id, layer_set, window = _parse_layer_set(raw, f"measure.sets[{index}]", model.dimension)
         try:
             value = lp_measure_exact(layer_set)
             method, std_error, used = "exact", 0.0, 0
         except UnsupportedExactEvaluation:
             if window is None:
-                ball = layer_set.shape.ball
-                pad = ball.radius
-                center = ball.center
-                window = BoxRegion(
-                    tuple(min(p[k] for p in center) - pad for k in range(center.dimension)),
-                    tuple(max(p[k] for p in center) + pad for k in range(center.dimension)),
-                )
+                window = ball_window(layer_set.shape.ball)
             estimate = lp_measure_estimate(
                 layer_set.layer, window, layer_set.contains, samples,
-                seed=np.random.SeedSequence(seed, spawn_key=(5, index)), workers=workers,
+                seed=np.random.SeedSequence(seed, spawn_key=(5, index)),
             )
             value, std_error, used, method = estimate.value, estimate.std_error, samples, "estimate"
         rows.append(
@@ -425,16 +424,16 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: in
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    def read_config(path: str) -> Configuration:
+    def read_config(path: str, dimension: int | None) -> Configuration:
         try:
             with open(path) as handle:
                 raw = json.load(handle)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read configuration file {path}: {err}") from err
-        return _parse_configuration(raw, path)
+        return _parse_configuration(raw, path, dimension)
 
-    first = read_config(args.first)
-    second = read_config(args.second)
+    first = read_config(args.first, None)
+    second = read_config(args.second, first.dimension)
     print(repr(distance_rho(first, second)))
     return 0
 
@@ -450,7 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--workers", type=int, default=None, help="worker cap (results independent of it)")
+        cmd.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes for hitting estimates (results independent of it)",
+        )
         cmd.add_argument("--out", default=None, help="output directory (default: config 'out' or ./out)")
         cmd.add_argument(
             "--skip-validation", action="store_true",

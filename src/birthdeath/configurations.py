@@ -28,7 +28,6 @@ __all__ = [
     "euclidean",
     "distance_rho",
     "in_ball",
-    "sym_project",
     "symmetric_difference_size",
     "unit_ball_volume",
 ]
@@ -80,11 +79,6 @@ class Configuration:
         cfg._hash = None
         return cfg
 
-    @classmethod
-    def from_coord_lists(cls, coord_lists: Iterable[Iterable[float]]) -> "Configuration":
-        """Build a configuration from a list of coordinate lists."""
-        return cls(coord_lists)
-
     def to_coord_lists(self) -> list[list[float]]:
         """Serialize as a plain list of coordinate lists (canonical order)."""
         return [list(p) for p in self._points]
@@ -92,10 +86,6 @@ class Configuration:
     @property
     def points(self) -> tuple[Point, ...]:
         return self._points
-
-    @property
-    def size(self) -> int:
-        return len(self._points)
 
     @property
     def dimension(self) -> int | None:
@@ -280,16 +270,6 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
         return euclidean(a[0], b[0]) <= ball.radius
     dist = [[euclidean(x, y) for y in b] for x in a]
     return _perfect_matching_exists(dist, ball.radius)
-
-
-def sym_project(points: Sequence[Iterable[float]]) -> Configuration:
-    """Order-forgetting projection of an ordered tuple of points.
-
-    Maps an ordered tuple with pairwise distinct entries to the
-    configuration holding the same points.  Tuples with repeated points
-    are outside the domain and raise ValueError.
-    """
-    return Configuration(points)
 
 
 def symmetric_difference_size(first: Configuration, second: Configuration) -> int:

@@ -28,20 +28,21 @@ from .chain import (
     BallTarget,
     EmptyTarget,
     ExactPointTarget,
+    HittingEstimate,
     HyperplaneTarget,
     NullTarget,
     PairDistanceTarget,
     TargetPiece,
     TargetSet,
     Trajectory,
-    _advance,
+    _replica_rngs,
     _replica_seed,
+    _walk,
     hitting_estimate,
     simulate,
-    wilson_interval,
 )
 from .configurations import EMPTY, Configuration, RhoBall, in_ball
-from .measure import BoxRegion, lp_measure_estimate, sample_poisson_config
+from .measure import BoxRegion, ball_window, lp_measure_estimate, sample_poisson_config
 from .paths import build_path, corridor_prob_lower_bound
 from .rates import RateModel
 
@@ -157,16 +158,28 @@ class ExperimentReport:
                 writer.writerow(row.as_csv_dict())
 
 
+def _row(
+    experiment: str,
+    case: int,
+    start: str,
+    target: str,
+    counts: HittingEstimate,
+    verdict: str,
+    case_seed: str,
+    **extra: float,
+) -> CaseRow:
+    """A report row carrying the hit count and Wilson interval of ``counts``."""
+    return CaseRow(
+        experiment, case, start, target, counts.max_steps, counts.replicas, counts.hits,
+        counts.estimate, counts.ci_low, counts.ci_high, verdict, case_seed, **extra,
+    )
+
+
 def _case_seed(master_seed: int, case: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(case,))
 
 
-def _certify_positive(
-    piece: TargetPiece,
-    samples: int,
-    seed: np.random.SeedSequence,
-    workers: int,
-) -> float:
+def _certify_positive(piece: TargetPiece, samples: int, seed: np.random.SeedSequence) -> float:
     """Reference measure of a target piece, estimated for balls.
 
     The empty singleton carries exact unit mass.  For a ball target the
@@ -180,18 +193,12 @@ def _certify_positive(
             f"positive-measure targets must be balls or the empty singleton, got {piece.label()}"
         )
     ball = piece.ball
-    center = ball.center
-    pad = ball.radius
-    lower = tuple(min(p[k] for p in center) - pad for k in range(center.dimension))
-    upper = tuple(max(p[k] for p in center) + pad for k in range(center.dimension))
-    window = BoxRegion(lower, upper)
     estimate = lp_measure_estimate(
         layer=ball.layer,
-        window=window,
+        window=ball_window(ball),
         predicate=lambda cfg: in_ball(cfg, ball),
         samples=samples,
         seed=seed,
-        workers=workers,
     )
     if not estimate.value > 0.0:
         raise ExperimentSetupError(
@@ -226,7 +233,7 @@ def positive_measure_experiment(
     measures: list[float] = []
     for index, piece in enumerate(targets):
         cert_seed = np.random.SeedSequence(seed, spawn_key=(10_000 + index,))
-        measures.append(_certify_positive(piece, measure_samples, cert_seed, workers))
+        measures.append(_certify_positive(piece, measure_samples, cert_seed))
     for target_index, piece in enumerate(targets):
         target = TargetSet((piece,))
         for start in starts:
@@ -236,21 +243,8 @@ def positive_measure_experiment(
             )
             verdict = "PASS" if estimate.ci_low > 0.0 else "FAIL"
             rows.append(
-                CaseRow(
-                    experiment="positive_measure",
-                    case=case,
-                    start=describe_configuration(start),
-                    target=piece.label(),
-                    max_steps=max_steps,
-                    replicas=replicas,
-                    hits=estimate.hits,
-                    estimate=estimate.estimate,
-                    ci_low=estimate.ci_low,
-                    ci_high=estimate.ci_high,
-                    verdict=verdict,
-                    case_seed=f"{seed}:{case}",
-                    target_measure=measures[target_index],
-                )
+                _row("positive_measure", case, describe_configuration(start), piece.label(),
+                     estimate, verdict, f"{seed}:{case}", target_measure=measures[target_index])
             )
             case += 1
     return ExperimentReport(
@@ -294,13 +288,10 @@ def null_set_experiment(
     for start_index, start in enumerate(starts):
         case_seed = _case_seed(seed, start_index)
         start_inside = [piece.contains(start) for piece in null_targets]
-        for replica in range(replicas):
-            rng = np.random.default_rng(_replica_seed(case_seed, replica))
-            state = start
+        for replica, rng in enumerate(_replica_rngs(case_seed, range(replicas))):
             seen = [False] * len(null_targets)
             inside = list(start_inside)
-            for _ in range(max_steps):
-                state, kind, point = _advance(state, model, rng)
+            for state, kind, point in _walk(start, model, rng, max_steps):
                 for t_index, piece in enumerate(null_targets):
                     if seen[t_index]:
                         continue
@@ -325,23 +316,10 @@ def null_set_experiment(
     for start_index, start in enumerate(starts):
         for t_index, piece in enumerate(null_targets):
             hits = hit_counts[start_index][t_index]
-            low, high = wilson_interval(hits, replicas)
             rows.append(
-                CaseRow(
-                    experiment="null_set",
-                    case=case,
-                    start=describe_configuration(start),
-                    target=piece.label(),
-                    max_steps=max_steps,
-                    replicas=replicas,
-                    hits=hits,
-                    estimate=hits / replicas,
-                    ci_low=low,
-                    ci_high=high,
-                    verdict="PASS" if hits == 0 else "FAIL",
-                    case_seed=f"{seed}:{start_index}",
-                    target_measure=0.0,
-                )
+                _row("null_set", case, describe_configuration(start), piece.label(),
+                     HittingEstimate.from_counts(hits, replicas, max_steps),
+                     "PASS" if hits == 0 else "FAIL", f"{seed}:{start_index}", target_measure=0.0)
             )
             case += 1
     return ExperimentReport(
@@ -379,21 +357,10 @@ def one_step_null_preservation(
         raise ExperimentSetupError("need at least one sampled state")
     flagged = sum(1 for state in states if null_target.one_step_positive(state))
     total = len(states)
-    low, high = wilson_interval(flagged, total)
-    row = CaseRow(
-        experiment="one_step_null_preservation",
-        case=0,
-        start=f"{total} sampled states",
-        target=null_target.label(),
-        max_steps=1,
-        replicas=total,
-        hits=flagged,
-        estimate=flagged / total,
-        ci_low=low,
-        ci_high=high,
-        verdict="PASS" if flagged == 0 else "FAIL",
-        case_seed="" if seed is None else str(seed),
-        target_measure=0.0,
+    row = _row(
+        "one_step_null_preservation", 0, f"{total} sampled states", null_target.label(),
+        HittingEstimate.from_counts(flagged, total, 1), "PASS" if flagged == 0 else "FAIL",
+        "" if seed is None else str(seed), target_measure=0.0,
     )
     return ExperimentReport(
         experiment="one_step_null_preservation",
@@ -441,20 +408,9 @@ def theorem_pipeline(
         EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed, workers
     )
     passed = estimate.ci_high >= bound and estimate.ci_low > 0.0
-    row = CaseRow(
-        experiment="theorem_pipeline",
-        case=0,
-        start="empty",
-        target=target_piece.label(),
-        max_steps=max_steps,
-        replicas=replicas,
-        hits=estimate.hits,
-        estimate=estimate.estimate,
-        ci_low=estimate.ci_low,
-        ci_high=estimate.ci_high,
-        verdict="PASS" if passed else "FAIL",
-        case_seed=f"{seed}:0",
-        certified_bound=bound,
+    row = _row(
+        "theorem_pipeline", 0, "empty", target_piece.label(), estimate,
+        "PASS" if passed else "FAIL", f"{seed}:0", certified_bound=bound,
     )
     return ExperimentReport(
         experiment="theorem_pipeline",
@@ -481,16 +437,20 @@ class SuiteSizes:
     poisson_intensity: float = 1.0
 
 
+def default_window(model: RateModel) -> BoxRegion:
+    """The box around the immigration ball, widened by the interaction radius."""
+    center = model.immigration_region.center
+    reach = model.immigration_region.radius + model.interaction_radius
+    return BoxRegion(tuple(c - reach for c in center), tuple(c + reach for c in center))
+
+
 def default_starts(
     model: RateModel, seed: int, count: int = 3, intensity: float = 1.0
 ) -> list[Configuration]:
     """The default spread of starting states: empty, the anchor singleton,
-    and ``count`` Poisson draws from a window around the immigration ball."""
+    and ``count`` Poisson draws from :func:`default_window`."""
     center = model.immigration_region.center
-    reach = model.immigration_region.radius + model.interaction_radius
-    window = BoxRegion(
-        tuple(c - reach for c in center), tuple(c + reach for c in center)
-    )
+    window = default_window(model)
     starts = [EMPTY, Configuration([center])]
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(20_000 + index,)))
@@ -575,8 +535,7 @@ def run_default_suite(
         )
     )
 
-    reach = model.immigration_region.radius + model.interaction_radius
-    window = BoxRegion(tuple(c - reach for c in center), tuple(c + reach for c in center))
+    window = default_window(model)
     draw_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(30_000,)))
     preservation_states = [
         sample_poisson_config(sizes.poisson_intensity, window, draw_rng)

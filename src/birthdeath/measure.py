@@ -19,7 +19,6 @@ returned here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,6 +49,7 @@ __all__ = [
     "lp_measure_estimate",
     "sample_poisson_config",
     "sample_in_ball",
+    "ball_window",
 ]
 
 
@@ -263,14 +263,45 @@ class MeasureEstimate:
     hits: int
 
 
-def _estimate_block(
+def ball_window(ball: RhoBall) -> BoxRegion:
+    """The bounding box of the ball's center, padded by the radius: it holds every member."""
+    center, pad = ball.center, ball.radius
+    axes = range(center.dimension)
+    return BoxRegion(
+        tuple(min(p[k] for p in center) - pad for k in axes),
+        tuple(max(p[k] for p in center) + pad for k in axes),
+    )
+
+
+def lp_measure_estimate(
     layer: int,
     window: BoxRegion,
     predicate: Callable[[Configuration], bool],
     samples: int,
-    seed_seq: np.random.SeedSequence,
-) -> int:
-    rng = np.random.default_rng(seed_seq)
+    seed: int | np.random.SeedSequence | None = None,
+) -> MeasureEstimate:
+    """Monte Carlo estimate of the measure of a predicate-defined set.
+
+    The target set is ``{config : |config| = layer, all points in
+    window, predicate(config)}``.  The estimator draws ``samples``
+    configurations of ``layer`` window-uniform points, scales the hit
+    fraction by ``vol(window)**layer / layer!``, and reports the
+    matching standard error.  Layer 0 is evaluated exactly.
+
+    All draws come from one generator seeded with ``seed``, which is
+    left untouched, so a fixed seed (or the same seed sequence passed
+    twice) gives the same estimate.
+    """
+    layer = int(layer)
+    if layer < 0:
+        raise ValueError("layer must be nonnegative")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if layer == 0:
+        hit = bool(predicate(EMPTY))
+        return MeasureEstimate(1.0 if hit else 0.0, 0.0, samples, samples if hit else 0)
+    scale = window.volume ** layer / math.factorial(layer)
+    rng = np.random.default_rng(seed)
     d = window.dimension
     hits = 0
     coords = rng.uniform(window.lower, window.upper, size=(samples, layer, d)).tolist()
@@ -283,53 +314,6 @@ def _estimate_block(
             )
         if predicate(Configuration._wrap(tuple(pts))):
             hits += 1
-    return hits
-
-
-def lp_measure_estimate(
-    layer: int,
-    window: BoxRegion,
-    predicate: Callable[[Configuration], bool],
-    samples: int,
-    seed: int | np.random.SeedSequence | None = None,
-    workers: int = 1,
-) -> MeasureEstimate:
-    """Monte Carlo estimate of the measure of a predicate-defined set.
-
-    The target set is ``{config : |config| = layer, all points in
-    window, predicate(config)}``.  The estimator draws ``samples``
-    configurations of ``layer`` window-uniform points, scales the hit
-    fraction by ``vol(window)**layer / layer!``, and reports the
-    matching standard error.  Layer 0 is evaluated exactly.
-
-    With ``workers > 1`` the draw is split into per-worker blocks with
-    independently seeded streams; the result is deterministic for a
-    fixed (seed, workers) pair.
-    """
-    layer = int(layer)
-    if layer < 0:
-        raise ValueError("layer must be nonnegative")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if layer == 0:
-        hit = bool(predicate(EMPTY))
-        return MeasureEstimate(1.0 if hit else 0.0, 0.0, samples, samples if hit else 0)
-    scale = window.volume ** layer / math.factorial(layer)
-    workers = max(1, int(workers))
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    if workers == 1:
-        hits = _estimate_block(layer, window, predicate, samples, root)
-    else:
-        children = root.spawn(workers)
-        base, extra = divmod(samples, workers)
-        sizes = [base + (1 if k < extra else 0) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_estimate_block, layer, window, predicate, size, child)
-                for size, child in zip(sizes, children)
-                if size > 0
-            ]
-            hits = sum(f.result() for f in futures)
     frac = hits / samples
     std_error = scale * math.sqrt(frac * (1.0 - frac) / samples)
     return MeasureEstimate(scale * frac, std_error, samples, hits)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import HittingEstimate, _advance, _replica_seed, _root_seed, in_ball
+from .chain import BallTarget, EmptyTarget, HittingEstimate, _replica_rngs, _root_seed, _walk
 from .configurations import (
     EMPTY,
     Configuration,
@@ -123,6 +123,14 @@ def is_valid_path(path: Path) -> PathValidation:
                     "added point sits farther than half the interaction radius from the previous vertex",
                 )
     return PathValidation(True)
+
+
+def _require_valid(path: Path) -> None:
+    check = is_valid_path(path)
+    if not check.valid:
+        raise ValueError(
+            f"path is invalid at vertex {check.violation_index}: {check.reason}"
+        )
 
 
 def path_length_cap(goal: Configuration, interaction_radius: float, anchor: Point) -> int:
@@ -234,11 +242,7 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
     bound is the per-step bound raised to the path length, with the
     population cap set to one more than the largest vertex size.
     """
-    check = is_valid_path(path)
-    if not check.valid:
-        raise ValueError(
-            f"path is invalid at vertex {check.violation_index}: {check.reason}"
-        )
+    _require_valid(path)
     exits_empty = any(
         len(path.vertices[k]) == 0 for k in range(len(path.vertices) - 1)
     )
@@ -250,17 +254,6 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
     max_size = 1 + max(len(v) for v in path.vertices)
     per_step = corridor_step_bound(model, ball_radius, max_size)
     return per_step ** path.length
-
-
-def _corridor_cells(path: Path, ball_radius: float):
-    cells = []
-    for vertex in path.vertices[1:]:
-        if len(vertex) == 0:
-            cells.append(lambda state: len(state) == 0)
-        else:
-            ball = RhoBall(vertex, ball_radius)
-            cells.append(lambda state, ball=ball: in_ball(state, ball))
-    return cells
 
 
 def corridor_event_frequency(
@@ -278,26 +271,18 @@ def corridor_event_frequency(
     :func:`corridor_prob_lower_bound` should land at or below this
     frequency up to Monte Carlo error.
     """
-    check = is_valid_path(path)
-    if not check.valid:
-        raise ValueError(
-            f"path is invalid at vertex {check.violation_index}: {check.reason}"
-        )
+    _require_valid(path)
     if replicas < 1:
         raise ValueError("need at least one replica")
-    cells = _corridor_cells(path, ball_radius)
-    root = _root_seed(seed)
-    start = path.start
+    cells = [
+        BallTarget(RhoBall(vertex, ball_radius)) if len(vertex) else EmptyTarget()
+        for vertex in path.vertices[1:]
+    ]
     hits = 0
-    for replica in range(replicas):
-        rng = np.random.default_rng(_replica_seed(root, replica))
-        state = start
-        followed = True
-        for cell in cells:
-            state, _, _ = _advance(state, model, rng)
-            if not cell(state):
-                followed = False
+    for rng in _replica_rngs(_root_seed(seed), range(replicas)):
+        for cell, (state, _, _) in zip(cells, _walk(path.start, model, rng, len(cells))):
+            if not cell.contains(state):
                 break
-        if followed:
+        else:
             hits += 1
     return HittingEstimate.from_counts(hits, replicas, len(cells))

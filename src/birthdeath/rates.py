@@ -41,7 +41,6 @@ __all__ = [
     "DegenerateStateError",
     "RateModel",
     "ContactModel",
-    "total_rate",
     "ConditionCheck",
     "ConditionReport",
     "validate_conditions",
@@ -160,16 +159,6 @@ class RateModel(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> str:
         """Stable one-line fingerprint of the model and its parameters."""
-
-
-def total_rate(model: RateModel, state: Configuration) -> float:
-    """Total jump mass of ``state``; raises if the chain cannot move."""
-    value = model.jump_rate(state)
-    if not value > 0.0:
-        raise DegenerateStateError(
-            f"state of size {len(state)} has zero total jump rate under {model.describe()}"
-        )
-    return value
 
 
 def _ball_region_relation(component: BallRegion, region: BoxRegion | BallRegion) -> str:

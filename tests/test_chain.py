@@ -28,7 +28,6 @@ from birthdeath import (
     death_probability,
     hitting_estimate,
     in_ball,
-    replay,
     sample_poisson_config,
     simulate,
     step,
@@ -139,10 +138,32 @@ class TestStepAndSimulate:
         second = simulate(EMPTY, m, None, 120, seed=99)
         assert first.events == second.events
         assert first.seed == 99
-        states = replay(first)
+        states = list(first.states())
         assert len(states) == len(first.events) + 1
         assert states[-1] == first.final_state()
         assert len(first) == 120 and first.terminal_reason == "max_steps"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 80),
+        dimension=st.integers(1, 2),
+        crowding=st.sampled_from([0.0, 0.35]),
+    )
+    def test_event_replay_matches_the_kernel(self, seed, steps, dimension, crowding):
+        model = ContactModel(dimension=dimension, crowding_death=crowding)
+        traj = simulate(EMPTY, model, None, steps, seed)
+        states = list(traj.states())
+        assert len(states) == len(traj.events) + 1 == steps + 1
+        for before, after, event in zip(states, states[1:], traj.events):
+            added = set(after.points) - set(before.points)
+            removed = set(before.points) - set(after.points)
+            if event.kind == "birth":
+                assert (added, removed) == ({event.point}, set())
+            else:
+                assert (added, removed) == (set(), {event.point})
+        walked = chain._walk(EMPTY, model, np.random.default_rng(seed), steps)
+        assert [state for state, _, _ in walked] == states[1:]
 
     def test_simulate_first_return_semantics(self):
         m = ContactModel()
@@ -260,6 +281,15 @@ class TestHittingEstimate:
         serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
         parallel = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=3)
         assert serial == parallel
+
+    def test_workers_need_a_picklable_target(self):
+        m = ContactModel()
+        start = Configuration([[0.1]])
+        target = TargetSet((PredicateTarget(lambda state: len(state) == 0),))
+        with pytest.raises(ValueError, match="workers=1"):
+            hitting_estimate(start, target, m, 40, 60, seed=17, workers=2)
+        serial = hitting_estimate(start, target, m, 40, 60, seed=17, workers=1)
+        assert serial == hitting_estimate(start, TargetSet((EmptyTarget(),)), m, 40, 60, seed=17)
 
     def test_truncation_monotone_in_steps(self):
         m = ContactModel()

@@ -125,6 +125,46 @@ class TestConfigErrors:
         assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "trial states" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("hitprob", "hitprob", "initial", [[0.1, 0.2]]),
+            ("hitprob", "hitprob", "target", [{"kind": "ball", "center": [[0.0, 0.0]], "radius": 0.2}]),
+            ("simulate", "simulate", "initial", [[0.1, 0.2]]),
+            ("path", "path", "goal", [[0.2, 0.1]]),
+            ("hitprob", "hitprob", "target", [{"kind": "exact_point", "point": [0.1, 0.2]}]),
+        ],
+    )
+    def test_wrong_dimension_exits_2(self, tmp_path, capsys, command, section, key, value):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config[section][key] = value
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "2-D points, the model is 1-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_hyperplane_axis_outside_the_model_exits_2(self, tmp_path, capsys, axis):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hitprob"]["target"] = [{"kind": "hyperplane", "axis": axis, "value": 0.1}]
+        path = write_config(tmp_path, config)
+        assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "axis" in capsys.readouterr().err
+
+    def test_metric_dimension_mismatch_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps([[0.0]]))
+        b.write_text(json.dumps([[1.0, 2.0]]))
+        assert main(["metric", str(a), str(b)]) == 2
+
+    @pytest.mark.parametrize("ball_radius", [5, 0.25, 0.0, -0.1])
+    def test_path_ball_radius_outside_quarter_radius_exits_2(self, tmp_path, capsys, ball_radius):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["path"]["ball_radius"] = ball_radius
+        path = write_config(tmp_path, config)
+        assert main(["path", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "ball_radius" in capsys.readouterr().err
+
     def test_bad_target_kind_exits_2(self, tmp_path, capsys):
         overrides = {
             "hitprob": {"initial": [], "target": [{"kind": "wormhole"}], "replicas": 5}
@@ -229,6 +269,17 @@ class TestLabCommand:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         assert "lab: PASS" in capsys.readouterr().out
+
+    def test_lab_csvs_do_not_depend_on_workers(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        outs = [tmp_path / f"workers{w}" for w in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            argv = ["lab", "--config", path, "--seed", "3", "--workers", str(workers)]
+            assert main(argv + ["--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_seed_override_changes_rows(self, tmp_path, capsys):
         path = write_config(tmp_path)

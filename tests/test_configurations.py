@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birthdeath import (
     EMPTY,
@@ -18,7 +20,6 @@ from birthdeath import (
     distance_rho,
     euclidean,
     in_ball,
-    sym_project,
     symmetric_difference_size,
     unit_ball_volume,
 )
@@ -70,7 +71,7 @@ class TestConfiguration:
     def test_with_point_and_without_point_roundtrip(self):
         cfg = Configuration([[0.0], [1.0]])
         grown = cfg.with_point([0.5])
-        assert grown.size == 3 and (0.5,) in grown
+        assert len(grown) == 3 and (0.5,) in grown
         assert grown.without_point([0.5]) == cfg
         with pytest.raises(ValueError):
             cfg.with_point([1.0])
@@ -88,7 +89,7 @@ class TestConfiguration:
 
     def test_serialization_roundtrip(self):
         cfg = Configuration([[0.25, -1.0], [1.5, 2.0]])
-        assert Configuration.from_coord_lists(cfg.to_coord_lists()) == cfg
+        assert Configuration(cfg.to_coord_lists()) == cfg
 
     def test_contains_handles_non_point_garbage(self):
         assert 42 not in Configuration([[1.0]])
@@ -159,6 +160,22 @@ class TestInBall:
                     assert in_ball(probe, RhoBall(center, shrunk)) is False
             assert in_ball(probe, RhoBall(center, rho + 1e-9)) is True
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), d=st.integers(1, 3))
+    def test_ball_at_the_distance_is_exactly_closed(self, data, n, d):
+        point = st.tuples(*[st.floats(-10, 10)] * d)
+        a, b = (
+            Configuration(data.draw(st.lists(point, min_size=n, max_size=n, unique=True)))
+            for _ in range(2)
+        )
+        r = distance_rho(a, b)
+        assert distance_rho(b, a) == r
+        if r > 0:
+            assert in_ball(a, RhoBall(b, r))
+            below = math.nextafter(r, 0)
+            if below > 0:
+                assert not in_ball(a, RhoBall(b, below))
+
     def test_layer_mismatch_is_outside(self):
         ball = RhoBall(Configuration([[0.0]]), 5.0)
         assert not in_ball(EMPTY, ball)
@@ -178,10 +195,10 @@ class TestInBall:
 
 
 class TestSymAndVolume:
-    def test_sym_project_forgets_order(self):
-        assert sym_project([(1.0,), (0.0,)]) == sym_project([(0.0,), (1.0,)])
+    def test_configuration_forgets_order(self):
+        assert Configuration([(1.0,), (0.0,)]) == Configuration([(0.0,), (1.0,)])
         with pytest.raises(ValueError):
-            sym_project([(0.0,), (0.0,)])
+            Configuration([(0.0,), (0.0,)])
 
     def test_symmetric_difference_size(self):
         a = Configuration([[0.0], [1.0]])

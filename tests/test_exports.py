@@ -1,0 +1,20 @@
+"""Every name a module lists in ``__all__`` must resolve."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import birthdeath
+
+MODULES = ["birthdeath"] + [
+    f"birthdeath.{info.name}" for info in pkgutil.iter_modules(birthdeath.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+

@@ -20,7 +20,7 @@ from birthdeath import (
     DegenerateStateError,
     RateModel,
     sample_poisson_config,
-    total_rate,
+    step,
     unit_ball_volume,
     validate_conditions,
 )
@@ -296,9 +296,11 @@ class _FrozenModel(RateModel):
         return "frozen()"
 
 
-def test_total_rate_raises_on_degenerate_state():
+def test_degenerate_state_has_zero_jump_rate_and_cannot_step():
     model = _FrozenModel()
+    assert model.jump_rate(EMPTY) == 0.0
     with pytest.raises(DegenerateStateError):
-        total_rate(model, EMPTY)
+        step(EMPTY, model, 0)
     live = ContactModel()
-    assert total_rate(live, EMPTY) == pytest.approx(0.8)
+    assert live.jump_rate(EMPTY) == pytest.approx(0.8)
+    assert step(EMPTY, live, 0)[1].kind == "birth"
