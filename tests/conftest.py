@@ -2,8 +2,15 @@
 
 The acceptance tests register one verdict line each; the hook below
 echoes them in the terminal summary so the pass/fail roll-up survives
-output capturing.
+output capturing.  Property tests run without hypothesis's per-example
+deadline, which a loaded two-core machine can overrun; each test keeps
+its own ``max_examples``.
 """
+
+from hypothesis import settings
+
+settings.register_profile("birthdeath", deadline=None)
+settings.load_profile("birthdeath")
 
 ACCEPTANCE_LINES: list[str] = []
 

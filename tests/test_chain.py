@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestStepAndSimulate:
         assert states[-1] == first.final_state()
         assert len(first) == 120 and first.terminal_reason == "max_steps"
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         seed=st.integers(0, 2**32 - 1),
         steps=st.integers(0, 80),
@@ -458,3 +459,42 @@ class TestLockstepBackend:
             assert derived.spawn_key == child.spawn_key
             assert (derived.generate_state(4) == child.generate_state(4)).all()
         assert fresh.n_children_spawned == 0
+
+
+class TestBatchSeeding:
+    words = st.integers(0, 2**32 - 1)
+    wide = st.integers(2**32, 2**64)
+
+    @settings(max_examples=60)
+    @given(
+        entropy=words | st.integers(2**64, 2**128 - 1) | st.lists(words | wide, max_size=9) | st.none(),
+        spawn_key=st.lists(words | wide, max_size=3),
+        pool_size=st.sampled_from([4, 8]),
+        extra=words,
+    )
+    def test_batch_generators_equal_default_rng_of_replica_seed(self, entropy, spawn_key, pool_size, extra):
+        root = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key), pool_size=pool_size)
+        indices = [0, 2**31, 2**32 - 1, extra]
+        for index, rng in zip(indices, chain._replica_rngs(root, indices), strict=True):
+            reference = np.random.default_rng(chain._replica_seed(root, index))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random(3).tolist() == reference.random(3).tolist()
+            assert rng.integers(2**63, size=2).tolist() == reference.integers(2**63, size=2).tolist()
+
+    def test_streams_cross_batch_boundaries_unchanged(self):
+        root = np.random.SeedSequence(31, spawn_key=(2,))
+        indices = range(5, 5 + 2 * chain._SEED_BATCH + 3)
+        for index, rng in zip(indices, chain._replica_rngs(root, indices), strict=True):
+            assert rng.random() == np.random.default_rng(chain._replica_seed(root, index)).random()
+
+    @pytest.mark.parametrize("index", [2**32, -1])
+    def test_index_outside_one_word_raises(self, index):
+        with pytest.raises(ValueError):
+            next(chain._replica_rngs(np.random.SeedSequence(1), [0, index]))
+
+    def test_self_check_catches_a_wrong_pool(self):
+        root = np.random.SeedSequence(7)
+        wrong = SimpleNamespace(entropy=root.entropy, spawn_key=root.spawn_key,
+                                pool_size=root.pool_size, pool=root.pool ^ np.uint32(1))
+        with pytest.raises(RuntimeError):
+            next(chain._replica_rngs(wrong, range(3)))

@@ -142,6 +142,30 @@ class TestConfigErrors:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "2-D points, the model is 1-D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "measure_set",
+        [
+            {"layer": 1, "shape": {"kind": "ball", "center": [[0.0, 0.0]], "radius": 0.1},
+             "window": {"lower": [-0.5], "upper": [0.5]}},
+            {"layer": 2, "shape": {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]}},
+            {"layer": 2, "shape": {"kind": "product_boxes",
+                                   "boxes": [{"lower": [0.0, 0.0], "upper": [0.5, 0.5]},
+                                             {"lower": [0.6], "upper": [1.0]}]}},
+        ],
+    )
+    def test_measure_box_of_another_dimension_exits_2(self, tmp_path, capsys, measure_set):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"]["dimension"] = 2
+        config["measure"]["sets"] = [measure_set]
+        path = write_config(tmp_path, config)
+        assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "1-D box, the model is 2-D" in capsys.readouterr().err
+
+    def test_validation_window_of_another_dimension_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"validate": {"window": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}})
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "validate.window is a 2-D box, the model is 1-D" in capsys.readouterr().err
+
     @pytest.mark.parametrize("axis", [1, -1])
     def test_hyperplane_axis_outside_the_model_exits_2(self, tmp_path, capsys, axis):
         config = json.loads(json.dumps(BASE_CONFIG))

@@ -137,6 +137,18 @@ class TestDistanceRho:
             assert abs(ab - ba) <= 1e-12
             assert distance_rho(a, c) <= ab + distance_rho(b, c) + 1e-12
 
+    @settings(max_examples=300)
+    @given(data=st.data(), n=st.integers(1, 5), d=st.integers(1, 3))
+    def test_triangle_inequality(self, data, n, d):
+        point = st.tuples(*[st.floats(-10, 10)] * d)
+        a, b, c = (
+            Configuration(data.draw(st.lists(point, min_size=n, max_size=n, unique=True)))
+            for _ in range(3)
+        )
+        ab, bc = distance_rho(a, b), distance_rho(b, c)
+        # Each distance is rounded once, so the sum may sit a few ulps low.
+        assert distance_rho(a, c) <= ab + bc + 4 * math.ulp(ab + bc)
+
     def test_identity_of_indiscernibles(self):
         rng = np.random.default_rng(11)
         cfg = random_config(rng, 4, 2)
@@ -160,7 +172,7 @@ class TestInBall:
                     assert in_ball(probe, RhoBall(center, shrunk)) is False
             assert in_ball(probe, RhoBall(center, rho + 1e-9)) is True
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(data=st.data(), n=st.integers(1, 5), d=st.integers(1, 3))
     def test_ball_at_the_distance_is_exactly_closed(self, data, n, d):
         point = st.tuples(*[st.floats(-10, 10)] * d)

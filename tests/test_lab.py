@@ -1,5 +1,7 @@
 """Experiment-layer tests: reports, verdicts, determinism, rejections."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,45 @@ class TestNullSetExperiment:
         assert [row.hits for row in report.rows] == expected
         assert all(hits > 0 for hits in expected)
         assert len(report.failures) == sum(expected)
+
+    def test_failures_are_written_one_csv_each(self, tmp_path):
+        predicates = [ExactPointTarget((1.0,)), HyperplaneTarget(0, 0.25)]
+        report = null_set_experiment(
+            _QuarterGridContact(), predicates, [EMPTY], max_steps=20, replicas=10, seed=3
+        )
+        assert report.failures
+        directory = tmp_path / "failures"
+        paths = report.write_failures(str(directory))
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            f"null_set_{k}.csv" for k in range(len(report.failures))
+        )
+        for path, trajectory in zip(paths, report.failures):
+            with open(path, newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert rows[0] == ["step_index", "kind", "x0"]
+            assert rows[1:] == [
+                [str(e.step_index), e.kind, repr(e.point[0])] for e in trajectory.events
+            ]
+            state = EMPTY
+            for _, kind, x0 in rows[1:]:
+                point = (float(x0),)
+                state = state.with_point(point) if kind == "birth" else state.without_point(point)
+            assert any(piece.contains(state) for piece in predicates)
+
+    def test_start_points_lead_a_failure_csv_and_a_pass_writes_nothing(self, tmp_path):
+        start = Configuration([[0.0], [1.0], [5.0]])
+        report = null_set_experiment(
+            ContactModel(), [PairDistanceTarget(1.0)], [start], max_steps=5, replicas=5, seed=7
+        )
+        (path, *_) = report.write_failures(str(tmp_path / "failures"))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:4] == [["0", "initial", repr(x)] for x in (0.0, 1.0, 5.0)]
+        clean = null_set_experiment(
+            ContactModel(), [ExactPointTarget((1.0,))], [EMPTY], max_steps=5, replicas=5, seed=7
+        )
+        assert clean.write_failures(str(tmp_path / "none")) == []
+        assert not (tmp_path / "none").exists()
 
     def test_deterministic_rows(self):
         m = ContactModel()
