@@ -166,15 +166,16 @@ class NullTarget(TargetPiece):
     satisfies it, every superset does too.  That makes the one-step
     reachability analysis exact: a birth can only enter the set from a
     state already inside it (the completing locations form a Lebesgue
-    null set), while a death enters it exactly when removing some point
-    lands inside.
+    null set), and a death cannot enter it at all, since a state whose
+    subset lies inside is inside already.
     """
 
     def one_step_positive(self, state: Configuration) -> bool:
-        """Whether one chain step from ``state`` hits the set with positive probability."""
-        if self.contains(state):
-            return True
-        return any(self.contains(state.without_index(i)) for i in range(len(state)))
+        """Whether one chain step from ``state`` hits the set with positive probability.
+
+        By monotonicity this is membership of ``state`` itself.
+        """
+        return self.contains(state)
 
     @abc.abstractmethod
     def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:

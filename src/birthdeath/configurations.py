@@ -221,8 +221,11 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     """Bottleneck matching distance between two configurations.
 
     The distance is the minimum over all pairings of the two point sets
-    of the largest single-point displacement.  It is computed exactly:
-    the optimum is one of the pairwise Euclidean distances, found by a
+    of the largest single-point displacement, computed exactly.  In d=1
+    the sorted pairing is an optimal one, and ``math.dist`` on 1-tuples
+    is ``abs(x - y)`` with monotone rounding, so the distance is the
+    largest ``abs(x - y)`` over the sorted points.  In d >= 2 the
+    optimum is one of the pairwise Euclidean distances, found by a
     threshold binary search with a perfect-matching feasibility test.
 
     Configurations of different sizes are at distance ``inf``; two empty
@@ -236,16 +239,19 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     _check_same_dimension(first, second)
     a = first.points
     b = second.points
+    if len(a[0]) == 1:
+        return max([abs(x - y) for (x,), (y,) in zip(a, b)])
+    dist = math.dist
     if n == 1:
-        return euclidean(a[0], b[0])
-    dist = [[euclidean(x, y) for y in b] for x in a]
+        return dist(a[0], b[0])
+    rows = [[dist(x, y) for y in b] for x in a]
     if n == 2:
-        return min(max(dist[0][0], dist[1][1]), max(dist[0][1], dist[1][0]))
-    candidates = sorted({v for row in dist for v in row})
+        return min(max(rows[0][0], rows[1][1]), max(rows[0][1], rows[1][0]))
+    candidates = sorted({v for row in rows for v in row})
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _perfect_matching_exists(dist, candidates[mid]):
+        if _perfect_matching_exists(rows, candidates[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -256,20 +262,35 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     """Whether ``candidate`` lies in the closed bottleneck ball.
 
     Equivalent to ``distance_rho(candidate, ball.center) <= ball.radius``
-    but decided with a single matching feasibility test at the radius.
-    A candidate of a different cardinality is never a member.
+    and decided from the same ``math.dist`` values.  In d=1 it is one
+    pass over the sorted points that stops at the first gap above the
+    radius.  In d >= 2 the distance matrix is built row by row; a
+    candidate point with no center point within the radius rejects at
+    once, and otherwise one matching feasibility test at the radius
+    decides.  A candidate of a different cardinality is never a member.
     """
     center = ball.center
     n = len(center)
     if len(candidate) != n:
         return False
-    _check_same_dimension(candidate, center)
     a = candidate.points
     b = center.points
-    if n == 1:
-        return euclidean(a[0], b[0]) <= ball.radius
-    dist = [[euclidean(x, y) for y in b] for x in a]
-    return _perfect_matching_exists(dist, ball.radius)
+    if len(a[0]) != len(b[0]):
+        _check_same_dimension(candidate, center)
+    radius = ball.radius
+    if len(b[0]) == 1:
+        for (x,), (y,) in zip(a, b):
+            if abs(x - y) > radius:
+                return False
+        return True
+    dist = math.dist
+    rows = []
+    for x in a:
+        row = [dist(x, y) for y in b]
+        if min(row) > radius:
+            return False
+        rows.append(row)
+    return n == 1 or _perfect_matching_exists(rows, radius)
 
 
 def symmetric_difference_size(first: Configuration, second: Configuration) -> int:

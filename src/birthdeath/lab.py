@@ -363,13 +363,13 @@ def one_step_null_preservation(
     """Analytic one-step check that a null set stays unreachable.
 
     For each sampled state the detector decides exactly whether one
-    chain step reaches the predicate set with positive probability:
-    births only enter from states already inside (the completing
-    locations form a Lebesgue null set, and the predicates are monotone
-    under added points), deaths enter exactly when removing some point
-    lands inside.  A pass means zero flagged states, the sampled
-    counterpart of the set being preserved as null by one step of the
-    chain.
+    chain step reaches the predicate set with positive probability.
+    The predicates are monotone under added points, so births only
+    enter from states already inside (the completing locations form a
+    Lebesgue null set), and a death lands inside only from a state that
+    was inside already; a state is flagged exactly when it is in the
+    set.  A pass means zero flagged states, the sampled counterpart of
+    the set being preserved as null by one step of the chain.
     """
     if not isinstance(null_target, NullTarget):
         raise ExperimentSetupError(

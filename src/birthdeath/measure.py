@@ -79,7 +79,16 @@ class BoxRegion:
         return math.prod(up - lo for lo, up in zip(self.lower, self.upper))
 
     def contains(self, point: Sequence[float]) -> bool:
-        return all(lo <= c <= up for lo, c, up in zip(self.lower, point, self.upper))
+        """Whether ``point`` lies in the closed box; a point of another dimension raises."""
+        if len(point) != len(self.lower):
+            raise ValueError(
+                f"point and box live in different spaces "
+                f"(dimensions {len(point)} and {len(self.lower)})"
+            )
+        for lo, c, up in zip(self.lower, point, self.upper):
+            if not lo <= c <= up:
+                return False
+        return True
 
     def sample(self, rng: np.random.Generator) -> Point:
         return tuple(float(c) for c in rng.uniform(self.lower, self.upper))
@@ -214,7 +223,7 @@ class LayerSet:
         if isinstance(shape, EmptySingleton):
             return True
         if isinstance(shape, AllInRegion):
-            return all(shape.region.contains(p) for p in config)
+            return all(map(shape.region.contains, config))
         if isinstance(shape, ProductOfDisjointBoxes):
             hit = set()
             for p in config:
@@ -273,6 +282,11 @@ def ball_window(ball: RhoBall) -> BoxRegion:
     )
 
 
+# Samples sorted, checked and turned into Python points per pass, which
+# bounds the Python objects alive at once.
+_SAMPLE_BLOCK = 4096
+
+
 def lp_measure_estimate(
     layer: int,
     window: BoxRegion,
@@ -290,7 +304,12 @@ def lp_measure_estimate(
 
     All draws come from one generator seeded with ``seed``, which is
     left untouched, so a fixed seed (or the same seed sequence passed
-    twice) gives the same estimate.
+    twice) gives the same estimate.  All samples are drawn at once, then
+    sorted lexicographically and checked for repeated points in NumPy,
+    one block of samples at a time; a sample with a repeated point is
+    redrawn, in sample order, until its points are distinct.  The
+    predicate is called once per sample, on configurations bit-identical
+    to sorting each sample's points in Python.
     """
     layer = int(layer)
     if layer < 0:
@@ -303,17 +322,24 @@ def lp_measure_estimate(
     scale = window.volume ** layer / math.factorial(layer)
     rng = np.random.default_rng(seed)
     d = window.dimension
+    drawn = rng.uniform(window.lower, window.upper, size=(samples, layer, d))
     hits = 0
-    coords = rng.uniform(window.lower, window.upper, size=(samples, layer, d)).tolist()
-    for rows in coords:
-        pts = sorted(tuple(row) for row in rows)
-        while any(a == b for a, b in zip(pts, pts[1:])):
-            pts = sorted(
-                tuple(map(float, row))
-                for row in rng.uniform(window.lower, window.upper, size=(layer, d))
-            )
-        if predicate(Configuration._wrap(tuple(pts))):
-            hits += 1
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = drawn[start:start + _SAMPLE_BLOCK]
+        # np.lexsort takes its primary key last: axis 0 of the points.
+        order = np.lexsort(block[:, :, ::-1].transpose(2, 0, 1), axis=-1)
+        block = np.take_along_axis(block, order[:, :, None], axis=1)
+        repeated = (block[:, 1:] == block[:, :-1]).all(axis=2).any(axis=1).tolist()
+        for twice, rows in zip(repeated, zip(*[block[:, :, k].tolist() for k in range(d)])):
+            pts = tuple(zip(*rows))
+            while twice:
+                pts = tuple(sorted(
+                    tuple(map(float, row))
+                    for row in rng.uniform(window.lower, window.upper, size=(layer, d))
+                ))
+                twice = any(a == b for a, b in zip(pts, pts[1:]))
+            if predicate(Configuration._wrap(pts)):
+                hits += 1
     frac = hits / samples
     std_error = scale * math.sqrt(frac * (1.0 - frac) / samples)
     return MeasureEstimate(scale * frac, std_error, samples, hits)

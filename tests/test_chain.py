@@ -232,6 +232,24 @@ class TestTargets:
         assert not t.one_step_positive(Configuration([[0.9], [3.0]]))
         assert not t.one_step_positive(EMPTY)
 
+    @settings(max_examples=300)
+    @given(
+        xs=st.lists(st.integers(-8, 8).map(lambda k: k / 4), max_size=6, unique=True),
+        point=st.integers(-8, 8).map(lambda k: k / 4),
+        distance=st.integers(1, 16).map(lambda k: k / 4),
+    )
+    def test_one_step_positive_is_the_brute_force_definition(self, xs, point, distance):
+        # Inside already, or one death lands inside: the definition before
+        # monotonicity reduced it to membership.  Quarter-grid points make
+        # exact hits on the point, the hyperplane and the pair distance common.
+        state = Configuration([(x,) for x in xs])
+        for target in (ExactPointTarget((point,)), HyperplaneTarget(0, point),
+                       PairDistanceTarget(distance)):
+            brute = target.contains(state) or any(
+                target.contains(state.without_index(i)) for i in range(len(state))
+            )
+            assert target.one_step_positive(state) == brute
+
     def test_ball_target_tracks_metric(self):
         ball = RhoBall(Configuration([[0.0], [1.0]]), 0.25)
         t = BallTarget(ball)

@@ -188,6 +188,34 @@ class TestInBall:
             if below > 0:
                 assert not in_ball(a, RhoBall(b, below))
 
+    @settings(max_examples=300)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 3))
+    def test_fast_paths_match_the_permutation_reference(self, data, n, d):
+        # Quarter-grid coordinates make equal gaps, and in d=1 tied
+        # pairings, common; the reference takes math.dist over every pairing.
+        coord = st.integers(-12, 12).map(lambda k: k / 4) | st.floats(-10, 10)
+        point = st.tuples(*[coord] * d)
+        a, b = (
+            Configuration(data.draw(st.lists(point, min_size=n, max_size=n, unique=True)))
+            for _ in range(2)
+        )
+        reference = min(
+            max(math.dist(x, y) for x, y in zip(a.points, pairing))
+            for pairing in itertools.permutations(b.points)
+        )
+        assert distance_rho(a, b) == reference
+        if reference > 0:
+            assert in_ball(a, RhoBall(b, reference))
+            below = math.nextafter(reference, 0)
+            if below > 0:
+                assert not in_ball(a, RhoBall(b, below))
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            in_ball(Configuration([[0.0, 0.0]]), RhoBall(Configuration([[0.0]]), 1.0))
+        with pytest.raises(ValueError):
+            in_ball(Configuration([[0.0]]), RhoBall(Configuration([[0.0, 0.0]]), 1.0))
+
     def test_layer_mismatch_is_outside(self):
         ball = RhoBall(Configuration([[0.0]]), 5.0)
         assert not in_ball(EMPTY, ball)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from birthdeath import measure
 from birthdeath import (
     EMPTY,
     AllInRegion,
@@ -107,6 +108,17 @@ class TestLayerSets:
         assert ls.contains(Configuration([[0.25], [0.75]]))
         assert not ls.contains(Configuration([[0.25], [1.75]]))
         assert not ls.contains(Configuration([[0.25]]))
+
+
+    def test_wrong_dimension_point_raises(self):
+        # A 2-D point used to be cut to its first coordinate and counted in.
+        wide = Configuration([[0.5, 99.0]])
+        with pytest.raises(ValueError):
+            LayerSet(1, AllInRegion(UNIT)).contains(wide)
+        with pytest.raises(ValueError):
+            LayerSet(1, ProductOfDisjointBoxes((UNIT,))).contains(wide)
+        with pytest.raises(ValueError):
+            UNIT.contains((0.5, 99.0))
 
 
 class TestExactMeasure:
@@ -213,11 +225,90 @@ class TestEstimate:
         fourth = lp_measure_estimate(2, UNIT, lambda c: in_ball(c, ball), 5000, seed=root)
         assert third == fourth == first
 
+    def test_wrong_dimension_window_raises(self):
+        square = BoxRegion((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            lp_measure_estimate(1, square, LayerSet(1, AllInRegion(UNIT)).contains, 100, seed=1)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             lp_measure_estimate(-1, UNIT, lambda c: True, samples=10)
         with pytest.raises(ValueError):
             lp_measure_estimate(1, UNIT, lambda c: True, samples=0)
+
+
+def reference_estimate(layer, window, predicate, samples, seed):
+    """The estimator's per-sample loop before NumPy sorted the sample block."""
+    scale = window.volume ** layer / math.factorial(layer)
+    rng = np.random.default_rng(seed)
+    d = window.dimension
+    hits = 0
+    coords = rng.uniform(window.lower, window.upper, size=(samples, layer, d)).tolist()
+    for rows in coords:
+        pts = sorted(tuple(row) for row in rows)
+        while any(a == b for a, b in zip(pts, pts[1:])):
+            pts = sorted(
+                tuple(map(float, row))
+                for row in rng.uniform(window.lower, window.upper, size=(layer, d))
+            )
+        if predicate(Configuration._wrap(tuple(pts))):
+            hits += 1
+    return scale * (hits / samples), hits
+
+
+class _EighthsGenerator(np.random.Generator):
+    """A generator whose uniforms are multiples of 1/8, so samples repeat points."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.floor(super().uniform(low, high, size) * 8.0) / 8.0
+
+
+class TestEstimateMatchesReference:
+    windows = {1: BoxRegion((0.0,), (1.0,)), 2: BoxRegion((0.0, -0.5), (1.0, 0.5))}
+
+    def predicates(self, d, layer):
+        window = self.windows[d]
+        inner = BoxRegion(
+            tuple(lo + 0.2 for lo in window.lower), tuple(up - 0.2 for up in window.upper)
+        )
+        center = Configuration(
+            [tuple(lo + (k + 0.5) / layer for lo in window.lower) for k in range(layer)]
+        )
+        return {
+            "all_in_region": LayerSet(layer, AllInRegion(inner)).contains,
+            "ball": LayerSet(layer, BallSet(RhoBall(center, 0.3))).contains,
+            "always": lambda c: True,
+        }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("layer", [1, 2, 3, 4])
+    def test_hits_and_value_are_bit_identical(self, d, layer):
+        window = self.windows[d]
+        for k, (name, predicate) in enumerate(self.predicates(d, layer).items()):
+            seed = 1000 * d + 10 * layer + k
+            got = lp_measure_estimate(layer, window, predicate, 2000, seed=seed)
+            assert (got.value, got.hits) == reference_estimate(layer, window, predicate, 2000, seed)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_duplicate_redraws_across_blocks(self, d, monkeypatch):
+        # Eighths make repeated points, and so redraws, common; small
+        # blocks put redrawn samples on both sides of block boundaries.
+        monkeypatch.setattr(measure, "_SAMPLE_BLOCK", 7)
+        window = self.windows[d]
+        layer = 4
+        for name, predicate in self.predicates(d, layer).items():
+            seen, expected = [], []
+            got = lp_measure_estimate(
+                layer, window, lambda c: seen.append(c.points) or predicate(c), 500,
+                seed=_EighthsGenerator(np.random.PCG64(d)),
+            )
+            want = reference_estimate(
+                layer, window, lambda c: expected.append(c.points) or predicate(c), 500,
+                _EighthsGenerator(np.random.PCG64(d)),
+            )
+            assert (got.value, got.hits) == want
+            assert seen == expected
+            assert all(len(set(points)) == layer for points in seen)
 
 
 class TestPoissonSampler:
