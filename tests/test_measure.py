@@ -109,7 +109,6 @@ class TestLayerSets:
         assert not ls.contains(Configuration([[0.25], [1.75]]))
         assert not ls.contains(Configuration([[0.25]]))
 
-
     def test_wrong_dimension_point_raises(self):
         # A 2-D point used to be cut to its first coordinate and counted in.
         wide = Configuration([[0.5, 99.0]])
@@ -284,7 +283,7 @@ class TestEstimateMatchesReference:
     @pytest.mark.parametrize("layer", [1, 2, 3, 4])
     def test_hits_and_value_are_bit_identical(self, d, layer):
         window = self.windows[d]
-        for k, (name, predicate) in enumerate(self.predicates(d, layer).items()):
+        for k, predicate in enumerate(self.predicates(d, layer).values()):
             seed = 1000 * d + 10 * layer + k
             got = lp_measure_estimate(layer, window, predicate, 2000, seed=seed)
             assert (got.value, got.hits) == reference_estimate(layer, window, predicate, 2000, seed)
@@ -296,7 +295,7 @@ class TestEstimateMatchesReference:
         monkeypatch.setattr(measure, "_SAMPLE_BLOCK", 7)
         window = self.windows[d]
         layer = 4
-        for name, predicate in self.predicates(d, layer).items():
+        for predicate in self.predicates(d, layer).values():
             seen, expected = [], []
             got = lp_measure_estimate(
                 layer, window, lambda c: seen.append(c.points) or predicate(c), 500,
