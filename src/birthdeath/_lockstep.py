@@ -10,11 +10,16 @@ component, the ball offset and any collision redraw), and
 so each replica's uniforms are drawn in fixed-size chunks.  All
 arithmetic repeats the scalar kernel's operations in the same order,
 which makes hit counts bit-identical to it.
+
+The same reading rule serves the scalar kernel: :class:`Reader` hands
+out a generator's uniforms one by one from chunks, and a block hands
+its last few live replicas back, with their unread uniforms, to be
+finished one at a time.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +30,39 @@ from .rates import ContactModel
 # unless a newborn lands exactly on an occupied point.
 _CHUNK = 64
 _KEEP = 3
+
+# Live replicas below which a block stops and hands its rows back.  A
+# lockstep step costs about 73 us plus 0.43 us a row, a scalar
+# replica-step about 4 us with its membership check, so the scalar
+# kernel is cheaper below about 20 rows; counted steps of a README lab
+# run put the least total cost between 12 and 24.
+_TAIL = 16
+
+
+def draws_uniforms_only(model: object) -> bool:
+    """Whether every draw the scalar kernel makes for ``model`` is ``rng.random()``.
+
+    True for the d=1 contact model itself (crowding changes only the
+    death rates); a subclass may draw otherwise.
+    """
+    return type(model) is ContactModel and model.dimension == 1
+
+
+class Reader:
+    """Stand-in generator whose ``random()`` returns a generator's uniforms in order.
+
+    It returns the doubles of ``head`` first and then those successive
+    ``rng.random()`` calls would, read ``_CHUNK`` at a time: about
+    0.12 us a draw against 0.4-0.9 us for ``Generator.random()`` (timeit,
+    2-core Xeon).  It reads ahead, so ``rng`` must belong to the reader
+    alone.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator, head: Sequence[float] = ()) -> None:
+        chunks = iter(lambda: rng.random(_CHUNK).tolist(), None)
+        self.random = chain(head, chain.from_iterable(chunks)).__next__
 
 
 def ball_members(
@@ -72,6 +110,10 @@ class _Uniforms:
         self.pos[rows] += 1
         return values
 
+    def reader(self, row: int) -> Reader:
+        """A reader that continues row ``row``'s stream from its next unread uniform."""
+        return Reader(self.rngs[row], self.buf[row, self.pos[row]:].tolist())
+
     def keep(self, mask: np.ndarray) -> None:
         self.rngs = [rng for rng, kept in zip(self.rngs, mask) if kept]
         self.buf = self.buf[mask]
@@ -85,12 +127,17 @@ def count_hits(
     balls: Sequence[tuple[np.ndarray, float]],
     max_steps: int,
     rngs: Sequence[np.random.Generator],
-) -> int:
+) -> tuple[int, int, list[tuple[list[float], Reader]]]:
     """Replicas, one per generator, that enter the target within ``max_steps``.
 
     The target is the empty configuration when ``empty`` is set, united
     with the d=1 bottleneck balls ``(sorted center, radius)``.
     Membership is checked after every step, never at the start.
+
+    Returns the hits, the steps taken and the unfinished tail.  Once
+    fewer than ``_TAIL`` replicas are live the block stops, and each of
+    them comes back as its sorted points with a :class:`Reader` of its
+    stream, for the scalar kernel to walk the remaining steps.
     """
     imm = model._immigration_mass
     per = model._per_neighbor_mass
@@ -118,10 +165,8 @@ def count_hits(
     pts = np.tile(np.asarray(initial, dtype=float), (live, 1))
     width = pts.shape[1]
     n = np.full(live, width, dtype=np.intp)
-    hits = 0
-    for _ in range(max_steps):
-        if not live:
-            break
+    hits = steps = 0
+    while steps < max_steps and live and live >= _TAIL:
         # Room for a birth plus one inf column that deaths shift in.
         need = int(n.max()) + 2
         if need > width:
@@ -173,4 +218,7 @@ def count_hits(
             pts, n = pts[keep], n[keep]
             draws.keep(keep)
             live = len(draws.rngs)
-    return hits
+        steps += 1
+    if steps == max_steps:
+        return hits, steps, []
+    return hits, steps, [(pts[k, :n[k]].tolist(), draws.reader(k)) for k in range(live)]

@@ -22,7 +22,8 @@ from bisect import bisect, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from math import dist
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -243,7 +244,10 @@ class PairDistanceTarget(NullTarget):
 
     def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
         d = self.distance
-        return any(p != newborn and euclidean(p, newborn) == d for p in state)
+        for p in state.points:
+            if p != newborn and dist(p, newborn) == d:
+                return True
+        return False
 
     def label(self) -> str:
         return f"null:pair_distance({self.distance!r})"
@@ -301,11 +305,31 @@ def _advance(
     return Configuration._wrap(points[:slot] + (location,) + points[slot:]), "birth", location
 
 
+# Moves a walk reads draw by draw before it reads uniforms in chunks.
+# A chunk reader costs about 2.6 us to set up, the price of several
+# draws, and short replicas never earn it back: of acceptance 7's
+# corridor replicas, 90 % stop after one move and 8.5 % after two.
+_PER_DRAW_STEPS = 2
+
+
 def _walk(
-    state: Configuration, model: RateModel, rng: np.random.Generator, max_steps: int
+    state: Configuration,
+    model: RateModel,
+    rng: np.random.Generator | _lockstep.Reader,
+    max_steps: int,
+    chunked: bool = True,
 ) -> Iterator[tuple[Configuration, str, Point]]:
-    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each."""
-    for _ in range(max_steps):
+    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each.
+
+    ``chunked`` lets the walk read ahead of its draws, so ``rng`` must
+    be the walk's own.  When every draw of the model is a uniform, the
+    moves after the first ``_PER_DRAW_STEPS`` then read ``rng`` through
+    a chunked :class:`~birthdeath._lockstep.Reader`, which gives the
+    same moves for less.
+    """
+    for index in range(max_steps):
+        if index == _PER_DRAW_STEPS and chunked and _lockstep.draws_uniforms_only(model):
+            rng = _lockstep.Reader(rng)
         move = _advance(state, model, rng)
         yield move
         state = move[0]
@@ -340,15 +364,18 @@ def simulate(
     The trajectory records the seed and every event, and identical
     ``(initial, model, seed, max_steps)`` inputs reproduce it
     bit for bit.  Membership is checked after each step, so a start
-    inside the target still requires a return at step one or later.
+    inside the target still requires a return at step one or later.  A
+    caller's generator is read draw by draw and left where the last
+    draw took it.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     rng = np.random.default_rng(seed)
+    own = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
     events: list[ChainEvent] = []
     hit_step: int | None = None
     member = target.membership if target is not None else None
-    for index, (state, kind, point) in enumerate(_walk(initial, model, rng, max_steps), 1):
+    for index, (state, kind, point) in enumerate(_walk(initial, model, rng, max_steps, own), 1):
         events.append(ChainEvent(kind, point, index))
         if member is not None and member(state):
             hit_step = index
@@ -600,16 +627,35 @@ def _hitting_block(
     stop: int,
 ) -> int:
     """Hits among replicas ``start <= i < stop``, lockstep where the input allows."""
-    rngs = _replica_rngs(root, range(start, stop))
+    return _count_hits(initial, model, target, max_steps, _replica_rngs(root, range(start, stop)))
+
+
+def _count_hits(
+    initial: Configuration,
+    model: RateModel,
+    target: TargetSet,
+    max_steps: int,
+    rngs: Iterable[np.random.Generator],
+) -> int:
+    """Replicas, one per generator, that enter ``target`` within ``max_steps``.
+
+    A lockstep block hands its last few live replicas back mid-run;
+    they finish on the scalar kernel from where the block left them.
+    """
+    walks = ((initial, rng, max_steps, True) for rng in rngs)
+    hits = 0
     spec = _lockstep_target(initial, model, target)
     if spec is not None:
         initial_xs = [p[0] for p in initial.points]
-        return _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
+        hits, steps, tail = _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
+        walks = (
+            (Configuration._wrap(tuple((x,) for x in xs)), reader, max_steps - steps, False)
+            for xs, reader in tail
+        )
     member = target.membership
-    hits = 0
-    for rng in rngs:
-        for state, _, _ in _walk(initial, model, rng, max_steps):
-            if member(state):
+    for state, rng, budget, chunked in walks:
+        for moved, _, _ in _walk(state, model, rng, budget, chunked):
+            if member(moved):
                 hits += 1
                 break
     return hits

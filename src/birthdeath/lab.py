@@ -295,9 +295,11 @@ def null_set_experiment(
     seed and attached to the report.
 
     The predicates are monotone under adding points, so a death never
-    enters a set and a birth enters it only through the newborn point:
-    the full membership test runs only while a replica is inside, and
-    a birth from outside is checked with ``entered_by_birth``.
+    enters a set and a birth enters it only through the newborn point.
+    A start inside a set gets the full membership test after the first
+    step; a replica inside after it has hit, so from then on only
+    births are checked, with ``entered_by_birth`` on the sets not yet
+    hit.
     """
     for piece in null_targets:
         if not isinstance(piece, NullTarget):
@@ -310,30 +312,31 @@ def null_set_experiment(
     failures: list[Trajectory] = []
     for start_index, start in enumerate(starts):
         case_seed = _case_seed(seed, start_index)
-        start_inside = [piece.contains(start) for piece in null_targets]
+        start_inside = tuple(piece for piece in null_targets if piece.contains(start))
         for replica, rng in enumerate(_replica_rngs(case_seed, range(replicas))):
-            seen = [False] * len(null_targets)
-            inside = list(start_inside)
+            unseen = list(enumerate(null_targets))
+            recheck = start_inside
             for state, kind, point in _walk(start, model, rng, max_steps):
-                for t_index, piece in enumerate(null_targets):
-                    if seen[t_index]:
-                        continue
-                    if inside[t_index]:
-                        hit = inside[t_index] = piece.contains(state)
-                    else:
-                        hit = kind == "birth" and piece.entered_by_birth(state, point)
-                    if hit:
-                        seen[t_index] = True
-                        hit_counts[start_index][t_index] += 1
-                        failures.append(
-                            simulate(
-                                start,
-                                model,
-                                TargetSet((piece,)),
-                                max_steps,
-                                _replica_seed(case_seed, replica),
-                            )
+                if kind != "birth" and not recheck:
+                    continue
+                entered = []
+                for t_index, piece in unseen:
+                    if (piece.contains(state) if piece in recheck
+                            else kind == "birth" and piece.entered_by_birth(state, point)):
+                        entered.append((t_index, piece))
+                recheck = ()
+                for t_index, piece in entered:
+                    unseen.remove((t_index, piece))
+                    hit_counts[start_index][t_index] += 1
+                    failures.append(
+                        simulate(
+                            start,
+                            model,
+                            TargetSet((piece,)),
+                            max_steps,
+                            _replica_seed(case_seed, replica),
                         )
+                    )
     rows: list[CaseRow] = []
     case = 0
     for start_index, start in enumerate(starts):

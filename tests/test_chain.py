@@ -398,6 +398,10 @@ class TestLockstepBackend:
         mixed = TargetSet((EmptyTarget(), ExactPointTarget((0.0,))))
         assert chain._lockstep_target(EMPTY, ContactModel(), mixed) is None
 
+    # Live rows below which a block hands its tail to the scalar kernel:
+    # never (pure lockstep arithmetic), the default, and from the start.
+    tails = [0, _lockstep._TAIL, 10**9]
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hit_counts_equal_the_scalar_kernel(self, seed, workers, monkeypatch):
@@ -405,12 +409,17 @@ class TestLockstepBackend:
         monkeypatch.setattr(chain, "_BLOCK", 16)
         lockstep, scalar = ContactModel(), _ScalarContact()
         assert len(self.starts[2]) > 1
-        for start, target, max_steps in itertools.product(self.starts, self.targets, [1, 7, 400]):
+        # The hand-off does not depend on the worker split, and a pool per
+        # estimate is slow, so two workers run at the default tail only.
+        tails = self.tails if workers == 1 else [_lockstep._TAIL]
+        cases = itertools.product(tails, self.starts, self.targets, [1, 7, 400])
+        for tail, start, target, max_steps in cases:
+            monkeypatch.setattr(_lockstep, "_TAIL", tail)
             fast = hitting_estimate(start, target, lockstep, max_steps, 50, seed, workers)
             slow = hitting_estimate(start, target, scalar, max_steps, 50, seed)
-            assert fast == slow, (start, target.label(), max_steps)
+            assert fast == slow, (tail, start, target.label(), max_steps)
 
-    def test_collision_redraws_match_the_scalar_kernel(self):
+    def test_collision_redraws_match_the_scalar_kernel(self, monkeypatch):
         # Dyadic masses (immigration 2, per neighbor 1) make move draws hit
         # partial death sums exactly, which pins the dying-index tie rule.
         model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
@@ -430,11 +439,10 @@ class TestLockstepBackend:
                     first = step_index
                     break
             redrawn += rng.used > deaths + 3 * births
-            for max_steps in (1, 2, 10, 45, 60):
-                lockstep = _lockstep.count_hits(
-                    [0.0, 0.5], model, *_spec(target), max_steps, [_Lattice(seed)]
-                )
-                assert lockstep == int(first is not None and first <= max_steps)
+            for tail, max_steps in itertools.product(self.tails, (1, 2, 10, 45, 60)):
+                monkeypatch.setattr(_lockstep, "_TAIL", tail)
+                lockstep = chain._count_hits(start, model, target, max_steps, [_Lattice(seed)])
+                assert lockstep == int(first is not None and first <= max_steps), (seed, tail)
             hits += first is not None
         assert 0 < hits < 40 and redrawn >= 10
 
@@ -477,6 +485,58 @@ class TestLockstepBackend:
             assert derived.spawn_key == child.spawn_key
             assert (derived.generate_state(4) == child.generate_state(4)).all()
         assert fresh.n_children_spawned == 0
+
+
+class TestChunkedReads:
+    # d=1 contact walks read uniforms in chunks after their first
+    # chain._PER_DRAW_STEPS moves; _ScalarContact reads draw by draw, the reference.
+    @pytest.mark.parametrize("crowding", [0.0, 0.4])
+    def test_simulate_equals_per_draw_reads(self, crowding):
+        chunked, per_draw = ContactModel(crowding_death=crowding), _ScalarContact(crowding_death=crowding)
+        start = Configuration([[0.0], [0.5]])
+        target = TargetSet((BallTarget(RhoBall(Configuration([[-0.4], [0.6]]), 0.2)),))
+        assert _lockstep.draws_uniforms_only(chunked)
+        assert not _lockstep.draws_uniforms_only(per_draw)
+        for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
+            for initial, goal in ((EMPTY, None), (start, target)):
+                fast = simulate(initial, chunked, goal, max_steps, seed)
+                assert fast == simulate(initial, per_draw, goal, max_steps, seed), (seed, max_steps)
+
+    def test_collision_redraws_across_a_chunk_boundary(self):
+        model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
+        start = Configuration([[0.0], [0.5]])
+        straddled = 0
+        for seed in range(20):
+            rng, state, moves, first = _Lattice(seed), start, [], None
+            for index in range(200):
+                if index == chain._PER_DRAW_STEPS:
+                    first = rng.used
+                before = rng.used
+                state, kind, point = chain._advance(state, model, rng)
+                moves.append((state, kind, point))
+                if first is None:
+                    continue
+                # Chunks start after the per-draw moves; a redrawn birth
+                # that reads on both sides of a chunk edge straddles it.
+                edges = range(first + _lockstep._CHUNK, rng.used, _lockstep._CHUNK)
+                straddled += kind == "birth" and rng.used - before > 3 and any(
+                    before < edge < rng.used for edge in edges
+                )
+            assert list(chain._walk(start, model, _Lattice(seed), 200)) == moves, seed
+        assert straddled >= 10
+
+    def test_a_callers_generator_is_read_draw_by_draw(self):
+        chunked, per_draw = ContactModel(), _ScalarContact()
+        state = Configuration([[0.0], [0.3]])
+        for seed in range(20):
+            mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert step(state, chunked, mine) == step(state, per_draw, twin)
+            assert mine.bit_generator.state == twin.bit_generator.state
+            first = simulate(state, chunked, None, 30, mine)
+            second = simulate(state, per_draw, None, 30, twin)
+            assert first.events == second.events
+            assert mine.bit_generator.state == twin.bit_generator.state
+            assert mine.random() == twin.random()
 
 
 class TestBatchSeeding:

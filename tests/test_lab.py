@@ -25,9 +25,13 @@ from birthdeath import (
     positive_measure_experiment,
     run_default_suite,
     sample_poisson_config,
+    simulate,
     step,
+    TargetSet,
     theorem_pipeline,
 )
+from birthdeath import chain, lab
+from birthdeath.chain import HittingEstimate
 from birthdeath.lab import describe_configuration
 
 SMALL = SuiteSizes(
@@ -124,7 +128,72 @@ def _full_check_hits(model, pieces, start, start_index, max_steps, replicas, see
     return counts
 
 
+def _reference_audit(model, null_targets, starts, max_steps, replicas, seed):
+    """The audit loop before births-only checks, on per-draw generator reads.
+
+    Every piece not yet hit is checked after every step: in full while
+    the replica is inside it, through the newborn after a birth.
+    """
+    hit_counts = [[0] * len(null_targets) for _ in starts]
+    failures = []
+    for start_index, start in enumerate(starts):
+        case_seed = lab._case_seed(seed, start_index)
+        start_inside = [piece.contains(start) for piece in null_targets]
+        for replica in range(replicas):
+            rng = np.random.default_rng(chain._replica_seed(case_seed, replica))
+            seen = [False] * len(null_targets)
+            inside = list(start_inside)
+            state = start
+            for _ in range(max_steps):
+                state, kind, point = chain._advance(state, model, rng)
+                for t_index, piece in enumerate(null_targets):
+                    if seen[t_index]:
+                        continue
+                    if inside[t_index]:
+                        hit = inside[t_index] = piece.contains(state)
+                    else:
+                        hit = kind == "birth" and piece.entered_by_birth(state, point)
+                    if hit:
+                        seen[t_index] = True
+                        hit_counts[start_index][t_index] += 1
+                        failures.append(simulate(start, model, TargetSet((piece,)), max_steps,
+                                                 chain._replica_seed(case_seed, replica)))
+    rows = []
+    for start_index, start in enumerate(starts):
+        for t_index, piece in enumerate(null_targets):
+            hits = hit_counts[start_index][t_index]
+            rows.append(lab._row(
+                "null_set", len(rows), describe_configuration(start), piece.label(),
+                HittingEstimate.from_counts(hits, replicas, max_steps),
+                "PASS" if hits == 0 else "FAIL", f"{seed}:{start_index}", target_measure=0.0,
+            ))
+    return tuple(rows), tuple(failures)
+
+
+def _replay_key(trajectory):
+    # SeedSequence compares by identity, so compare what it is built from.
+    seed = trajectory.seed
+    return (trajectory.initial, trajectory.events, trajectory.terminal_reason,
+            trajectory.hit_step, seed.entropy, seed.spawn_key)
+
+
 class TestNullSetExperiment:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_rows_and_failures_equal_the_reference_audit(self, seed):
+        predicates = [ExactPointTarget((1.0,)), HyperplaneTarget(0, 0.25), PairDistanceTarget(1.0)]
+        # The second start sits inside the point and pair sets, the third inside all three.
+        starts = [EMPTY, Configuration([[0.0], [1.0]]), Configuration([[0.25], [1.0], [2.0]])]
+        for model, max_steps in ((ContactModel(), 30), (_QuarterGridContact(), 12)):
+            report = null_set_experiment(model, predicates, starts, max_steps, replicas=25, seed=seed)
+            rows, failures = _reference_audit(model, predicates, starts, max_steps, 25, seed)
+            assert report.rows == rows
+            assert [_replay_key(t) for t in report.failures] == [_replay_key(t) for t in failures]
+            # Rows 3 and 5 are the second start's sets, 6-8 the third's.
+            assert all(rows[k].hits > 0 for k in (3, 5, 6, 7, 8))
+            if isinstance(model, _QuarterGridContact):
+                # Quarter-grid newborns force hits from the empty start too.
+                assert sum(row.hits for row in rows[:3]) > 0
+
     def test_clean_run_records_zero_hits(self):
         m = ContactModel()
         predicates = [

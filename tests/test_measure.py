@@ -103,6 +103,28 @@ class TestLayerSets:
         assert not ls.contains(Configuration([[0.5], [4.0]]))
         assert not ls.contains(Configuration([[0.5]]))
 
+    def test_contains_product_matches_points_on_a_shared_face(self):
+        # The point on the shared face must take the box its neighbor leaves free.
+        left, right = BoxRegion((0.0,), (1.0,)), BoxRegion((1.0,), (2.0,))
+        assert LayerSet(2, ProductOfDisjointBoxes((left, right))).contains(
+            Configuration([[0.5], [1.0]])
+        )
+        mirrored = LayerSet(2, ProductOfDisjointBoxes((right, left)))
+        assert mirrored.contains(Configuration([[1.0], [1.5]]))
+        assert mirrored.contains(Configuration([[0.5], [1.0]]))
+        assert not mirrored.contains(Configuration([[0.25], [0.5]]))
+
+    def test_contains_product_of_d2_boxes_sharing_a_face(self):
+        shape = ProductOfDisjointBoxes(
+            (BoxRegion((0.0, 0.0), (1.0, 1.0)), BoxRegion((1.0, 0.0), (2.0, 1.0)))
+        )
+        ls = LayerSet(2, shape)
+        assert ls.contains(Configuration([[0.5, 0.5], [1.0, 0.5]]))
+        assert ls.contains(Configuration([[1.0, 0.2], [1.0, 0.7]]))
+        assert ls.contains(Configuration([[1.0, 0.2], [1.5, 0.7]]))
+        assert not ls.contains(Configuration([[0.2, 0.2], [0.5, 0.7]]))
+        assert not ls.contains(Configuration([[0.5, 0.5], [1.0, 1.5]]))
+
     def test_contains_all_in_region(self):
         ls = LayerSet(2, AllInRegion(UNIT))
         assert ls.contains(Configuration([[0.25], [0.75]]))
