@@ -39,15 +39,6 @@ _KEEP = 3
 _TAIL = 16
 
 
-def draws_uniforms_only(model: object) -> bool:
-    """Whether every draw the scalar kernel makes for ``model`` is ``rng.random()``.
-
-    True for the d=1 contact model itself (crowding changes only the
-    death rates); a subclass may draw otherwise.
-    """
-    return type(model) is ContactModel and model.dimension == 1
-
-
 class Reader:
     """Stand-in generator whose ``random()`` returns a generator's uniforms in order.
 

@@ -305,34 +305,33 @@ def _advance(
     return Configuration._wrap(points[:slot] + (location,) + points[slot:]), "birth", location
 
 
-# Moves a walk reads draw by draw before it reads uniforms in chunks.
-# A chunk reader costs about 2.6 us to set up, the price of several
-# draws, and short replicas never earn it back: of acceptance 7's
-# corridor replicas, 90 % stop after one move and 8.5 % after two.
-_PER_DRAW_STEPS = 2
-
-
 def _walk(
     state: Configuration,
     model: RateModel,
     rng: np.random.Generator | _lockstep.Reader,
     max_steps: int,
-    chunked: bool = True,
 ) -> Iterator[tuple[Configuration, str, Point]]:
-    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each.
-
-    ``chunked`` lets the walk read ahead of its draws, so ``rng`` must
-    be the walk's own.  When every draw of the model is a uniform, the
-    moves after the first ``_PER_DRAW_STEPS`` then read ``rng`` through
-    a chunked :class:`~birthdeath._lockstep.Reader`, which gives the
-    same moves for less.
-    """
-    for index in range(max_steps):
-        if index == _PER_DRAW_STEPS and chunked and _lockstep.draws_uniforms_only(model):
-            rng = _lockstep.Reader(rng)
+    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each."""
+    for _ in range(max_steps):
         move = _advance(state, model, rng)
         yield move
         state = move[0]
+
+
+def _own_stream(
+    rng: np.random.Generator, model: RateModel
+) -> np.random.Generator | _lockstep.Reader:
+    """``rng`` for a walk that owns it, behind a chunked reader where that gives the same moves.
+
+    Every draw the kernel makes for the d=1 contact model itself is
+    ``rng.random()`` (crowding changes only the death rates), so a
+    :class:`~birthdeath._lockstep.Reader` hands out the same doubles for
+    less; a subclass may draw otherwise.  The reader reads ahead, so the
+    caller must not read ``rng`` again.
+    """
+    if type(model) is ContactModel and model.dimension == 1:
+        return _lockstep.Reader(rng)
+    return rng
 
 
 def step(
@@ -371,11 +370,12 @@ def simulate(
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     rng = np.random.default_rng(seed)
-    own = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        rng = _own_stream(rng, model)
     events: list[ChainEvent] = []
     hit_step: int | None = None
     member = target.membership if target is not None else None
-    for index, (state, kind, point) in enumerate(_walk(initial, model, rng, max_steps, own), 1):
+    for index, (state, kind, point) in enumerate(_walk(initial, model, rng, max_steps), 1):
         events.append(ChainEvent(kind, point, index))
         if member is not None and member(state):
             hit_step = index
@@ -642,19 +642,19 @@ def _count_hits(
     A lockstep block hands its last few live replicas back mid-run;
     they finish on the scalar kernel from where the block left them.
     """
-    walks = ((initial, rng, max_steps, True) for rng in rngs)
+    walks = ((initial, _own_stream(rng, model), max_steps) for rng in rngs)
     hits = 0
     spec = _lockstep_target(initial, model, target)
     if spec is not None:
         initial_xs = [p[0] for p in initial.points]
         hits, steps, tail = _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
         walks = (
-            (Configuration._wrap(tuple((x,) for x in xs)), reader, max_steps - steps, False)
+            (Configuration._wrap(tuple((x,) for x in xs)), reader, max_steps - steps)
             for xs, reader in tail
         )
     member = target.membership
-    for state, rng, budget, chunked in walks:
-        for moved, _, _ in _walk(state, model, rng, budget, chunked):
+    for state, rng, budget in walks:
+        for moved, _, _ in _walk(state, model, rng, budget):
             if member(moved):
                 hits += 1
                 break

@@ -36,6 +36,7 @@ from .chain import (
     TargetPiece,
     TargetSet,
     Trajectory,
+    _own_stream,
     _replica_rngs,
     _replica_seed,
     _walk,
@@ -316,7 +317,7 @@ def null_set_experiment(
         for replica, rng in enumerate(_replica_rngs(case_seed, range(replicas))):
             unseen = list(enumerate(null_targets))
             recheck = start_inside
-            for state, kind, point in _walk(start, model, rng, max_steps):
+            for state, kind, point in _walk(start, model, _own_stream(rng, model), max_steps):
                 if kind != "birth" and not recheck:
                     continue
                 entered = []

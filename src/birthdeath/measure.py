@@ -18,7 +18,6 @@ returned here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -174,24 +173,10 @@ class ProductOfDisjointBoxes:
                     raise ValueError(f"boxes {i} and {j} overlap with positive volume")
         object.__setattr__(self, "boxes", boxes)
 
-    @functools.cached_property
-    def touching(self) -> bool:
-        """Whether two of the closed boxes share a point (on a common face)."""
-        return any(
-            _boxes_meet(a, b) for i, a in enumerate(self.boxes) for b in self.boxes[i + 1:]
-        )
-
 
 def _boxes_overlap(a: BoxRegion, b: BoxRegion) -> bool:
     return all(
         min(ua, ub) - max(la, lb) > 0
-        for la, ua, lb, ub in zip(a.lower, a.upper, b.lower, b.upper)
-    )
-
-
-def _boxes_meet(a: BoxRegion, b: BoxRegion) -> bool:
-    return all(
-        max(la, lb) <= min(ua, ub)
         for la, ua, lb, ub in zip(a.lower, a.upper, b.lower, b.upper)
     )
 
@@ -241,22 +226,11 @@ class LayerSet:
         if isinstance(shape, AllInRegion):
             return all(map(shape.region.contains, config))
         if isinstance(shape, ProductOfDisjointBoxes):
-            if shape.touching:
-                # A point on a face two boxes share lies in both, so a
-                # perfect matching of points to boxes decides; zeros
-                # mark the boxes each point lies in.
-                rows = [[0.0 if box.contains(p) else 1.0 for box in shape.boxes] for p in config]
-                return _perfect_matching_exists(rows, 0.0)
-            # Boxes that share no point hold each point in at most one.
-            hit = set()
-            for p in config:
-                for k, box in enumerate(shape.boxes):
-                    if box.contains(p):
-                        hit.add(k)
-                        break
-                else:
-                    return False
-            return len(hit) == self.layer
+            # A point on a face two boxes share lies in both, so a
+            # perfect matching of points to boxes decides; zeros mark
+            # the boxes each point lies in.
+            rows = [[0.0 if box.contains(p) else 1.0 for box in shape.boxes] for p in config]
+            return _perfect_matching_exists(rows, 0.0)
         return in_ball(config, shape.ball)
 
 

@@ -280,10 +280,7 @@ def corridor_event_frequency(
     ]
     hits = 0
     for rng in _replica_rngs(_root_seed(seed), range(replicas)):
-        # Per-draw reads: most replicas leave the corridor within two
-        # steps, too soon for a chunk reader to pay for itself.
-        walk = _walk(path.start, model, rng, len(cells), chunked=False)
-        for cell, (state, _, _) in zip(cells, walk):
+        for cell, (state, _, _) in zip(cells, _walk(path.start, model, rng, len(cells))):
             if not cell.contains(state):
                 break
         else:

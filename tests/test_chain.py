@@ -488,15 +488,16 @@ class TestLockstepBackend:
 
 
 class TestChunkedReads:
-    # d=1 contact walks read uniforms in chunks after their first
-    # chain._PER_DRAW_STEPS moves; _ScalarContact reads draw by draw, the reference.
+    # d=1 contact walks that own their generator read uniforms in
+    # chunks; _ScalarContact reads draw by draw, the reference.
     @pytest.mark.parametrize("crowding", [0.0, 0.4])
     def test_simulate_equals_per_draw_reads(self, crowding):
         chunked, per_draw = ContactModel(crowding_death=crowding), _ScalarContact(crowding_death=crowding)
         start = Configuration([[0.0], [0.5]])
         target = TargetSet((BallTarget(RhoBall(Configuration([[-0.4], [0.6]]), 0.2)),))
-        assert _lockstep.draws_uniforms_only(chunked)
-        assert not _lockstep.draws_uniforms_only(per_draw)
+        rng = np.random.default_rng(0)
+        assert isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
+        assert chain._own_stream(rng, per_draw) is rng
         for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
             for initial, goal in ((EMPTY, None), (start, target)):
                 fast = simulate(initial, chunked, goal, max_steps, seed)
@@ -507,22 +508,20 @@ class TestChunkedReads:
         start = Configuration([[0.0], [0.5]])
         straddled = 0
         for seed in range(20):
-            rng, state, moves, first = _Lattice(seed), start, [], None
-            for index in range(200):
-                if index == chain._PER_DRAW_STEPS:
-                    first = rng.used
+            rng, state, moves = _Lattice(seed), start, []
+            for _ in range(200):
                 before = rng.used
                 state, kind, point = chain._advance(state, model, rng)
                 moves.append((state, kind, point))
-                if first is None:
-                    continue
-                # Chunks start after the per-draw moves; a redrawn birth
-                # that reads on both sides of a chunk edge straddles it.
-                edges = range(first + _lockstep._CHUNK, rng.used, _lockstep._CHUNK)
+                # A redrawn birth that reads on both sides of a chunk
+                # edge straddles it.
+                edges = range(_lockstep._CHUNK, rng.used, _lockstep._CHUNK)
                 straddled += kind == "birth" and rng.used - before > 3 and any(
                     before < edge < rng.used for edge in edges
                 )
-            assert list(chain._walk(start, model, _Lattice(seed), 200)) == moves, seed
+            reader = chain._own_stream(_Lattice(seed), model)
+            assert isinstance(reader, _lockstep.Reader)
+            assert list(chain._walk(start, model, reader, 200)) == moves, seed
         assert straddled >= 10
 
     def test_a_callers_generator_is_read_draw_by_draw(self):
