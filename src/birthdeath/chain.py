@@ -35,7 +35,7 @@ from .configurations import (
     euclidean,
     in_ball,
 )
-from .measure import BallRegion, BoxRegion
+from .measure import BallRegion, BoxRegion, sample_in_ball
 from .rates import ContactModel, DegenerateStateError, RateModel
 
 __all__ = [
@@ -311,11 +311,82 @@ def _walk(
     rng: np.random.Generator | _lockstep.Reader,
     max_steps: int,
 ) -> Iterator[tuple[Configuration, str, Point]]:
-    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each."""
+    """Run up to ``max_steps`` kernel moves, yielding ``_advance``'s result after each.
+
+    The contact model itself (not a subclass, which may override its
+    rates) takes :func:`_contact_walk`, the same moves for less.
+    """
+    if type(model) is ContactModel:
+        return _contact_walk(state, model, rng, max_steps)
+    return _advance_walk(state, model, rng, max_steps)
+
+
+def _advance_walk(
+    state: Configuration,
+    model: RateModel,
+    rng: np.random.Generator | _lockstep.Reader,
+    max_steps: int,
+) -> Iterator[tuple[Configuration, str, Point]]:
+    """``_walk`` for any rate model: one ``_advance`` call a step."""
     for _ in range(max_steps):
         move = _advance(state, model, rng)
         yield move
         state = move[0]
+
+
+def _contact_walk(
+    state: Configuration,
+    model: ContactModel,
+    rng: np.random.Generator | _lockstep.Reader,
+    max_steps: int,
+) -> Iterator[tuple[Configuration, str, Point]]:
+    """``_advance_walk`` for the contact model with its rate methods inlined.
+
+    Each step makes one ``death_rates`` call and reads the size once;
+    the birth mass is ``total_birth_mass``'s sum, and the operations
+    and draws are ``_advance``'s in the same order, so the moves are
+    bit-identical.  Both birth masses are positive, so every state can
+    move.
+    """
+    death_rates = model.death_rates
+    random = rng.random
+    imm, per = model._immigration_mass, model._per_neighbor_mass
+    imm_center, imm_radius = model.immigration_region.center, model.immigration_region.radius
+    radius = model.interaction_radius
+    wrap = Configuration._wrap
+    points = state.points
+    for _ in range(max_steps):
+        partial = list(accumulate(death_rates(state)))
+        n = len(points)
+        death_mass = partial[-1] if n else 0.0
+        birth_mass = imm + per * n
+        u = random() * (death_mass + birth_mass)
+        if u < death_mass:
+            index = bisect_right(partial, u)
+            if index >= n:
+                index = n - 1
+            point = points[index]
+            points = points[:index] + points[index + 1:]
+            kind = "death"
+        else:
+            # The component choice of ContactModel.sample_birth_location,
+            # redrawn with the location while it lands on an occupied point.
+            while True:
+                v = random() * birth_mass
+                if v < imm or not n:
+                    point = sample_in_ball(imm_center, imm_radius, rng)
+                else:
+                    index = int((v - imm) / per)
+                    if index >= n:
+                        index = n - 1
+                    point = sample_in_ball(points[index], radius, rng)
+                if point not in points:
+                    break
+            slot = bisect(points, point)
+            points = points[:slot] + (point,) + points[slot:]
+            kind = "birth"
+        state = wrap(points)
+        yield state, kind, point
 
 
 def _own_stream(

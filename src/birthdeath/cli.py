@@ -107,7 +107,7 @@ def build_model(config: dict) -> RateModel:
     kwargs.setdefault("dimension", config.get("dimension", 1))
     try:
         return ContactModel(**kwargs)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad model parameters: {err}") from err
 
 

@@ -135,7 +135,7 @@ def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Genera
         if norm > 0.0:
             break
     scale = radius * rng.random() ** (1.0 / d) / norm
-    return tuple(float(c + scale * v) for c, v in zip(center, direction))
+    return tuple(c + scale * v for c, v in zip(center, direction.tolist()))
 
 
 # --- layer sets -------------------------------------------------------

@@ -195,6 +195,13 @@ def _ball_region_relation(component: BallRegion, region: BoxRegion | BallRegion)
     return "partial"
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _interval_overlap(lo_a: float, up_a: float, lo_b: float, up_b: float) -> float:
     return max(0.0, min(up_a, up_b) - max(lo_a, lo_b))
 
@@ -222,20 +229,23 @@ class ContactModel(RateModel):
         immigration_radius: float = 0.5,
         birth_floor: float | None = None,
     ) -> None:
-        self.dimension = int(dimension)
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        self.interaction_radius = float(interaction_radius)
+        try:
+            self.dimension = int(dimension)
+        except OverflowError as err:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}") from err
+        if self.dimension != dimension or self.dimension < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+        self.interaction_radius = _finite("interaction_radius", interaction_radius)
         if not self.interaction_radius > 0:
             raise ValueError("interaction_radius must be positive")
-        self.immigration_intensity = float(immigration_intensity)
-        self.neighbor_intensity = float(neighbor_intensity)
+        self.immigration_intensity = _finite("immigration_intensity", immigration_intensity)
+        self.neighbor_intensity = _finite("neighbor_intensity", neighbor_intensity)
         if not self.immigration_intensity > 0:
             raise ValueError("immigration_intensity must be positive")
         if not self.neighbor_intensity > 0:
             raise ValueError("neighbor_intensity must be positive")
-        self.baseline_death = float(baseline_death)
-        self.crowding_death = float(crowding_death)
+        self.baseline_death = _finite("baseline_death", baseline_death)
+        self.crowding_death = _finite("crowding_death", crowding_death)
         if self.baseline_death < 0 or self.crowding_death < 0:
             raise ValueError("death parameters must be nonnegative")
         if immigration_center is None:
@@ -246,18 +256,27 @@ class ContactModel(RateModel):
         self.immigration_region = BallRegion(center, float(immigration_radius))
         if birth_floor is None:
             birth_floor = 0.5 * min(self.immigration_intensity, self.neighbor_intensity)
-        self.birth_floor = float(birth_floor)
+        self.birth_floor = _finite("birth_floor", birth_floor)
         if not 0 < self.birth_floor < min(self.immigration_intensity, self.neighbor_intensity):
             raise ValueError(
                 "birth_floor must sit strictly between zero and the smaller intensity"
             )
-        ball = unit_ball_volume(self.dimension)
-        self._immigration_mass = (
-            self.immigration_intensity * ball * self.immigration_region.radius ** self.dimension
-        )
-        self._per_neighbor_mass = (
-            self.neighbor_intensity * ball * self.interaction_radius ** self.dimension
-        )
+        # Both masses must be positive and finite, so every state has a
+        # positive total jump mass and the chain can always move.
+        try:
+            ball = unit_ball_volume(self.dimension)
+            self._immigration_mass = (
+                self.immigration_intensity * ball * self.immigration_region.radius ** self.dimension
+            )
+            self._per_neighbor_mass = (
+                self.neighbor_intensity * ball * self.interaction_radius ** self.dimension
+            )
+        except OverflowError as err:
+            raise ValueError(f"birth masses overflow in dimension {self.dimension}") from err
+        for name, mass in (("immigration", self._immigration_mass),
+                           ("per-neighbor", self._per_neighbor_mass)):
+            if not 0.0 < mass < math.inf:
+                raise ValueError(f"the {name} birth mass {mass!r} is not positive and finite")
         self.birth_mass_slope = self._per_neighbor_mass
         self.birth_mass_offset = self._immigration_mass
 
@@ -278,15 +297,15 @@ class ContactModel(RateModel):
         return self.baseline_death + self.crowding_death * near
 
     def death_rates(self, state: Configuration) -> list[float]:
-        n = len(state)
+        pts = state.points
+        n = len(pts)
         if self.crowding_death == 0.0 or n <= 1:
             return [self.baseline_death] * n
-        pts = state.points
         radius = self.interaction_radius
         near = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                if euclidean(pts[i], pts[j]) <= radius:
+                if math.dist(pts[i], pts[j]) <= radius:
                     near[i] += 1
                     near[j] += 1
         return [self.baseline_death + self.crowding_death * c for c in near]
@@ -295,6 +314,8 @@ class ContactModel(RateModel):
         return self._immigration_mass + self._per_neighbor_mass * len(state)
 
     def sample_birth_location(self, state: Configuration, rng: np.random.Generator) -> Point:
+        # chain._contact_walk repeats this component choice inline, draw
+        # for draw; a change here must be made there too.
         mass = self.total_birth_mass(state)
         u = rng.random() * mass
         if u < self._immigration_mass or not len(state):

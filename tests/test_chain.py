@@ -349,7 +349,7 @@ class TestNullEntryByBirth:
 
 
 class _ScalarContact(ContactModel):
-    """The contact model under another type, which keeps it on the scalar kernel."""
+    """The contact model under another type, which keeps it on ``_advance``, the reference."""
 
 
 class _Lattice:
@@ -488,20 +488,43 @@ class TestLockstepBackend:
 
 
 class TestChunkedReads:
-    # d=1 contact walks that own their generator read uniforms in
-    # chunks; _ScalarContact reads draw by draw, the reference.
+    # Contact walks take the fused kernel, and d=1 walks that own their
+    # generator read uniforms in chunks; _ScalarContact steps with
+    # _advance and reads draw by draw, the reference.
     @pytest.mark.parametrize("crowding", [0.0, 0.4])
     def test_simulate_equals_per_draw_reads(self, crowding):
-        chunked, per_draw = ContactModel(crowding_death=crowding), _ScalarContact(crowding_death=crowding)
-        start = Configuration([[0.0], [0.5]])
-        target = TargetSet((BallTarget(RhoBall(Configuration([[-0.4], [0.6]]), 0.2)),))
         rng = np.random.default_rng(0)
-        assert isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
-        assert chain._own_stream(rng, per_draw) is rng
-        for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
-            for initial, goal in ((EMPTY, None), (start, target)):
-                fast = simulate(initial, chunked, goal, max_steps, seed)
-                assert fast == simulate(initial, per_draw, goal, max_steps, seed), (seed, max_steps)
+        for dimension in (1, 2, 3):
+            chunked = ContactModel(dimension=dimension, crowding_death=crowding)
+            per_draw = _ScalarContact(dimension=dimension, crowding_death=crowding)
+            pad = [0.0] * (dimension - 1)
+            start = Configuration([[0.0] + pad, [0.5] + pad])
+            center = Configuration([[-0.4] + pad, [0.6] + pad])
+            target = TargetSet((BallTarget(RhoBall(center, 0.2)),))
+            reads_chunks = isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
+            assert reads_chunks == (dimension == 1)
+            assert chain._own_stream(rng, per_draw) is rng
+            for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
+                for initial, goal in ((EMPTY, None), (start, target)):
+                    fast = simulate(initial, chunked, goal, max_steps, seed)
+                    slow = simulate(initial, per_draw, goal, max_steps, seed)
+                    assert fast == slow, (dimension, seed, max_steps)
+
+    def test_birth_component_is_clamped_like_sample_birth_location(self):
+        # A component uniform just below one rounds to the index n = 17
+        # of the default model, one past the last point, and both
+        # kernels clamp it to the last point.
+        model = ContactModel()
+        state = Configuration([[10.0 * k] for k in range(17)])
+        draws = [0.9, 1.0 - 2.0**-53, 0.25]
+        imm, per = model._immigration_mass, model._per_neighbor_mass
+        assert int((draws[1] * (imm + per * 17) - imm) / per) == 17
+        moves = []
+        for kernel_model in (model, _ScalarContact()):
+            scripted = SimpleNamespace(random=iter(draws).__next__)
+            moves.append(next(chain._walk(state, kernel_model, scripted, 1)))
+        assert moves[0] == moves[1]
+        assert moves[0][1:] == ("birth", (159.5,))
 
     def test_collision_redraws_across_a_chunk_boundary(self):
         model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
@@ -525,17 +548,20 @@ class TestChunkedReads:
         assert straddled >= 10
 
     def test_a_callers_generator_is_read_draw_by_draw(self):
-        chunked, per_draw = ContactModel(), _ScalarContact()
-        state = Configuration([[0.0], [0.3]])
-        for seed in range(20):
-            mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert step(state, chunked, mine) == step(state, per_draw, twin)
-            assert mine.bit_generator.state == twin.bit_generator.state
-            first = simulate(state, chunked, None, 30, mine)
-            second = simulate(state, per_draw, None, 30, twin)
-            assert first.events == second.events
-            assert mine.bit_generator.state == twin.bit_generator.state
-            assert mine.random() == twin.random()
+        d1 = (ContactModel(), _ScalarContact(), Configuration([[0.0], [0.3]]))
+        d2 = (ContactModel(dimension=2, crowding_death=0.4),
+              _ScalarContact(dimension=2, crowding_death=0.4),
+              Configuration([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.4]]))
+        for chunked, per_draw, state in (d1, d2):
+            for seed in range(20):
+                mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert step(state, chunked, mine) == step(state, per_draw, twin)
+                assert mine.bit_generator.state == twin.bit_generator.state
+                first = simulate(state, chunked, None, 30, mine)
+                second = simulate(state, per_draw, None, 30, twin)
+                assert first.events == second.events
+                assert mine.bit_generator.state == twin.bit_generator.state
+                assert mine.random() == twin.random()
 
 
 class TestBatchSeeding:

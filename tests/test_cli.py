@@ -87,6 +87,28 @@ class TestConfigErrors:
         )
         assert main(["validate", "--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("simulate", '"interaction_radius": 1e400'),
+            ("simulate", '"immigration_intensity": 1e400'),
+            ("hitprob", '"immigration_intensity": 1e400'),
+            ("simulate", '"dimension": 1e400'),
+            ("simulate", '"dimension": 1.5'),
+            ("simulate", '"dimension": 3, "immigration_intensity": 1e-300, "immigration_radius": 1e-10'),
+        ],
+        ids=["radius-inf", "immigration-inf", "hitprob-immigration-inf", "dimension-inf",
+             "dimension-1.5", "immigration-mass-0"],
+    )
+    def test_degenerate_model_exits_2(self, tmp_path, capsys, command, fields):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"] = {"name": "contact"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('{"name": "contact"}', f'{{"name": "contact", {fields}}}'))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "bad model parameters" in err and "Traceback" not in err
+
     def test_missing_section_exits_2(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         del config["hitprob"]

@@ -69,6 +69,24 @@ class TestRegions:
         sigma = math.sqrt(1.0 / 18.0 / draws)  # Var(R) = 1/18 for d=2
         assert abs(mean - 2.0 / 3.0) <= 4 * sigma
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_ball_draw_in_python_floats_equals_numpy_scalars(self, dimension):
+        # The point is built from direction.tolist(); the reference
+        # repeats the draws on a twin generator and builds it from NumPy
+        # scalars, as the ball draw once did.
+        mine, twin = np.random.default_rng(dimension), np.random.default_rng(dimension)
+        center, radius = (0.3, -1.7, 2.9)[:dimension], 0.6
+        for _ in range(100_000):
+            point = sample_in_ball(center, radius, mine)
+            while True:
+                direction = twin.standard_normal(dimension)
+                norm = math.sqrt(float(direction @ direction))
+                if norm > 0.0:
+                    break
+            scale = radius * twin.random() ** (1.0 / dimension) / norm
+            assert point == tuple(float(c + scale * v) for c, v in zip(center, direction))
+        assert all(type(c) is float for c in point)
+
     def test_ball_sampling_d1_covers_both_sides(self):
         rng = np.random.default_rng(5)
         xs = [sample_in_ball((0.0,), 1.0, rng)[0] for _ in range(500)]

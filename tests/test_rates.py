@@ -55,6 +55,26 @@ class TestContactModelRates:
             ContactModel(dimension=0)
         with pytest.raises(ValueError):
             ContactModel(immigration_center=(0.0, 0.0))  # dimension mismatch
+        # Non-finite parameters (JSON reads 1e400 as inf), a dimension
+        # that is not an integer, and birth masses that underflow to
+        # zero or overflow.
+        for name in ("interaction_radius", "immigration_intensity", "neighbor_intensity",
+                     "baseline_death", "crowding_death", "immigration_radius", "birth_floor"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError):
+                    ContactModel(**{name: value})
+        for dimension in (math.inf, math.nan, 1.5, "2"):
+            with pytest.raises(ValueError):
+                ContactModel(dimension=dimension)
+        assert ContactModel(dimension=2.0).dimension == 2
+        with pytest.raises(ValueError):
+            ContactModel(dimension=3, immigration_intensity=1e-300, immigration_radius=1e-10)
+        with pytest.raises(ValueError):
+            ContactModel(dimension=3, neighbor_intensity=1e-300, interaction_radius=1e-10)
+        with pytest.raises(ValueError):
+            ContactModel(dimension=2, interaction_radius=1e200)
+        with pytest.raises(ValueError):
+            ContactModel(dimension=400)
 
     def test_birth_rate_piecewise_values(self):
         m = ContactModel()
