@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
+import os
 import pickle
 from bisect import bisect, bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -756,16 +757,20 @@ def hitting_estimate(
     pieces, a block advances in lockstep as NumPy arrays; every other
     input runs the scalar kernel one replica at a time.  Each replica
     reads its stream in the scalar kernel's order, so both backends
-    give bit-identical hit counts, and neither depends on ``workers``.
-    With ``workers > 1`` the model and target must pickle, since they
-    go to worker processes; a lambda predicate raises ``ValueError``.
+    give bit-identical hit counts, and neither depends on ``workers``,
+    which must be an integer of at least 1 and is capped at the CPU
+    count.  With ``workers > 1`` the model and target must pickle, since
+    they go to worker processes; a lambda predicate raises ``ValueError``.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
     if max_steps < 1:
         raise ValueError("need at least one step")
+    if workers < 1 or workers % 1:
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     root = _root_seed(seed)
-    workers = max(1, int(workers))
+    # A pool forks all its workers at once, so never ask for more than the CPUs.
+    workers = min(int(workers), os.cpu_count() or 1)
     if workers > 1:
         try:
             pickle.dumps((model, target))

@@ -10,12 +10,13 @@ non-conforming models.
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .chain import (
     simulate,
 )
 from .configurations import Configuration, RhoBall, distance_rho
-from .lab import SuiteSizes, default_window, run_default_suite
+from .lab import SuiteSizes, _write_csv, default_window, run_default_suite
 from .measure import (
     AllInRegion,
     BallSet,
@@ -52,54 +53,69 @@ class ConfigError(Exception):
     """Anything wrong with the config document or CLI usage."""
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
+# Default of a ``_number`` field that must be present.
+_REQUIRED = object()
+
+
+def _name(context: str | None, key: str) -> str:
+    return f"{context}.{key}" if context else key
+
+
+def _require(mapping: dict, key: str, context: str | None = None) -> Any:
     if key not in mapping:
-        raise ConfigError(f"missing key '{key}' in {context}")
+        raise ConfigError(f"missing key '{_name(context, key)}'")
     return mapping[key]
 
 
-def _number(
-    section: dict,
-    key: str,
-    default: Any,
-    context: str,
-    cast: Callable[[Any], Any] = int,
-    minimum: float | None = None,
-) -> Any:
-    """``section[key]``, or ``default`` when absent, cast to a number.
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document at ``path``; ``what`` names it in errors."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as err:
+        raise ConfigError(f"cannot read {what}: {err}") from err
+    except (ValueError, RecursionError) as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from err
 
-    A ``None`` value is kept only where the default is ``None``; anything
-    that does not cast, or falls below ``minimum``, is a config error.
+
+def _section(mapping: dict, key: str, context: str | None = None) -> dict:
+    """``mapping[key]``, which must be an object, or ``{}`` when absent."""
+    section = mapping.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{_name(context, key)} must be an object, got {section!r}")
+    return section
+
+
+def _number(section: dict, key: str, default: Any, context: str | None,
+            kind: type = int, minimum: float | None = None) -> Any:
+    """``section[key]``, or ``default`` when absent, as a finite ``kind`` number of at least ``minimum``.
+
+    Takes JSON numbers, not booleans, and strings that ``kind`` parses.  An
+    ``int`` takes an integral float; integers never pass through a float, so
+    huge ones stay exact.  ``None`` is kept where the default is ``None``.
     """
-    value = section.get(key, default)
+    name = _name(context, key)
+    value = _require(section, key, context) if default is _REQUIRED else section.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        number = cast(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}") from err
+    number = None
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            number = kind(value) if isinstance(value, str) or kind is float else value
+    if number is None or isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and isinstance(number, float):
+        if not number.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        number = int(number)
     if minimum is not None and number < minimum:
-        raise ConfigError(f"{context}.{key} must be at least {minimum}, got {value!r}")
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
     return number
 
 
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            config = json.load(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    return config
-
-
 def build_model(config: dict) -> RateModel:
-    section = _require(config, "model", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("'model' must be an object")
+    _require(config, "model")
+    section = _section(config, "model")
     name = section.get("name", "contact")
     if name != "contact":
         raise ConfigError(f"unknown model '{name}' (only 'contact' is built in)")
@@ -139,6 +155,11 @@ def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
     return box
 
 
+def _parse_ball(raw: dict, context: str, dimension: int) -> RhoBall:
+    center = _parse_configuration(_require(raw, "center", context), context, dimension)
+    return RhoBall(center, _number(raw, "radius", _REQUIRED, context, float))
+
+
 def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
     if isinstance(raw, dict):
         raw = raw.get("pieces", [raw])
@@ -153,18 +174,17 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
             if kind == "empty":
                 pieces.append(EmptyTarget())
             elif kind == "ball":
-                center = _parse_configuration(_require(item, "center", context), context, dimension)
-                pieces.append(BallTarget(RhoBall(center, float(_require(item, "radius", context)))))
+                pieces.append(BallTarget(_parse_ball(item, context, dimension)))
             elif kind == "exact_point":
                 point = _parse_configuration([_require(item, "point", context)], context, dimension)
                 pieces.append(ExactPointTarget(point.points[0]))
             elif kind == "hyperplane":
-                axis = int(_require(item, "axis", context))
-                if not 0 <= axis < dimension:
+                axis = _number(item, "axis", _REQUIRED, context, minimum=0)
+                if axis >= dimension:
                     raise ConfigError(f"{context} hyperplane axis {axis} is not an axis of the {dimension}-D model")
-                pieces.append(HyperplaneTarget(axis, float(_require(item, "value", context))))
+                pieces.append(HyperplaneTarget(axis, _number(item, "value", _REQUIRED, context, float)))
             elif kind == "pair_distance":
-                pieces.append(PairDistanceTarget(float(_require(item, "distance", context))))
+                pieces.append(PairDistanceTarget(_number(item, "distance", _REQUIRED, context, float)))
             else:
                 raise ConfigError(f"unknown target kind '{kind}' in {context}")
         except (TypeError, ValueError) as err:
@@ -176,24 +196,21 @@ def _parse_layer_set(raw: Any, context: str, dimension: int) -> tuple[str, Layer
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
     set_id = str(raw.get("id", "set"))
-    _require(raw, "layer", context)
-    layer = _number(raw, "layer", None, context, minimum=0)
-    shape_raw = _require(raw, "shape", context)
-    kind = _require(shape_raw, "kind", context)
+    layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
+    shape_context = f"{context}.shape"
+    shape_raw = _section(raw, "shape", context)
+    kind = _require(shape_raw, "kind", shape_context)
     window = _parse_box(raw["window"], f"{context}.window", dimension) if "window" in raw else None
     try:
         if kind == "empty":
             shape = EmptySingleton()
         elif kind == "all_in_region":
-            shape = AllInRegion(_parse_box(shape_raw, f"{context}.shape", dimension))
+            shape = AllInRegion(_parse_box(shape_raw, shape_context, dimension))
         elif kind == "product_boxes":
-            boxes = tuple(
-                _parse_box(b, f"{context}.shape.boxes", dimension) for b in _require(shape_raw, "boxes", context)
-            )
-            shape = ProductOfDisjointBoxes(boxes)
+            boxes = _require(shape_raw, "boxes", shape_context)
+            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{shape_context}.boxes", dimension) for b in boxes))
         elif kind == "ball":
-            center = _parse_configuration(_require(shape_raw, "center", context), context, dimension)
-            shape = BallSet(RhoBall(center, float(_require(shape_raw, "radius", context))))
+            shape = BallSet(_parse_ball(shape_raw, shape_context, dimension))
         else:
             raise ConfigError(f"unknown shape kind '{kind}' in {context}")
         return set_id, LayerSet(layer, shape), window
@@ -201,42 +218,23 @@ def _parse_layer_set(raw: Any, context: str, dimension: int) -> tuple[str, Layer
         raise ConfigError(f"bad {context}: {err}") from err
 
 
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def _float_cell(value: float) -> str:
     return repr(float(value))
-
-
-def _gate_model(model: RateModel, config: dict, seed: int, skip: bool) -> None:
-    """Refuse to run experiments on models that fail the condition probes."""
-    if skip:
-        return
-    section = config.get("validate", {})
-    report = _run_validation(model, section, seed)
-    if not report.passed:
-        raise ConfigError("model fails the standing conditions:\n" + report.summary())
 
 
 # Poisson draws allowed per requested validation trial state.
 _DRAWS_PER_TRIAL = 20
 
 
-def _run_validation(model: RateModel, section: dict, seed: int):
-    max_size = _number(section, "max_size", 12, "validate", minimum=0)
+def _run_validation(model: RateModel, config: dict, seed: int):
+    section = _section(config, "validate")
+    # The anchor singleton is always a trial state, so max_size is at least 1.
+    max_size = _number(section, "max_size", 12, "validate", minimum=1)
     trials = _number(section, "trial_states", 40, "validate", minimum=0)
-    probes = _number(section, "probe_points", 16, "validate", minimum=0)
-    intensity = _number(section, "intensity", 1.0, "validate", float, minimum=0.0)
+    probes = _number(section, "probe_points", 16, "validate", minimum=1)
+    intensity = _number(section, "intensity", 1.0, "validate", float)
+    if intensity <= 0:
+        raise ConfigError(f"validate.intensity must be positive, got {intensity!r}")
     if "window" in section:
         window = _parse_box(section["window"], "validate.window", model.dimension)
     else:
@@ -265,7 +263,7 @@ def _run_validation(model: RateModel, section: dict, seed: int):
 
 
 def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    section = config.get("simulate", {})
+    section = _section(config, "simulate")
     initial = _parse_configuration(section.get("initial"), "simulate.initial", model.dimension)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
     target = _parse_target(section["target"], "simulate.target", model.dimension) if section.get("target") else None
@@ -276,7 +274,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, worker
         {"step": e.step_index, "kind": e.kind, **{f"x{k}": _float_cell(c) for k, c in enumerate(e.point)}}
         for e in trajectory.events
     ]
-    out = os.path.join(_ensure_outdir(outdir), "trajectory.csv")
+    out = os.path.join(outdir, "trajectory.csv")
     _write_csv(out, columns, rows)
     final = trajectory.final_state()
     print(
@@ -287,9 +285,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, worker
 
 
 def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    section = config.get("hitprob")
-    if not isinstance(section, dict):
-        raise ConfigError("config needs a 'hitprob' section")
+    section = _section(config, "hitprob")
     initial = _parse_configuration(section.get("initial"), "hitprob.initial", model.dimension)
     target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model.dimension)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
@@ -298,24 +294,19 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
         initial, target, model, max_steps, replicas,
         np.random.SeedSequence(seed, spawn_key=(4,)), workers,
     )
-    out = os.path.join(_ensure_outdir(outdir), "hitprob.csv")
-    _write_csv(
-        out,
-        ["start", "target", "max_steps", "replicas", "hits", "estimate", "ci_low", "ci_high", "seed"],
-        [
-            {
-                "start": json.dumps(initial.to_coord_lists()),
-                "target": target.label(),
-                "max_steps": max_steps,
-                "replicas": replicas,
-                "hits": estimate.hits,
-                "estimate": _float_cell(estimate.estimate),
-                "ci_low": _float_cell(estimate.ci_low),
-                "ci_high": _float_cell(estimate.ci_high),
-                "seed": seed,
-            }
-        ],
-    )
+    row = {
+        "start": json.dumps(initial.to_coord_lists()),
+        "target": target.label(),
+        "max_steps": max_steps,
+        "replicas": replicas,
+        "hits": estimate.hits,
+        "estimate": _float_cell(estimate.estimate),
+        "ci_low": _float_cell(estimate.ci_low),
+        "ci_high": _float_cell(estimate.ci_high),
+        "seed": seed,
+    }
+    out = os.path.join(outdir, "hitprob.csv")
+    _write_csv(out, list(row), [row])
     print(
         f"hitprob: {estimate.hits}/{replicas} hits, estimate={estimate.estimate:.6g}, "
         f"wilson95=[{estimate.ci_low:.6g}, {estimate.ci_high:.6g}], wrote {out}"
@@ -324,9 +315,7 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
 
 
 def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    section = config.get("path")
-    if not isinstance(section, dict):
-        raise ConfigError("config needs a 'path' section")
+    section = _section(config, "path")
     goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model.dimension)
     radius = model.interaction_radius
     ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
@@ -336,7 +325,8 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
         bound = corridor_prob_lower_bound(path, ball_radius, model)
     except ValueError as err:
         raise ConfigError(f"path: {err}") from err
-    out = os.path.join(_ensure_outdir(outdir), "path.jsonl")
+    os.makedirs(outdir, exist_ok=True)
+    out = os.path.join(outdir, "path.jsonl")
     with open(out, "w") as handle:
         for vertex in path.vertices:
             handle.write(json.dumps(vertex.to_coord_lists()) + "\n")
@@ -348,8 +338,8 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
 
 
 def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    report = _run_validation(model, config.get("validate", {}), seed)
-    out = os.path.join(_ensure_outdir(outdir), "conditions.csv")
+    report = _run_validation(model, config, seed)
+    out = os.path.join(outdir, "conditions.csv")
     _write_csv(out, ["condition", "name", "verdict", "witness", "detail"], report.to_csv_rows())
     print(report.summary())
     print(f"wrote {out}")
@@ -357,9 +347,7 @@ def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str, worker
 
 
 def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    section = config.get("measure")
-    if not isinstance(section, dict):
-        raise ConfigError("config needs a 'measure' section")
+    section = _section(config, "measure")
     samples = _number(section, "samples", 20_000, "measure", minimum=1)
     raw_sets = _require(section, "sets", "measure")
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -371,8 +359,10 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
             value = lp_measure_exact(layer_set)
             method, std_error, used = "exact", 0.0, 0
         except UnsupportedExactEvaluation:
-            if window is None:
-                window = ball_window(layer_set.shape.ball)
+            needed = ball_window(layer_set.shape.ball)
+            window = window or needed
+            if not (window.contains(needed.lower) and window.contains(needed.upper)):
+                raise ConfigError(f"measure.sets[{index}].window must hold the ball's bounding box {needed}")
             estimate = lp_measure_estimate(
                 layer_set.layer, window, layer_set.contains, samples,
                 seed=np.random.SeedSequence(seed, spawn_key=(5, index)),
@@ -388,7 +378,7 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
                 "seed": seed,
             }
         )
-    out = os.path.join(_ensure_outdir(outdir), "measure.csv")
+    out = os.path.join(outdir, "measure.csv")
     _write_csv(out, ["set_id", "method", "value", "std_error", "samples", "seed"], rows)
     for row in rows:
         print(
@@ -400,22 +390,16 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
 
 
 def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
-    section = config.get("lab", {})
-    defaults = SuiteSizes()
-    sizes = SuiteSizes(
-        **{
-            field.name: _number(
-                section,
-                field.name,
-                getattr(defaults, field.name),
-                "lab",
-                float if field.name == "poisson_intensity" else int,
-            )
-            for field in dataclasses.fields(SuiteSizes)
-        }
-    )
+    section = _section(config, "lab")
+    try:
+        sizes = SuiteSizes(**{
+            name: _number(section, name, default, "lab", float if name == "poisson_intensity" else int)
+            for name, default in dataclasses.asdict(SuiteSizes()).items()
+        })
+    except ValueError as err:
+        # SuiteSizes names the field first in each of its errors.
+        raise ConfigError(f"lab.{err}") from err
     reports = run_default_suite(model, seed, sizes, workers)
-    outdir = _ensure_outdir(outdir)
     all_passed = True
     for report in reports:
         out = os.path.join(outdir, f"lab_{report.experiment}.csv")
@@ -430,16 +414,8 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: in
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    def read_config(path: str, dimension: int | None) -> Configuration:
-        try:
-            with open(path) as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read configuration file {path}: {err}") from err
-        return _parse_configuration(raw, path, dimension)
-
-    first = read_config(args.first, None)
-    second = read_config(args.second, first.dimension)
+    first = _parse_configuration(_read_json(args.first, args.first), args.first, None)
+    second = _parse_configuration(_read_json(args.second, args.second), args.second, first.dimension)
     print(repr(distance_rho(first, second)))
     return 0
 
@@ -495,18 +471,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "metric":
             return _cmd_metric(args)
-        config = load_config(args.config)
+        config = _read_json(args.config, "config")
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
         model = build_model(config)
-        seed = args.seed if args.seed is not None else _number(config, "seed", 0, "config")
-        workers = (
-            args.workers if args.workers is not None else _number(config, "workers", 1, "config")
-        )
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
-        outdir = args.out if args.out is not None else str(config.get("out", "out"))
-        needs_gate = args.command in {"simulate", "hitprob", "lab"}
-        if needs_gate:
-            _gate_model(model, config, seed, args.skip_validation)
+        flags = {key: value for key in ("seed", "workers", "out") if (value := getattr(args, key)) is not None}
+        settings = {**config, **flags}
+        seed = _number(settings, "seed", 0, None, minimum=0)
+        workers = _number(settings, "workers", 1, None, minimum=1)
+        outdir = settings.get("out", "out")
+        if not isinstance(outdir, str) or not outdir:
+            raise ConfigError(f"out must be a nonempty string, got {outdir!r}")
+        if args.command in {"simulate", "hitprob", "lab"} and not args.skip_validation:
+            report = _run_validation(model, config, seed)
+            if not report.passed:
+                raise ConfigError("model fails the standing conditions:\n" + report.summary())
         return _HANDLERS[args.command](config, model, seed, outdir, workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -19,8 +19,9 @@ case and per replica, so results are independent of worker count.
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +78,15 @@ _CSV_COLUMNS = [
     "verdict",
     "case_seed",
 ]
+
+
+def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under a ``columns`` header with ``\\n`` line ends, making the directory."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=columns, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 class ExperimentSetupError(ValueError):
@@ -153,11 +163,7 @@ class ExperimentReport:
 
     def write_csv(self, path: str) -> None:
         """Write the rows as CSV; identical reports give identical bytes."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row.as_csv_dict())
+        _write_csv(path, _CSV_COLUMNS, [row.as_csv_dict() for row in self.rows])
 
     def write_failures(self, directory: str) -> list[str]:
         """Write failure ``k`` to ``<directory>/<experiment>_<k>.csv``; return the paths.
@@ -166,18 +172,14 @@ class ExperimentReport:
         first as step 0 of kind "initial", then every event up to the
         hit.  Without failures nothing is written and no directory made.
         """
-        if self.failures:
-            os.makedirs(directory, exist_ok=True)
         paths = []
         for k, trajectory in enumerate(self.failures):
-            rows = [(0, "initial", p) for p in trajectory.initial.points]
-            rows += [(e.step_index, e.kind, e.point) for e in trajectory.events]
+            steps = [(0, "initial", p) for p in trajectory.initial.points]
+            steps += [(e.step_index, e.kind, e.point) for e in trajectory.events]
+            columns = ["step_index", "kind"] + [f"x{i}" for i in range(len(steps[0][2]))]
+            rows = [dict(zip(columns, (i, kind, *(repr(float(c)) for c in point)))) for i, kind, point in steps]
             path = os.path.join(directory, f"{self.experiment}_{k}.csv")
-            with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["step_index", "kind"] + [f"x{i}" for i in range(len(rows[0][2]))])
-                for step_index, kind, point in rows:
-                    writer.writerow([step_index, kind, *(repr(float(c)) for c in point)])
+            _write_csv(path, columns, rows)
             paths.append(path)
         return paths
 
@@ -462,6 +464,18 @@ class SuiteSizes:
     extinction_max_steps: int = 4_000
     measure_samples: int = 10_000
     poisson_intensity: float = 1.0
+
+    def __post_init__(self) -> None:
+        """Reject a budget no experiment can run, so a suite fails before it starts."""
+        for name, value in asdict(self).items():
+            if name == "poisson_intensity":
+                if not 0 < value < math.inf:
+                    raise ValueError(f"poisson_intensity must be positive and finite, got {value!r}")
+            elif name == "pipeline_extra_steps":
+                if value is not None and value < 0:
+                    raise ValueError(f"pipeline_extra_steps must be None or at least 0, got {value!r}")
+            elif value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def default_window(model: RateModel) -> BoxRegion:

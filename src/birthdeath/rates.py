@@ -436,9 +436,11 @@ def validate_conditions(
     linear bound on the total birth mass, finiteness and boundedness of
     death rates, the positive death-rate floor, and strict positivity
     of birth rates above the declared floor near occupied points (and
-    on the immigration ball at the empty state).  Any trial state
-    larger than ``max_size`` is rejected up front.
+    on the immigration ball at the empty state).  A trial state larger
+    than ``max_size``, or no probe points, is rejected up front.
     """
+    if probe_points < 1:
+        raise ValueError(f"probe_points must be at least 1, got {probe_points!r}")
     max_size = int(max_size)
     for state in trial_states:
         if len(state) > max_size:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -324,6 +325,37 @@ class TestHittingEstimate:
             hitting_estimate(EMPTY, target, m, 0, 10, seed=0)
         with pytest.raises(ValueError):
             hitting_estimate(EMPTY, target, m, 10, 0, seed=0)
+        for workers in (0, -3, 1.5, math.nan):
+            with pytest.raises(ValueError, match="workers"):
+                hitting_estimate(EMPTY, target, m, 10, 10, seed=0, workers=workers)
+
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        # A serial stand-in for the pool records how many workers it was asked for.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(chain, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(chain.os, "cpu_count", lambda: 3)
+        m = ContactModel()
+        target = TargetSet((EmptyTarget(),))
+        serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
+        capped = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=10**6)
+        assert asked == [3]
+        assert capped == serial
 
 
 class TestNullEntryByBirth:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -75,6 +76,10 @@ class TestConfigErrors:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
+        # Bytes that are not UTF-8, and nesting deeper than the decoder's recursion limit.
+        for text in (b"\xff{}", b"[" * 100_000):
+            path.write_bytes(text)
+            assert main(["validate", "--config", str(path)]) == 2
 
     def test_unknown_model_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"model": {"name": "mystery"}})
@@ -125,6 +130,21 @@ class TestConfigErrors:
             ("lab", "poisson_intensity", [1.0]),
             ("measure", "samples", None),
             ("validate", "trial_states", "many"),
+            ("hitprob", "replicas", 2.5),
+            ("lab", "replicas", 40.7),
+            ("lab", "replicas", 0),
+            ("lab", "max_steps", 0),
+            ("lab", "measure_samples", 0),
+            ("lab", "preservation_draws", 0),
+            ("lab", "null_max_steps", 0),
+            ("lab", "pipeline_extra_steps", -1000),
+            ("lab", "poisson_intensity", 0),
+            ("lab", "poisson_intensity", math.nan),
+            ("lab", "poisson_intensity", math.inf),
+            ("validate", "intensity", 0),
+            ("validate", "intensity", math.nan),
+            ("validate", "intensity", math.inf),
+            ("validate", "probe_points", 0),
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, command, key, value):
@@ -133,6 +153,72 @@ class TestConfigErrors:
         path = write_config(tmp_path, config)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"{command}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, keys, value, field",
+        [
+            pytest.param("lab", ("lab",), [1], "lab", id="lab-list"),
+            pytest.param("simulate", ("simulate",), 5, "simulate", id="simulate-number"),
+            pytest.param("validate", ("validate",), [1], "validate", id="validate-list"),
+            # The whole section, so the default 40 trial states apply; the anchor
+            # singleton is always one of them and never fits in max_size 0.
+            pytest.param("validate", ("validate",), {"max_size": 0}, "validate.max_size", id="max-size-0"),
+            pytest.param("measure", ("measure", "sets", 1, "shape"), ["kind"], "measure.sets[1].shape",
+                         id="shape-list"),
+            pytest.param("measure", ("measure", "sets", 1, "shape"), "kind", "measure.sets[1].shape",
+                         id="shape-string"),
+            pytest.param("simulate", ("out",), None, "out", id="out-null"),
+            pytest.param("hitprob", ("seed",), -1, "seed", id="seed-negative"),
+            pytest.param("hitprob", ("--seed",), "-1", "seed", id="seed-flag-negative"),
+            pytest.param("hitprob", ("seed",), 1.9, "seed", id="seed-fraction"),
+            pytest.param("hitprob", ("workers",), 1.5, "workers", id="workers-fraction"),
+            pytest.param("measure", ("measure", "sets", 1, "layer"), 1.5, "measure.sets[1].layer",
+                         id="layer-fraction"),
+            pytest.param("measure", ("measure", "sets", 1, "layer"), True, "measure.sets[1].layer",
+                         id="layer-boolean"),
+            pytest.param("hitprob", ("hitprob", "target"), [{"kind": "hyperplane", "axis": 0.5, "value": 0.3}],
+                         "hitprob.target.axis", id="axis-fraction"),
+            pytest.param("hitprob", ("hitprob", "target"), [{"kind": "pair_distance", "distance": "nan"}],
+                         "hitprob.target.distance", id="pair-distance-nan"),
+            pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [5.0], "upper": [6.0]},
+                         "measure.sets[1].window", id="window-misses-ball"),
+            pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [0.0], "upper": [0.5]},
+                         "measure.sets[1].window", id="window-cuts-ball"),
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, monkeypatch, capsys, command, keys, value, field):
+        # Outputs go to the working directory, so a config "out" is not overridden.
+        monkeypatch.chdir(tmp_path)
+        config = json.loads(json.dumps(BASE_CONFIG))
+        argv = [command, "--config", str(tmp_path / "config.json")]
+        if keys[0].startswith("--"):
+            argv += [keys[0], value]
+        else:
+            node = config
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "Traceback" not in err
+
+    def test_numbers_read_as_before(self, tmp_path, capsys):
+        """Huge integers stay exact, integral floats and numeric strings read as
+        integers, and a zero-step simulation still runs."""
+        plain = write_config(tmp_path, {"seed": 10**30}, name="plain.json")
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["seed"] = 10**30
+        config["hitprob"].update(max_steps=60.0, replicas="120")
+        config["simulate"]["max_steps"] = 0
+        spelled = write_config(tmp_path, config, name="spelled.json")
+        for name, path in (("plain", plain), ("spelled", spelled)):
+            assert main(["hitprob", "--config", path, "--out", str(tmp_path / name)]) == 0
+        written = (tmp_path / "spelled" / "hitprob.csv").read_bytes()
+        assert written == (tmp_path / "plain" / "hitprob.csv").read_bytes()
+        assert str(10**30).encode() in written
+        assert main(["simulate", "--config", spelled, "--out", str(tmp_path / "zero")]) == 0
+        assert (tmp_path / "zero" / "trajectory.csv").read_text() == "step,kind,x0\n"
 
     def test_bad_measure_layer_exits_2(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))

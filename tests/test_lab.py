@@ -1,6 +1,7 @@
 """Experiment-layer tests: reports, verdicts, determinism, rejections."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -376,6 +377,28 @@ class TestSuiteAndReports:
         second = run_default_suite(m, seed=29, sizes=SMALL)
         for a, b in zip(first, second):
             assert a.rows == b.rows
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_steps", 0),
+            ("replicas", 0),
+            ("null_max_steps", 0),
+            ("null_replicas", -1),
+            ("preservation_draws", 0),
+            ("pipeline_replicas", 0),
+            ("pipeline_extra_steps", -1),
+            ("extinction_replicas", 0),
+            ("extinction_max_steps", 0),
+            ("measure_samples", 0),
+            ("poisson_intensity", 0.0),
+            ("poisson_intensity", math.nan),
+            ("poisson_intensity", math.inf),
+        ],
+    )
+    def test_suite_sizes_reject_budgets_no_experiment_can_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SuiteSizes(**{field: value})
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         m = ContactModel()

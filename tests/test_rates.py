@@ -274,6 +274,9 @@ class TestValidateConditions:
         big = Configuration([[float(k)] for k in range(6)])
         with pytest.raises(ValueError):
             validate_conditions(m, 5, [big], seed=6)
+        # Condition 4 needs at least one probe, or its verdict rests on nothing.
+        with pytest.raises(ValueError, match="probe_points"):
+            validate_conditions(m, 5, [EMPTY], probe_points=0, seed=6)
 
     def test_csv_rows_cover_all_checks(self):
         m = ContactModel()
