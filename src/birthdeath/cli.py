@@ -325,7 +325,6 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
         bound = corridor_prob_lower_bound(path, ball_radius, model)
     except ValueError as err:
         raise ConfigError(f"path: {err}") from err
-    os.makedirs(outdir, exist_ok=True)
     out = os.path.join(outdir, "path.jsonl")
     with open(out, "w") as handle:
         for vertex in path.vertices:
@@ -486,6 +485,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = _run_validation(model, config, seed)
             if not report.passed:
                 raise ConfigError("model fails the standing conditions:\n" + report.summary())
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"out {outdir!r} cannot be made a directory: {err}") from err
         return _HANDLERS[args.command](config, model, seed, outdir, workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

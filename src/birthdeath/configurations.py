@@ -18,6 +18,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 Point = tuple[float, ...]
 
 __all__ = [
@@ -33,9 +35,16 @@ __all__ = [
 ]
 
 
+def _float(value: float, name: str = "a point coordinate") -> float:
+    """``float(value)``, rejecting booleans (NumPy's too) rather than reading them as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
+    return float(value)
+
+
 def as_point(coords: Iterable[float]) -> Point:
-    """Coerce ``coords`` into a point, a tuple of finite floats."""
-    point = tuple(float(c) for c in coords)
+    """Coerce ``coords`` into a point, a tuple of finite floats (not booleans)."""
+    point = tuple(map(_float, coords))
     if not point:
         raise ValueError("a point needs at least one coordinate")
     for c in point:
@@ -262,21 +271,23 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     """Whether ``candidate`` lies in the closed bottleneck ball.
 
     Equivalent to ``distance_rho(candidate, ball.center) <= ball.radius``
-    and decided from the same ``math.dist`` values.  In d=1 it is one
-    pass over the sorted points that stops at the first gap above the
-    radius.  In d >= 2 the distance matrix is built row by row; a
-    candidate point with no center point within the radius rejects at
-    once, and otherwise one matching feasibility test at the radius
-    decides.  A candidate of a different cardinality is never a member.
+    and decided from the same ``math.dist(x, y) <= radius`` comparisons.
+    In d=1 it is one pass over the sorted points that stops at the first
+    gap above the radius.  In d >= 2 a two-point ball is decided from its
+    two pairings, the identity and the cross one.  Otherwise each
+    candidate point scans the center points and stops at the first one
+    within the radius; a point with none rejects at once.  A one-point
+    candidate that passes is a member, and a larger one is decided by a
+    matching feasibility test at the radius.  A candidate of a different
+    cardinality is never a member.
     """
-    center = ball.center
-    n = len(center)
-    if len(candidate) != n:
-        return False
     a = candidate.points
-    b = center.points
+    b = ball.center.points
+    n = len(b)
+    if len(a) != n:
+        return False
     if len(a[0]) != len(b[0]):
-        _check_same_dimension(candidate, center)
+        _check_same_dimension(candidate, ball.center)
     radius = ball.radius
     if len(b[0]) == 1:
         for (x,), (y,) in zip(a, b):
@@ -284,13 +295,17 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
                 return False
         return True
     dist = math.dist
-    rows = []
+    if n == 2:
+        (x, u), (y, v) = a, b
+        return ((dist(x, y) <= radius and dist(u, v) <= radius)
+                or (dist(x, v) <= radius and dist(u, y) <= radius))
     for x in a:
-        row = [dist(x, y) for y in b]
-        if min(row) > radius:
+        for y in b:
+            if dist(x, y) <= radius:
+                break
+        else:
             return False
-        rows.append(row)
-    return n == 1 or _perfect_matching_exists(rows, radius)
+    return n == 1 or _perfect_matching_exists([[dist(x, y) for y in b] for x in a], radius)
 
 
 def symmetric_difference_size(first: Configuration, second: Configuration) -> int:

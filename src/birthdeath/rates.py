@@ -31,6 +31,7 @@ from .configurations import (
     EMPTY,
     Configuration,
     Point,
+    _float,
     as_point,
     euclidean,
     unit_ball_volume,
@@ -196,7 +197,7 @@ def _ball_region_relation(component: BallRegion, region: BoxRegion | BallRegion)
 
 
 def _finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _float(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -229,6 +230,8 @@ class ContactModel(RateModel):
         immigration_radius: float = 0.5,
         birth_floor: float | None = None,
     ) -> None:
+        if isinstance(dimension, (bool, np.bool_)):
+            raise ValueError(f"dimension must be a number, not a boolean, got {dimension!r}")
         try:
             self.dimension = int(dimension)
         except OverflowError as err:
@@ -253,7 +256,7 @@ class ContactModel(RateModel):
         center = as_point(immigration_center)
         if len(center) != self.dimension:
             raise ValueError("immigration_center dimension mismatch")
-        self.immigration_region = BallRegion(center, float(immigration_radius))
+        self.immigration_region = BallRegion(center, _finite("immigration_radius", immigration_radius))
         if birth_floor is None:
             birth_floor = 0.5 * min(self.immigration_intensity, self.neighbor_intensity)
         self.birth_floor = _finite("birth_floor", birth_floor)

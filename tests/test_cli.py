@@ -101,9 +101,14 @@ class TestConfigErrors:
             ("simulate", '"dimension": 1e400'),
             ("simulate", '"dimension": 1.5'),
             ("simulate", '"dimension": 3, "immigration_intensity": 1e-300, "immigration_radius": 1e-10'),
+            ("path", '"interaction_radius": true'),
+            ("simulate", '"dimension": true'),
+            ("hitprob", '"immigration_radius": true'),
+            ("simulate", '"immigration_center": [false]'),
         ],
         ids=["radius-inf", "immigration-inf", "hitprob-immigration-inf", "dimension-inf",
-             "dimension-1.5", "immigration-mass-0"],
+             "dimension-1.5", "immigration-mass-0", "radius-boolean", "dimension-boolean",
+             "immigration-radius-boolean", "immigration-center-boolean"],
     )
     def test_degenerate_model_exits_2(self, tmp_path, capsys, command, fields):
         config = json.loads(json.dumps(BASE_CONFIG))
@@ -180,6 +185,9 @@ class TestConfigErrors:
                          "hitprob.target.axis", id="axis-fraction"),
             pytest.param("hitprob", ("hitprob", "target"), [{"kind": "pair_distance", "distance": "nan"}],
                          "hitprob.target.distance", id="pair-distance-nan"),
+            pytest.param("path", ("path", "goal"), [[True], [0.45]], "path.goal", id="goal-boolean"),
+            pytest.param("hitprob", ("hitprob", "target"), [{"kind": "exact_point", "point": [False]}],
+                         "hitprob.target", id="exact-point-boolean"),
             pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [5.0], "upper": [6.0]},
                          "measure.sets[1].window", id="window-misses-ball"),
             pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [0.0], "upper": [0.5]},
@@ -202,6 +210,15 @@ class TestConfigErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["existing-file", "below-a-file"])
+    def test_unusable_out_directory_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("not a directory")
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "out" in err and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "not a directory"
 
     def test_numbers_read_as_before(self, tmp_path, capsys):
         """Huge integers stay exact, integral floats and numeric strings read as

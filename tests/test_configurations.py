@@ -210,6 +210,50 @@ class TestInBall:
             if below > 0:
                 assert not in_ball(a, RhoBall(b, below))
 
+    @settings(max_examples=300)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(2, 3))
+    def test_membership_at_every_pairwise_distance(self, data, n, d):
+        # Every threshold at which membership can change is a pairwise
+        # math.dist value, so probing each one and its float neighbours
+        # reaches every branch of the d >= 2 path.
+        coord = st.integers(-12, 12).map(lambda k: k / 4) | st.floats(-10, 10)
+        point = st.tuples(*[coord] * d)
+        a, b = (
+            Configuration(data.draw(st.lists(point, min_size=n, max_size=n, unique=True)))
+            for _ in range(2)
+        )
+        reference = min(
+            max(math.dist(x, y) for x, y in zip(a.points, pairing))
+            for pairing in itertools.permutations(b.points)
+        )
+        for value in {math.dist(x, y) for x in a.points for y in b.points}:
+            for r in (math.nextafter(value, 0), value, math.nextafter(value, math.inf)):
+                if r > 0:
+                    assert in_ball(a, RhoBall(b, r)) == (reference <= r), r
+
+    def test_two_points_fitting_only_the_cross_pairing(self):
+        # Sorted order pairs (0, 0) with (0, 10): the identity pairing is
+        # 10 away, the cross pairing 1.
+        a = Configuration([[0.0, 0.0], [1.0, 10.0]])
+        b = Configuration([[0.0, 10.0], [1.0, 0.0]])
+        assert in_ball(a, RhoBall(b, 1.0))
+        assert not in_ball(a, RhoBall(b, math.nextafter(1.0, 0)))
+        assert distance_rho(a, b) == 1.0
+
+    def test_every_point_near_a_center_without_a_matching(self):
+        # Both points near the origin have only that center within 0.5.
+        b = Configuration([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
+        a = Configuration([[0.0, 0.1], [0.0, -0.1], [20.0, 0.1]])
+        assert all(min(math.dist(x, y) for y in b.points) <= 0.5 for x in a.points)
+        assert not in_ball(a, RhoBall(b, 0.5))
+        assert in_ball(a, RhoBall(b, distance_rho(a, b)))
+
+    def test_d2_point_exactly_at_the_radius(self):
+        ball = RhoBall(Configuration([[0.0, 0.0]]), 5.0)
+        assert math.dist((3.0, 4.0), (0.0, 0.0)) == 5.0
+        assert in_ball(Configuration([[3.0, 4.0]]), ball)
+        assert not in_ball(Configuration([[3.0, 4.0]]), RhoBall(ball.center, math.nextafter(5.0, 0)))
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             in_ball(Configuration([[0.0, 0.0]]), RhoBall(Configuration([[0.0]]), 1.0))

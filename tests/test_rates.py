@@ -76,6 +76,19 @@ class TestContactModelRates:
         with pytest.raises(ValueError):
             ContactModel(dimension=400)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "numpy-True", "numpy-False"])
+    @pytest.mark.parametrize(
+        "name",
+        ["dimension", "interaction_radius", "immigration_intensity", "neighbor_intensity",
+         "baseline_death", "crowding_death", "immigration_radius", "birth_floor",
+         "immigration_center"],
+    )
+    def test_boolean_parameters_rejected(self, name, value):
+        # float() reads a boolean as 0 or 1; a model must not run on that.
+        with pytest.raises(ValueError, match="boolean"):
+            ContactModel(**{name: (value,) if name == "immigration_center" else value})
+
     def test_birth_rate_piecewise_values(self):
         m = ContactModel()
         state = Configuration([[0.0]])
