@@ -19,9 +19,7 @@ and ``cli`` exposes everything as the ``bdlab`` command.
 """
 
 from .chain import (
-    BallTarget,
     ChainEvent,
-    EmptyTarget,
     ExactPointTarget,
     HittingEstimate,
     HyperplaneTarget,
@@ -100,7 +98,6 @@ __all__ = [
     "AllInRegion",
     "BallRegion",
     "BallSet",
-    "BallTarget",
     "BoxRegion",
     "CaseRow",
     "ChainEvent",
@@ -111,7 +108,6 @@ __all__ = [
     "DegenerateStateError",
     "EMPTY",
     "EmptySingleton",
-    "EmptyTarget",
     "ExactPointTarget",
     "ExperimentReport",
     "ExperimentSetupError",

@@ -29,22 +29,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _lockstep
-from .configurations import (
-    Configuration,
-    Point,
-    RhoBall,
-    euclidean,
-    in_ball,
+from .configurations import Configuration, Point, euclidean
+from .measure import (
+    BallRegion,
+    BallSet,
+    BoxRegion,
+    EmptySingleton,
+    LayerSet,
+    TargetPiece,
+    sample_in_ball,
 )
-from .measure import BallRegion, BoxRegion, sample_in_ball
 from .rates import ContactModel, DegenerateStateError, RateModel
 
 __all__ = [
     "ChainEvent",
     "Trajectory",
     "TargetPiece",
-    "EmptyTarget",
-    "BallTarget",
     "PredicateTarget",
     "NullTarget",
     "ExactPointTarget",
@@ -106,41 +106,6 @@ class Trajectory:
 
 
 # --- target sets ------------------------------------------------------
-
-
-class TargetPiece(abc.ABC):
-    """One membership test a target set is built from."""
-
-    @abc.abstractmethod
-    def contains(self, state: Configuration) -> bool: ...
-
-    @abc.abstractmethod
-    def label(self) -> str: ...
-
-
-@dataclass(frozen=True)
-class EmptyTarget(TargetPiece):
-    """The singleton target holding only the empty configuration."""
-
-    def contains(self, state: Configuration) -> bool:
-        return len(state) == 0
-
-    def label(self) -> str:
-        return "empty"
-
-
-@dataclass(frozen=True)
-class BallTarget(TargetPiece):
-    """A bottleneck-metric ball on its cardinality layer."""
-
-    ball: RhoBall
-
-    def contains(self, state: Configuration) -> bool:
-        return in_ball(state, self.ball)
-
-    def label(self) -> str:
-        coords = ";".join(repr(list(p)) for p in self.ball.center.points)
-        return f"ball(center=[{coords}], radius={self.ball.radius!r})"
 
 
 @dataclass(frozen=True)
@@ -670,7 +635,8 @@ def _lockstep_target(
 
     The lockstep backend covers the plain d=1 contact model (no
     crowding) from a d=1 start, with targets built from the empty
-    singleton and d=1 balls; everything else runs on the scalar kernel.
+    singleton and d=1 balls as layer sets; everything else, box shapes
+    included, runs on the scalar kernel.
     """
     if type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0:
         return None
@@ -679,11 +645,12 @@ def _lockstep_target(
     empty = False
     balls = []
     for piece in target.pieces:
-        if type(piece) is EmptyTarget:
+        shape = piece.shape if type(piece) is LayerSet else None
+        if type(shape) is EmptySingleton:
             empty = True
-        elif type(piece) is BallTarget and piece.ball.center.dimension == 1:
-            center = np.array([p[0] for p in piece.ball.center.points])
-            balls.append((center, piece.ball.radius))
+        elif type(shape) is BallSet and shape.ball.center.dimension == 1:
+            center = np.array([p[0] for p in shape.ball.center.points])
+            balls.append((center, shape.ball.radius))
         else:
             return None
     return empty, balls
@@ -753,7 +720,7 @@ def hitting_estimate(
 
     Replicas run in blocks of at most 512.  For a
     :class:`~birthdeath.rates.ContactModel` in d=1 without crowding and
-    a target made of :class:`EmptyTarget` and :class:`BallTarget`
+    a target made of empty-singleton and ball :class:`LayerSet`
     pieces, a block advances in lockstep as NumPy arrays; every other
     input runs the scalar kernel one replica at a time.  Each replica
     reads its stream in the scalar kernel's order, so both backends

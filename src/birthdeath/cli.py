@@ -21,8 +21,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from .chain import (
-    BallTarget,
-    EmptyTarget,
     ExactPointTarget,
     HyperplaneTarget,
     PairDistanceTarget,
@@ -155,12 +153,31 @@ def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
     return box
 
 
-def _parse_ball(raw: dict, context: str, dimension: int) -> RhoBall:
-    center = _parse_configuration(_require(raw, "center", context), context, dimension)
-    return RhoBall(center, _number(raw, "radius", _REQUIRED, context, float))
+def _parse_layer_set(raw: dict, context: str, layer: int | None, dimension: int) -> LayerSet:
+    """The layer set of ``raw['kind']`` on ``layer``; None takes the layer the shape fixes."""
+    kind = _require(raw, "kind", context)
+    try:
+        if kind == "empty":
+            shape = EmptySingleton()
+        elif kind == "all_in_region":
+            shape = AllInRegion(_parse_box(raw, context, dimension))
+        elif kind == "product_boxes":
+            boxes = _require(raw, "boxes", context)
+            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{context}.boxes", dimension) for b in boxes))
+        elif kind == "ball":
+            center = _parse_configuration(_require(raw, "center", context), context, dimension)
+            shape = BallSet(RhoBall(center, _number(raw, "radius", _REQUIRED, context, float)))
+        else:
+            raise ConfigError(f"unknown kind '{kind}' in {context}")
+        if layer is None and shape.fixed_layer is None:
+            raise ConfigError(f"missing key '{context}.layer'")
+        return LayerSet(shape.fixed_layer if layer is None else layer, shape)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad {context}: {err}") from err
 
 
 def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
+    """A union of pieces: layer sets, with an optional ``layer``, and null predicates."""
     if isinstance(raw, dict):
         raw = raw.get("pieces", [raw])
     if not isinstance(raw, list) or not raw:
@@ -171,11 +188,7 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
             raise ConfigError(f"every piece of {context} must be an object")
         kind = _require(item, "kind", context)
         try:
-            if kind == "empty":
-                pieces.append(EmptyTarget())
-            elif kind == "ball":
-                pieces.append(BallTarget(_parse_ball(item, context, dimension)))
-            elif kind == "exact_point":
+            if kind == "exact_point":
                 point = _parse_configuration([_require(item, "point", context)], context, dimension)
                 pieces.append(ExactPointTarget(point.points[0]))
             elif kind == "hyperplane":
@@ -186,36 +199,22 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
             elif kind == "pair_distance":
                 pieces.append(PairDistanceTarget(_number(item, "distance", _REQUIRED, context, float)))
             else:
-                raise ConfigError(f"unknown target kind '{kind}' in {context}")
+                layer = _number(item, "layer", None, context, minimum=0)
+                pieces.append(_parse_layer_set(item, context, layer, dimension))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad piece in {context}: {err}") from err
     return TargetSet(tuple(pieces))
 
 
-def _parse_layer_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet, BoxRegion | None]:
+def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet, BoxRegion | None]:
+    """A measure set: its id, the layer set of its ``layer`` and ``shape``, and its optional window."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
     set_id = str(raw.get("id", "set"))
     layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
-    shape_context = f"{context}.shape"
-    shape_raw = _section(raw, "shape", context)
-    kind = _require(shape_raw, "kind", shape_context)
+    shape = _section(raw, "shape", context)
     window = _parse_box(raw["window"], f"{context}.window", dimension) if "window" in raw else None
-    try:
-        if kind == "empty":
-            shape = EmptySingleton()
-        elif kind == "all_in_region":
-            shape = AllInRegion(_parse_box(shape_raw, shape_context, dimension))
-        elif kind == "product_boxes":
-            boxes = _require(shape_raw, "boxes", shape_context)
-            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{shape_context}.boxes", dimension) for b in boxes))
-        elif kind == "ball":
-            shape = BallSet(_parse_ball(shape_raw, shape_context, dimension))
-        else:
-            raise ConfigError(f"unknown shape kind '{kind}' in {context}")
-        return set_id, LayerSet(layer, shape), window
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad {context}: {err}") from err
+    return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension), window
 
 
 def _float_cell(value: float) -> str:
@@ -353,7 +352,7 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
         raise ConfigError("measure.sets must be a nonempty list")
     rows = []
     for index, raw in enumerate(raw_sets):
-        set_id, layer_set, window = _parse_layer_set(raw, f"measure.sets[{index}]", model.dimension)
+        set_id, layer_set, window = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
         try:
             value = lp_measure_exact(layer_set)
             method, std_error, used = "exact", 0.0, 0

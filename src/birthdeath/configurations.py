@@ -187,24 +187,18 @@ class RhoBall:
     def layer(self) -> int:
         return len(self.center)
 
-    def contains(self, candidate: Configuration) -> bool:
-        return in_ball(candidate, self)
 
-
-def _perfect_matching_exists(dist: list[list[float]], threshold: float) -> bool:
-    """Whether the bipartite graph of pairs with distance <= threshold
-    admits a perfect matching (classic augmenting-path search)."""
-    n = len(dist)
-    adj: list[list[int]] = []
-    for row in dist:
-        nbrs = [j for j in range(n) if row[j] <= threshold]
-        if not nbrs:
-            return False
-        adj.append(nbrs)
+def _perfect_matching_exists(adjacency: list[list[int]]) -> bool:
+    """Whether the bipartite graph in which left vertex i neighbours the
+    right vertices ``adjacency[i]`` matches all n left vertices to the n
+    right ones (classic augmenting-path search)."""
+    n = len(adjacency)
+    if not all(adjacency):
+        return False
     match_of = [-1] * n
 
     def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
+        for j in adjacency[i]:
             if not seen[j]:
                 seen[j] = True
                 if match_of[j] < 0 or augment(match_of[j], seen):
@@ -260,7 +254,8 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _perfect_matching_exists(rows, candidates[mid]):
+        threshold = candidates[mid]
+        if _perfect_matching_exists([[j for j, v in enumerate(row) if v <= threshold] for row in rows]):
             hi = mid
         else:
             lo = mid + 1
@@ -278,8 +273,8 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     candidate point scans the center points and stops at the first one
     within the radius; a point with none rejects at once.  A one-point
     candidate that passes is a member, and a larger one is decided by a
-    matching feasibility test at the radius.  A candidate of a different
-    cardinality is never a member.
+    perfect matching of its points to the centers within the radius of
+    each.  A candidate of a different cardinality is never a member.
     """
     a = candidate.points
     b = ball.center.points
@@ -305,7 +300,11 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
                 break
         else:
             return False
-    return n == 1 or _perfect_matching_exists([[dist(x, y) for y in b] for x in a], radius)
+    # The scan stops at the first near center, which rejects most
+    # candidates early, so the near-center lists are built only here.
+    return n == 1 or _perfect_matching_exists(
+        [[j for j, y in enumerate(b) if dist(x, y) <= radius] for x in a]
+    )
 
 
 def symmetric_difference_size(first: Configuration, second: Configuration) -> int:

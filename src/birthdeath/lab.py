@@ -27,8 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    BallTarget,
-    EmptyTarget,
     ExactPointTarget,
     HittingEstimate,
     HyperplaneTarget,
@@ -44,8 +42,18 @@ from .chain import (
     hitting_estimate,
     simulate,
 )
-from .configurations import EMPTY, Configuration, RhoBall, in_ball
-from .measure import BoxRegion, ball_window, lp_measure_estimate, sample_poisson_config
+from .configurations import EMPTY, Configuration, RhoBall
+from .measure import (
+    BallSet,
+    BoxRegion,
+    EmptySingleton,
+    LayerSet,
+    UnsupportedExactEvaluation,
+    ball_window,
+    lp_measure_estimate,
+    lp_measure_exact,
+    sample_poisson_config,
+)
 from .paths import build_path, corridor_prob_lower_bound
 from .rates import RateModel
 
@@ -206,32 +214,26 @@ def _case_seed(master_seed: int, case: int) -> np.random.SeedSequence:
 
 
 def _certify_positive(piece: TargetPiece, samples: int, seed: np.random.SeedSequence) -> float:
-    """Reference measure of a target piece, estimated for balls.
+    """Reference measure of a layer-set target, estimated for balls.
 
-    The empty singleton carries exact unit mass.  For a ball target the
-    measure is estimated over the bounding window of the center
-    inflated by the radius; a zero estimate rejects the target.
+    The measure is exact where :func:`lp_measure_exact` has a closed
+    form.  A ball's is estimated over the bounding window of its center
+    inflated by the radius.  A zero measure rejects the target.
     """
-    if isinstance(piece, EmptyTarget):
-        return 1.0
-    if not isinstance(piece, BallTarget):
+    if not isinstance(piece, LayerSet):
+        raise ExperimentSetupError(f"positive-measure targets must be layer sets, got {piece.label()}")
+    try:
+        value = lp_measure_exact(piece)
+        how = "exactly"
+    except UnsupportedExactEvaluation:
+        window = ball_window(piece.shape.ball)
+        value = lp_measure_estimate(piece.layer, window, piece.contains, samples, seed).value
+        how = f"in {samples} draws"
+    if not value > 0.0:
         raise ExperimentSetupError(
-            f"positive-measure targets must be balls or the empty singleton, got {piece.label()}"
+            f"target {piece.label()} shows no mass {how}; refusing to test an apparently null target"
         )
-    ball = piece.ball
-    estimate = lp_measure_estimate(
-        layer=ball.layer,
-        window=ball_window(ball),
-        predicate=lambda cfg: in_ball(cfg, ball),
-        samples=samples,
-        seed=seed,
-    )
-    if not estimate.value > 0.0:
-        raise ExperimentSetupError(
-            f"target {piece.label()} shows no mass in {samples} draws; "
-            "refusing to test an apparently null target"
-        )
-    return estimate.value
+    return value
 
 
 def positive_measure_experiment(
@@ -246,8 +248,9 @@ def positive_measure_experiment(
 ) -> ExperimentReport:
     """Hitting experiment over every (start, target) pair.
 
-    Each target is first certified to carry positive reference measure
-    (exact for the empty singleton, Monte Carlo for balls).  A case
+    Each target is a :class:`~birthdeath.measure.LayerSet`, first
+    certified to carry positive reference measure (exact where a closed
+    form exists, Monte Carlo for balls).  A case
     passes when its Wilson 95% lower confidence bound on the hitting
     probability within ``max_steps`` steps is strictly positive.
     Starts sitting inside their target still need a first return.
@@ -431,7 +434,7 @@ def theorem_pipeline(
     bound = corridor_prob_lower_bound(path, certified_radius, model)
     span = path.length + 2 * len(goal)
     max_steps = span + (50 * span if extra_steps is None else int(extra_steps))
-    target_piece = BallTarget(RhoBall(goal, target_radius))
+    target_piece = LayerSet(len(goal), BallSet(RhoBall(goal, target_radius)))
     case_seed = _case_seed(seed, 0)
     estimate = hitting_estimate(
         EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed, workers
@@ -499,7 +502,7 @@ def default_starts(
     return starts
 
 
-def default_ball_targets(model: RateModel) -> list[TargetPiece]:
+def default_ball_targets(model: RateModel) -> list[LayerSet]:
     """The default positive-measure targets: the empty singleton plus
     three bottleneck balls of a quarter interaction radius."""
     center = model.immigration_region.center
@@ -510,12 +513,8 @@ def default_ball_targets(model: RateModel) -> list[TargetPiece]:
     )
     left = tuple(c - (radius / 6.0 if k == 0 else 0.0) for k, c in enumerate(center))
     right = tuple(c + (radius / 6.0 if k == 0 else 0.0) for k, c in enumerate(center))
-    return [
-        EmptyTarget(),
-        BallTarget(RhoBall(Configuration([center]), quarter)),
-        BallTarget(RhoBall(Configuration([shift]), quarter)),
-        BallTarget(RhoBall(Configuration([left, right]), quarter)),
-    ]
+    balls = [RhoBall(Configuration(points), quarter) for points in ([center], [shift], [left, right])]
+    return [LayerSet(0, EmptySingleton())] + [LayerSet(ball.layer, BallSet(ball)) for ball in balls]
 
 
 def default_extinction_start(model: RateModel) -> Configuration:
@@ -606,7 +605,7 @@ def run_default_suite(
 
     extinction = positive_measure_experiment(
         model,
-        [EmptyTarget()],
+        [LayerSet(0, EmptySingleton())],
         [default_extinction_start(model)],
         max_steps=sizes.extinction_max_steps,
         replicas=sizes.extinction_replicas,

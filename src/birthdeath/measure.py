@@ -18,6 +18,8 @@ returned here.
 
 from __future__ import annotations
 
+import abc
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,8 +39,10 @@ from .configurations import (
 )
 
 __all__ = [
+    "TargetPiece",
     "BoxRegion",
     "BallRegion",
+    "Shape",
     "EmptySingleton",
     "AllInRegion",
     "ProductOfDisjointBoxes",
@@ -141,20 +145,86 @@ def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Genera
 # --- layer sets -------------------------------------------------------
 
 
+class TargetPiece(abc.ABC):
+    """One membership test a target set is built from (re-exported by ``chain``)."""
+
+    @abc.abstractmethod
+    def contains(self, state: Configuration) -> bool: ...
+
+    @abc.abstractmethod
+    def label(self) -> str: ...
+
+
+class UnsupportedExactEvaluation(Exception):
+    """Raised when a layer set has no closed-form measure."""
+
+
+class Shape(abc.ABC):
+    """The geometry of a layer set: its membership, label and exact measure on a layer."""
+
+    # The one layer the shape fits, or None when it fits every layer.
+    fixed_layer: int | None
+
+    @abc.abstractmethod
+    def contains(self, config: Configuration, layer: int) -> bool: ...
+
+    @abc.abstractmethod
+    def label(self, layer: int) -> str: ...
+
+    @abc.abstractmethod
+    def exact_measure(self, layer: int) -> float:
+        """The closed-form measure; raises :class:`UnsupportedExactEvaluation` without one."""
+
+
 @dataclass(frozen=True)
-class EmptySingleton:
+class EmptySingleton(Shape):
     """The one-member set holding only the empty configuration."""
 
+    fixed_layer = 0
+
+    def contains(self, config: Configuration, layer: int) -> bool:
+        return not config.points
+
+    def label(self, layer: int) -> str:
+        return "empty"
+
+    def exact_measure(self, layer: int) -> float:
+        return 1.0
+
 
 @dataclass(frozen=True)
-class AllInRegion:
+class AllInRegion(Shape):
     """All configurations of the layer's size with every point in ``region``."""
 
     region: BoxRegion
+    fixed_layer = None
+
+    def contains(self, config: Configuration, layer: int) -> bool:
+        points = config.points
+        return len(points) == layer and all(map(self.region.contains, points))
+
+    def label(self, layer: int) -> str:
+        lower, upper = list(self.region.lower), list(self.region.upper)
+        return f"all_in_region(layer={layer}, lower={lower!r}, upper={upper!r})"
+
+    def exact_measure(self, layer: int) -> float:
+        """``vol(region)**layer / layer!``.
+
+        Where the power or the factorial leaves the float range, the
+        quotient is taken in log space: 0.0 below the range, inf above.
+        """
+        volume = self.region.volume
+        with contextlib.suppress(OverflowError):
+            return volume ** layer / math.factorial(layer)
+        log_volume = math.log(volume) if volume else -math.inf
+        try:
+            return math.exp(layer * log_volume - math.lgamma(layer + 1))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
-class ProductOfDisjointBoxes:
+class ProductOfDisjointBoxes(Shape):
     """Configurations with exactly one point in each of n disjoint boxes."""
 
     boxes: tuple[BoxRegion, ...]
@@ -173,6 +243,25 @@ class ProductOfDisjointBoxes:
                     raise ValueError(f"boxes {i} and {j} overlap with positive volume")
         object.__setattr__(self, "boxes", boxes)
 
+    @property
+    def fixed_layer(self) -> int:
+        return len(self.boxes)
+
+    def contains(self, config: Configuration, layer: int) -> bool:
+        # A point on a face two boxes share lies in both, so a perfect
+        # matching of points to the boxes that hold them decides.
+        points = config.points
+        return len(points) == layer and _perfect_matching_exists(
+            [[j for j, box in enumerate(self.boxes) if box.contains(p)] for p in points]
+        )
+
+    def label(self, layer: int) -> str:
+        boxes = ";".join(f"{list(box.lower)!r}..{list(box.upper)!r}" for box in self.boxes)
+        return f"product_boxes({boxes})"
+
+    def exact_measure(self, layer: int) -> float:
+        return math.prod(box.volume for box in self.boxes)
+
 
 def _boxes_overlap(a: BoxRegion, b: BoxRegion) -> bool:
     return all(
@@ -182,18 +271,34 @@ def _boxes_overlap(a: BoxRegion, b: BoxRegion) -> bool:
 
 
 @dataclass(frozen=True)
-class BallSet:
+class BallSet(Shape):
     """A bottleneck-metric ball viewed as a subset of its layer."""
 
     ball: RhoBall
 
+    @property
+    def fixed_layer(self) -> int:
+        return self.ball.layer
 
-Shape = EmptySingleton | AllInRegion | ProductOfDisjointBoxes | BallSet
+    def contains(self, config: Configuration, layer: int) -> bool:
+        return in_ball(config, self.ball)
+
+    def label(self, layer: int) -> str:
+        coords = ";".join(repr(list(p)) for p in self.ball.center.points)
+        return f"ball(center=[{coords}], radius={self.ball.radius!r})"
+
+    def exact_measure(self, layer: int) -> float:
+        raise UnsupportedExactEvaluation(
+            "metric balls have no closed-form measure; use lp_measure_estimate"
+        )
 
 
 @dataclass(frozen=True)
-class LayerSet:
-    """A measurable set of configurations confined to one cardinality layer."""
+class LayerSet(TargetPiece):
+    """A measurable set of configurations confined to one cardinality layer.
+
+    Its shape decides membership and gives its label and exact measure.
+    """
 
     layer: int
     shape: Shape
@@ -203,39 +308,18 @@ class LayerSet:
         if layer < 0:
             raise ValueError("layer must be a nonnegative integer")
         object.__setattr__(self, "layer", layer)
-        shape = self.shape
-        if isinstance(shape, EmptySingleton):
-            if layer != 0:
-                raise ValueError("the empty-configuration singleton sits on layer 0")
-        elif isinstance(shape, ProductOfDisjointBoxes):
-            if len(shape.boxes) != layer:
-                raise ValueError("product shape needs exactly one box per layer point")
-        elif isinstance(shape, BallSet):
-            if shape.ball.layer != layer:
-                raise ValueError("ball center size must match the layer")
-        elif not isinstance(shape, AllInRegion):
-            raise TypeError(f"unsupported shape: {shape!r}")
+        if not isinstance(self.shape, Shape):
+            raise TypeError(f"unsupported shape: {self.shape!r}")
+        fixed = self.shape.fixed_layer
+        if fixed is not None and fixed != layer:
+            raise ValueError(f"layer {layer} does not fit the shape, which sits on layer {fixed}")
 
     def contains(self, config: Configuration) -> bool:
         """Set membership for a concrete configuration."""
-        if len(config) != self.layer:
-            return False
-        shape = self.shape
-        if isinstance(shape, EmptySingleton):
-            return True
-        if isinstance(shape, AllInRegion):
-            return all(map(shape.region.contains, config))
-        if isinstance(shape, ProductOfDisjointBoxes):
-            # A point on a face two boxes share lies in both, so a
-            # perfect matching of points to boxes decides; zeros mark
-            # the boxes each point lies in.
-            rows = [[0.0 if box.contains(p) else 1.0 for box in shape.boxes] for p in config]
-            return _perfect_matching_exists(rows, 0.0)
-        return in_ball(config, shape.ball)
+        return self.shape.contains(config, self.layer)
 
-
-class UnsupportedExactEvaluation(Exception):
-    """Raised when a layer set has no closed-form measure."""
+    def label(self) -> str:
+        return self.shape.label(self.layer)
 
 
 def lp_measure_exact(layer_set: LayerSet) -> float:
@@ -244,19 +328,10 @@ def lp_measure_exact(layer_set: LayerSet) -> float:
     The empty singleton has measure 1.  A layer-n all-in-region set has
     measure ``vol(region)**n / n!``.  A product of n disjoint boxes has
     measure equal to the product of the box volumes.  Metric balls have
-    no closed form here; use :func:`lp_measure_estimate` for those.
+    no closed form here and raise :class:`UnsupportedExactEvaluation`;
+    use :func:`lp_measure_estimate` for those.
     """
-    shape = layer_set.shape
-    if isinstance(shape, EmptySingleton):
-        return 1.0
-    if isinstance(shape, AllInRegion):
-        n = layer_set.layer
-        return shape.region.volume ** n / math.factorial(n)
-    if isinstance(shape, ProductOfDisjointBoxes):
-        return math.prod(box.volume for box in shape.boxes)
-    raise UnsupportedExactEvaluation(
-        "metric balls have no closed-form measure; use lp_measure_estimate"
-    )
+    return layer_set.shape.exact_measure(layer_set.layer)
 
 
 @dataclass(frozen=True)
@@ -316,7 +391,7 @@ def lp_measure_estimate(
     if layer == 0:
         hit = bool(predicate(EMPTY))
         return MeasureEstimate(1.0 if hit else 0.0, 0.0, samples, samples if hit else 0)
-    scale = window.volume ** layer / math.factorial(layer)
+    scale = lp_measure_exact(LayerSet(layer, AllInRegion(window)))
     rng = np.random.default_rng(seed)
     d = window.dimension
     drawn = rng.uniform(window.lower, window.upper, size=(samples, layer, d))
@@ -338,8 +413,10 @@ def lp_measure_estimate(
             if predicate(Configuration._wrap(pts)):
                 hits += 1
     frac = hits / samples
-    std_error = scale * math.sqrt(frac * (1.0 - frac) / samples)
-    return MeasureEstimate(scale * frac, std_error, samples, hits)
+    # Where every sample or none hits, the error is zero even for an
+    # infinite scale, and so is the value where none does.
+    std_error = scale * math.sqrt(frac * (1.0 - frac) / samples) if 0 < hits < samples else 0.0
+    return MeasureEstimate(scale * frac if hits else 0.0, std_error, samples, hits)
 
 
 def sample_poisson_config(

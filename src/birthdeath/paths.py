@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import BallTarget, EmptyTarget, HittingEstimate, _replica_rngs, _root_seed, _walk
+from .chain import HittingEstimate, _replica_rngs, _root_seed, _walk
 from .configurations import (
     EMPTY,
     Configuration,
@@ -31,6 +31,7 @@ from .configurations import (
     euclidean,
     unit_ball_volume,
 )
+from .measure import BallSet, EmptySingleton, LayerSet
 from .rates import RateModel
 
 __all__ = [
@@ -275,7 +276,7 @@ def corridor_event_frequency(
     if replicas < 1:
         raise ValueError("need at least one replica")
     cells = [
-        BallTarget(RhoBall(vertex, ball_radius)) if len(vertex) else EmptyTarget()
+        LayerSet(len(vertex), BallSet(RhoBall(vertex, ball_radius)) if len(vertex) else EmptySingleton())
         for vertex in path.vertices[1:]
     ]
     hits = 0

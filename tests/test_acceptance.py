@@ -19,12 +19,11 @@ from conftest import record_acceptance
 from birthdeath import (
     EMPTY,
     AllInRegion,
-    BallTarget,
+    BallSet,
     BoxRegion,
     Configuration,
     ContactModel,
     EmptySingleton,
-    EmptyTarget,
     ExactPointTarget,
     HyperplaneTarget,
     LayerSet,
@@ -395,7 +394,7 @@ def test_acceptance_08_positive_measure_direction():
     ]
     quarter = model.interaction_radius / 4.0
     targets = [
-        EmptyTarget(),
+        LayerSet(0, EmptySingleton()),
         # singleton ball at the immigration center
         _ball_target(Configuration([center]), quarter),
         # singleton ball shifted along the first axis
@@ -423,7 +422,7 @@ def test_acceptance_08_positive_measure_direction():
 
 
 def _ball_target(center_config, radius):
-    return BallTarget(RhoBall(center_config, radius))
+    return LayerSet(len(center_config), BallSet(RhoBall(center_config, radius)))
 
 
 def test_acceptance_09_null_direction():
@@ -471,7 +470,7 @@ def test_acceptance_10_extinction():
         [tuple(c + k * gap for c in center) for k in range(-2, 3)]
     )
     report = positive_measure_experiment(
-        model, [EmptyTarget()], [start], max_steps=10_000, replicas=1_000, seed=1010
+        model, [LayerSet(0, EmptySingleton())], [start], max_steps=10_000, replicas=1_000, seed=1010
     )
     hits = report.rows[0].hits
     ok = report.passed and hits >= 1

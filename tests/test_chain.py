@@ -14,16 +14,19 @@ from scipy import stats
 from birthdeath import _lockstep, chain
 from birthdeath import (
     EMPTY,
+    AllInRegion,
     BallRegion,
-    BallTarget,
+    BallSet,
     BoxRegion,
     Configuration,
     ContactModel,
-    EmptyTarget,
+    EmptySingleton,
     ExactPointTarget,
     HyperplaneTarget,
+    LayerSet,
     PairDistanceTarget,
     PredicateTarget,
+    ProductOfDisjointBoxes,
     RhoBall,
     TargetSet,
     birth_probability_region,
@@ -169,7 +172,7 @@ class TestStepAndSimulate:
 
     def test_simulate_first_return_semantics(self):
         m = ContactModel()
-        traj = simulate(EMPTY, m, TargetSet((EmptyTarget(),)), 500, seed=5)
+        traj = simulate(EMPTY, m, TargetSet((LayerSet(0, EmptySingleton()),)), 500, seed=5)
         assert traj.terminal_reason == "hit_target"
         # leaving and re-entering the empty state takes an even step count
         assert traj.hit_step is not None and traj.hit_step >= 2
@@ -190,7 +193,7 @@ class TestStepAndSimulate:
 
 class TestTargets:
     def test_target_set_union_membership_and_label(self):
-        pieces = (EmptyTarget(), BallTarget(RhoBall(Configuration([[0.0]]), 0.5)))
+        pieces = (LayerSet(0, EmptySingleton()), LayerSet(1, BallSet(RhoBall(Configuration([[0.0]]), 0.5))))
         ts = TargetSet(pieces)
         assert ts.membership(EMPTY)
         assert ts.membership(Configuration([[0.3]]))
@@ -253,7 +256,7 @@ class TestTargets:
 
     def test_ball_target_tracks_metric(self):
         ball = RhoBall(Configuration([[0.0], [1.0]]), 0.25)
-        t = BallTarget(ball)
+        t = LayerSet(ball.layer, BallSet(ball))
         assert t.contains(Configuration([[0.1], [1.2]]))
         assert not t.contains(Configuration([[0.1], [1.3]]))
         assert not t.contains(Configuration([[0.1]]))
@@ -290,14 +293,14 @@ class TestWilsonInterval:
 class TestHittingEstimate:
     def test_deterministic_for_fixed_seed(self):
         m = ContactModel()
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         a = hitting_estimate(Configuration([[0.1]]), target, m, 60, 200, seed=13)
         b = hitting_estimate(Configuration([[0.1]]), target, m, 60, 200, seed=13)
         assert a == b
 
     def test_worker_count_does_not_change_counts(self):
         m = ContactModel()
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
         parallel = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=3)
         assert serial == parallel
@@ -309,18 +312,18 @@ class TestHittingEstimate:
         with pytest.raises(ValueError, match="workers=1"):
             hitting_estimate(start, target, m, 40, 60, seed=17, workers=2)
         serial = hitting_estimate(start, target, m, 40, 60, seed=17, workers=1)
-        assert serial == hitting_estimate(start, TargetSet((EmptyTarget(),)), m, 40, 60, seed=17)
+        assert serial == hitting_estimate(start, TargetSet((LayerSet(0, EmptySingleton()),)), m, 40, 60, seed=17)
 
     def test_truncation_monotone_in_steps(self):
         m = ContactModel()
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         short = hitting_estimate(Configuration([[0.1]]), target, m, 4, 300, seed=19)
         long = hitting_estimate(Configuration([[0.1]]), target, m, 80, 300, seed=19)
         assert short.hits <= long.hits
 
     def test_input_validation(self):
         m = ContactModel()
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         with pytest.raises(ValueError):
             hitting_estimate(EMPTY, target, m, 0, 10, seed=0)
         with pytest.raises(ValueError):
@@ -351,7 +354,7 @@ class TestHittingEstimate:
         monkeypatch.setattr(chain, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(chain.os, "cpu_count", lambda: 3)
         m = ContactModel()
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
         capped = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=10**6)
         assert asked == [3]
@@ -412,22 +415,30 @@ class TestLockstepBackend:
         sample_poisson_config(1.0, BoxRegion((-1.5,), (1.5,)), np.random.default_rng(5)),
         Configuration([[-0.1], [0.2]]),  # inside the two-point ball
     ]
-    two_point = BallTarget(RhoBall(Configuration([[-1 / 6], [1 / 6]]), 0.25))
+    two_point = LayerSet(2, BallSet(RhoBall(Configuration([[-1 / 6], [1 / 6]]), 0.25)))
     targets = [
-        TargetSet((EmptyTarget(),)),
-        TargetSet((BallTarget(RhoBall(Configuration([[0.1]]), 0.25)),)),
+        TargetSet((LayerSet(0, EmptySingleton()),)),
+        TargetSet((LayerSet(1, BallSet(RhoBall(Configuration([[0.1]]), 0.25))),)),
         TargetSet((two_point,)),
-        TargetSet((EmptyTarget(), BallTarget(RhoBall(Configuration([[1 / 3]]), 0.25)), two_point)),
+        TargetSet((LayerSet(0, EmptySingleton()), LayerSet(1, BallSet(RhoBall(Configuration([[1 / 3]]), 0.25))), two_point)),
+    ]
+
+    # Box shapes, alone and beside lockstep pieces, run on the scalar kernel.
+    box_targets = [
+        TargetSet((LayerSet(1, AllInRegion(BoxRegion((-0.2,), (0.3,)))),)),
+        TargetSet((LayerSet(0, EmptySingleton()),
+                   LayerSet(2, ProductOfDisjointBoxes((BoxRegion((-0.5,), (0.0,)), BoxRegion((0.0,), (0.5,))))))),
     ]
 
     def test_backend_choice_follows_the_input(self):
         assert all(_spec(t) is not None for t in self.targets)
+        assert all(_spec(t) is None for t in self.box_targets)
         empty = self.targets[0]
         assert chain._lockstep_target(EMPTY, _ScalarContact(), empty) is None
         assert chain._lockstep_target(EMPTY, ContactModel(dimension=2), empty) is None
         assert chain._lockstep_target(EMPTY, ContactModel(crowding_death=0.3), empty) is None
         assert chain._lockstep_target(Configuration([[0.0, 1.0]]), ContactModel(), empty) is None
-        mixed = TargetSet((EmptyTarget(), ExactPointTarget((0.0,))))
+        mixed = TargetSet((LayerSet(0, EmptySingleton()), ExactPointTarget((0.0,))))
         assert chain._lockstep_target(EMPTY, ContactModel(), mixed) is None
 
     # Live rows below which a block hands its tail to the scalar kernel:
@@ -444,7 +455,7 @@ class TestLockstepBackend:
         # The hand-off does not depend on the worker split, and a pool per
         # estimate is slow, so two workers run at the default tail only.
         tails = self.tails if workers == 1 else [_lockstep._TAIL]
-        cases = itertools.product(tails, self.starts, self.targets, [1, 7, 400])
+        cases = itertools.product(tails, self.starts, self.targets + self.box_targets, [1, 7, 400])
         for tail, start, target, max_steps in cases:
             monkeypatch.setattr(_lockstep, "_TAIL", tail)
             fast = hitting_estimate(start, target, lockstep, max_steps, 50, seed, workers)
@@ -456,7 +467,7 @@ class TestLockstepBackend:
         # partial death sums exactly, which pins the dying-index tie rule.
         model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
         start = Configuration([[0.0], [0.5]])
-        target = TargetSet((BallTarget(RhoBall(Configuration([[0.25], [0.75]]), 0.3)),))
+        target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([[0.25], [0.75]]), 0.3))),))
         member = target.membership
         hits = redrawn = 0
         for seed in range(40):
@@ -501,7 +512,7 @@ class TestLockstepBackend:
         assert got.tolist() == [in_ball(c, ball) for c in configs]
 
     def test_reused_seed_sequence_gives_the_same_estimate(self):
-        target = TargetSet((EmptyTarget(),))
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
         for model in (ContactModel(), _ScalarContact()):
             root = np.random.SeedSequence(23)
             first = hitting_estimate(Configuration([[0.1]]), target, model, 40, 80, root)
@@ -532,7 +543,7 @@ class TestChunkedReads:
             pad = [0.0] * (dimension - 1)
             start = Configuration([[0.0] + pad, [0.5] + pad])
             center = Configuration([[-0.4] + pad, [0.6] + pad])
-            target = TargetSet((BallTarget(RhoBall(center, 0.2)),))
+            target = TargetSet((LayerSet(len(center), BallSet(RhoBall(center, 0.2))),))
             reads_chunks = isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
             assert reads_chunks == (dimension == 1)
             assert chain._own_stream(rng, per_draw) is rng

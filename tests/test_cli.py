@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from birthdeath.cli import main
+from birthdeath import LayerSet
+from birthdeath.cli import _parse_measure_set, _parse_target, main
 
 BASE_CONFIG = {
     "seed": 11,
@@ -314,6 +317,32 @@ class TestConfigErrors:
         assert main(["path", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "ball_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "piece, field",
+        [
+            pytest.param({"kind": "all_in_region", "lower": [0.0], "upper": [1.0]},
+                         "hitprob.target.layer", id="all-in-region-without-layer"),
+            pytest.param({"kind": "all_in_region", "layer": 1, "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                         "hitprob.target is a 2-D box", id="all-in-region-box-of-another-dimension"),
+            pytest.param({"kind": "product_boxes", "boxes": [{"lower": [0.0], "upper": [0.5]},
+                                                             {"lower": [0.6, 0.0], "upper": [1.0, 1.0]}]},
+                         "hitprob.target.boxes is a 2-D box", id="product-box-of-another-dimension"),
+            pytest.param({"kind": "product_boxes", "layer": 3, "boxes": [{"lower": [0.0], "upper": [0.5]}]},
+                         "layer 3", id="product-layer-contradicts-boxes"),
+            pytest.param({"kind": "ball", "layer": 2, "center": [[0.0]], "radius": 0.2},
+                         "layer 2", id="ball-layer-contradicts-center"),
+            pytest.param({"kind": "empty", "layer": 1}, "layer 1", id="empty-off-layer-0"),
+        ],
+    )
+    def test_malformed_layer_set_target_exits_2(self, tmp_path, capsys, piece, field):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hitprob"]["target"] = [piece]
+        path = write_config(tmp_path, config)
+        assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and "hitprob.target" in err
+        assert "Traceback" not in err
+
     def test_bad_target_kind_exits_2(self, tmp_path, capsys):
         overrides = {
             "hitprob": {"initial": [], "target": [{"kind": "wormhole"}], "replicas": 5}
@@ -366,6 +395,27 @@ class TestRunCommands:
         assert int(row["hits"]) > 0
         assert 0.0 < float(row["ci_low"]) <= float(row["ci_high"]) <= 1.0
 
+    @pytest.mark.parametrize(
+        "piece, label",
+        [
+            ({"kind": "all_in_region", "layer": 1, "lower": [-0.5], "upper": [0.0]},
+             "all_in_region(layer=1, lower=[-0.5], upper=[0.0])"),
+            ({"kind": "product_boxes", "boxes": [{"lower": [-0.5], "upper": [0.0]},
+                                                 {"lower": [0.0], "upper": [0.5]}]},
+             "product_boxes([-0.5]..[0.0];[0.0]..[0.5])"),
+        ],
+        ids=["all-in-region", "product-boxes"],
+    )
+    def test_hitprob_hits_box_targets(self, tmp_path, capsys, piece, label):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hitprob"]["target"] = [piece]
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["hitprob", "--config", path, "--out", str(out)]) == 0
+        (row,) = list(csv.DictReader(open(out / "hitprob.csv")))
+        assert row["target"] == label
+        assert int(row["hits"]) > 0 and float(row["ci_low"]) > 0.0
+
     def test_path_writes_jsonl_and_reports_bound(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -385,6 +435,17 @@ class TestRunCommands:
         assert float(rows["pairs-in-unit-box"]["value"]) == 0.5
         assert rows["singleton-ball"]["method"] == "estimate"
         assert float(rows["singleton-ball"]["std_error"]) > 0.0
+
+    def test_measure_of_a_layer_past_the_float_range(self, tmp_path, capsys):
+        # (unit volume)**200 / 200! underflows; 200! alone overflows a float.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["measure"]["sets"][0]["layer"] = 200
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["measure", "--config", path, "--out", str(out)]) == 0
+        rows = {row["set_id"]: row for row in csv.DictReader(open(out / "measure.csv"))}
+        assert rows["pairs-in-unit-box"]["method"] == "exact"
+        assert rows["pairs-in-unit-box"]["value"] == "0.0"
 
     def test_metric_prints_frozen_distance(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -439,3 +500,40 @@ class TestLabCommand:
         assert (out_a / "lab_positive_measure.csv").read_bytes() != (
             out_b / "lab_positive_measure.csv"
         ).read_bytes()
+
+
+class TestReadme:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_config_block_runs(self, tmp_path, capsys):
+        block = self.readme.split("A config that exercises every subcommand:")[1]
+        path = tmp_path / "readme.json"
+        path.write_text(block.split("```json")[1].split("```")[0])
+        for command in ("simulate", "hitprob", "path", "measure"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0, command
+
+    # One piece of every kind, with the fields the README's kind list names.
+    examples = {
+        "empty": {},
+        "ball": {"center": [[0.0]], "radius": 0.2},
+        "all_in_region": {"layer": 2, "lower": [0.0], "upper": [1.0]},
+        "product_boxes": {"boxes": [{"lower": [0.0], "upper": [0.5]}, {"lower": [0.5], "upper": [1.0]}]},
+        "exact_point": {"point": [0.5]},
+        "hyperplane": {"axis": 0, "value": 0.5},
+        "pair_distance": {"distance": 0.5},
+    }
+
+    def test_every_listed_kind_is_parsed(self):
+        kind_list = self.readme.split("share one kind list")[1].split("\n\n")[1]
+        listed = re.findall(r"^- `(\w+)`:", kind_list, re.M)
+        assert sorted(listed) == sorted(self.examples)
+        layer_sets = 0
+        for kind in listed:
+            (piece,) = _parse_target([{"kind": kind, **self.examples[kind]}], "target", 1).pieces
+            if isinstance(piece, LayerSet):
+                shape = {"kind": kind, **self.examples[kind]}
+                shape.pop("layer", None)
+                _, layer_set, _ = _parse_measure_set({"layer": piece.layer, "shape": shape}, "set", 1)
+                assert layer_set == piece
+                layer_sets += 1
+        assert layer_sets == 4

@@ -8,17 +8,20 @@ import pytest
 
 from birthdeath import (
     EMPTY,
-    BallTarget,
+    AllInRegion,
+    BallSet,
     BoxRegion,
     CaseRow,
     Configuration,
     ContactModel,
-    EmptyTarget,
+    EmptySingleton,
     ExactPointTarget,
     ExperimentSetupError,
     HyperplaneTarget,
+    LayerSet,
     PairDistanceTarget,
     PredicateTarget,
+    ProductOfDisjointBoxes,
     RhoBall,
     SuiteSizes,
     null_set_experiment,
@@ -59,7 +62,7 @@ def poisson_states(model, count, seed):
 class TestPositiveMeasureExperiment:
     def test_small_run_passes_with_positive_lower_bounds(self):
         m = ContactModel()
-        targets = [EmptyTarget(), BallTarget(RhoBall(Configuration([[0.0]]), 0.25))]
+        targets = [LayerSet(0, EmptySingleton()), LayerSet(1, BallSet(RhoBall(Configuration([[0.0]]), 0.25)))]
         starts = [EMPTY, Configuration([[0.3]])]
         report = positive_measure_experiment(
             m, targets, starts, max_steps=150, replicas=50, seed=3, measure_samples=2_000
@@ -73,9 +76,26 @@ class TestPositiveMeasureExperiment:
         # the empty singleton carries exact unit mass
         assert report.rows[0].target_measure == 1.0
 
+    def test_box_targets_are_certified_exactly_and_hit(self):
+        m = ContactModel()
+        inner, right = BoxRegion((-0.25,), (0.25,)), BoxRegion((0.25,), (0.5,))
+        targets = [LayerSet(1, AllInRegion(inner)), LayerSet(2, ProductOfDisjointBoxes((inner, right)))]
+        report = positive_measure_experiment(
+            m, targets, [EMPTY], max_steps=150, replicas=50, seed=3, measure_samples=2_000
+        )
+        assert report.passed
+        assert [row.target_measure for row in report.rows] == [0.5, 0.125]
+        assert [row.target for row in report.rows] == [t.label() for t in targets]
+
+    def test_box_target_of_no_measure_is_refused(self):
+        # (unit volume)**200 / 200! is below the float range.
+        vanishing = LayerSet(200, AllInRegion(BoxRegion((0.0,), (1.0,))))
+        with pytest.raises(ExperimentSetupError, match="exactly"):
+            positive_measure_experiment(ContactModel(), [vanishing], [EMPTY], max_steps=10, replicas=5, seed=1)
+
     def test_apparently_null_ball_is_refused(self):
         m = ContactModel()
-        tiny = BallTarget(RhoBall(Configuration([[0.0], [1.0]]), 1e-7))
+        tiny = LayerSet(2, BallSet(RhoBall(Configuration([[0.0], [1.0]]), 1e-7)))
         with pytest.raises(ExperimentSetupError):
             positive_measure_experiment(
                 m, [tiny], [EMPTY], max_steps=10, replicas=5, seed=1, measure_samples=3_000
@@ -95,14 +115,14 @@ class TestPositiveMeasureExperiment:
             positive_measure_experiment(m, [], [EMPTY], max_steps=10, replicas=5, seed=1)
         with pytest.raises(ExperimentSetupError):
             positive_measure_experiment(
-                m, [EmptyTarget()], [], max_steps=10, replicas=5, seed=1
+                m, [LayerSet(0, EmptySingleton())], [], max_steps=10, replicas=5, seed=1
             )
 
     def test_rows_reproducible_for_fixed_seed(self):
         m = ContactModel()
         args = dict(max_steps=80, replicas=40, seed=11, measure_samples=1_000)
-        first = positive_measure_experiment(m, [EmptyTarget()], [EMPTY], **args)
-        second = positive_measure_experiment(m, [EmptyTarget()], [EMPTY], **args)
+        first = positive_measure_experiment(m, [LayerSet(0, EmptySingleton())], [EMPTY], **args)
+        second = positive_measure_experiment(m, [LayerSet(0, EmptySingleton())], [EMPTY], **args)
         assert first.rows == second.rows
 
 
@@ -228,7 +248,7 @@ class TestNullSetExperiment:
     def test_non_null_pieces_are_rejected(self):
         m = ContactModel()
         with pytest.raises(ExperimentSetupError):
-            null_set_experiment(m, [EmptyTarget()], [EMPTY], max_steps=5, replicas=5, seed=1)
+            null_set_experiment(m, [LayerSet(0, EmptySingleton())], [EMPTY], max_steps=5, replicas=5, seed=1)
         with pytest.raises(ExperimentSetupError):
             null_set_experiment(
                 m, [PredicateTarget(lambda s: False)], [EMPTY], max_steps=5, replicas=5, seed=1
@@ -317,7 +337,7 @@ class TestOneStepNullPreservation:
     def test_rejects_non_null_predicates_and_empty_input(self):
         m = ContactModel()
         with pytest.raises(ExperimentSetupError):
-            one_step_null_preservation(m, EmptyTarget(), [EMPTY])
+            one_step_null_preservation(m, LayerSet(0, EmptySingleton()), [EMPTY])
         with pytest.raises(ExperimentSetupError):
             one_step_null_preservation(m, ExactPointTarget((1.0,)), [])
 

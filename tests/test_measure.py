@@ -6,6 +6,7 @@ boxes weighs the product of volumes, and the empty singleton weighs 1.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +198,28 @@ class TestExactMeasure:
         assert abs(est.value - expected) <= 4 * est.std_error
 
 
+    def test_all_in_region_measure_beyond_the_float_range(self):
+        box = BoxRegion((0.0,), (10.0,))
+        # Finite as a quotient of floats: the value is unchanged.
+        assert lp_measure_exact(LayerSet(170, AllInRegion(box))) == 10.0**170 / math.factorial(170)
+        # 171! and 10**400 leave the float range, the quotients do not
+        # or fall below it; a huge box leaves it for good.
+        exact = float(Fraction(10) ** 171 / math.factorial(171))
+        assert lp_measure_exact(LayerSet(171, AllInRegion(box))) == pytest.approx(exact, rel=1e-12)
+        assert lp_measure_exact(LayerSet(400, AllInRegion(box))) == 0.0
+        assert lp_measure_exact(LayerSet(200, AllInRegion(UNIT))) == 0.0
+        huge = BoxRegion((-1e300,), (1e300,))
+        assert lp_measure_exact(LayerSet(2, AllInRegion(huge))) == math.inf
+
+    def test_shapes_label_their_layer_sets(self):
+        assert LayerSet(0, EmptySingleton()).label() == "empty"
+        ball = RhoBall(Configuration([[0.25], [-0.5]]), 0.1)
+        assert LayerSet(2, BallSet(ball)).label() == "ball(center=[[-0.5];[0.25]], radius=0.1)"
+        assert LayerSet(3, AllInRegion(UNIT)).label() == "all_in_region(layer=3, lower=[0.0], upper=[1.0])"
+        boxes = ProductOfDisjointBoxes((UNIT, BoxRegion((2.0,), (3.0,))))
+        assert LayerSet(2, boxes).label() == "product_boxes([0.0]..[1.0];[2.0]..[3.0])"
+
+
 class TestEstimate:
     def test_layer0_is_exact(self):
         est = lp_measure_estimate(0, UNIT, lambda cfg: len(cfg) == 0, samples=10, seed=0)
@@ -252,6 +275,16 @@ class TestEstimate:
             expected = math.factorial(n) * lp_measure_exact(layer_set)
             sigma = volume * math.sqrt(max(frac * (1 - frac), 1e-12) / draws)
             assert abs(ordered_measure - expected) <= 4 * sigma
+
+    def test_scale_beyond_the_float_range(self):
+        # 10**400 and 400! both overflow a float; the scale underflows to 0.
+        est = lp_measure_estimate(400, BoxRegion((0.0,), (10.0,)), lambda cfg: True, samples=3, seed=0)
+        assert est.value == 0.0 and est.hits == 3
+        # A scale past the float range is infinite, and no hit is still no mass.
+        huge = BoxRegion((-1e300,), (1e300,))
+        assert lp_measure_estimate(2, huge, lambda cfg: False, samples=3, seed=0).value == 0.0
+        est = lp_measure_estimate(2, huge, lambda cfg: cfg.points[0][0] < 0, samples=40, seed=0)
+        assert 0 < est.hits < 40 and est.value == est.std_error == math.inf
 
     def test_deterministic_for_a_reused_seed_sequence(self):
         ball = RhoBall(Configuration([[0.4], [0.6]]), 0.15)
