@@ -68,6 +68,7 @@ from .measure import (
     MeasureEstimate,
     ProductOfDisjointBoxes,
     UnsupportedExactEvaluation,
+    lp_measure,
     lp_measure_estimate,
     lp_measure_exact,
     sample_in_ball,
@@ -140,6 +141,7 @@ __all__ = [
     "hitting_estimate",
     "in_ball",
     "is_valid_path",
+    "lp_measure",
     "lp_measure_estimate",
     "lp_measure_exact",
     "null_set_experiment",

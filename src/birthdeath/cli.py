@@ -37,10 +37,7 @@ from .measure import (
     EmptySingleton,
     LayerSet,
     ProductOfDisjointBoxes,
-    UnsupportedExactEvaluation,
-    ball_window,
-    lp_measure_estimate,
-    lp_measure_exact,
+    lp_measure,
     sample_poisson_config,
 )
 from .paths import build_path, corridor_prob_lower_bound, path_length_cap
@@ -217,10 +214,6 @@ def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, Lay
     return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension), window
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
-
-
 # Poisson draws allowed per requested validation trial state.
 _DRAWS_PER_TRIAL = 20
 
@@ -270,7 +263,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, worker
     dimension = model.dimension
     columns = ["step", "kind"] + [f"x{k}" for k in range(dimension)]
     rows = [
-        {"step": e.step_index, "kind": e.kind, **{f"x{k}": _float_cell(c) for k, c in enumerate(e.point)}}
+        {"step": e.step_index, "kind": e.kind, **{f"x{k}": c for k, c in enumerate(e.point)}}
         for e in trajectory.events
     ]
     out = os.path.join(outdir, "trajectory.csv")
@@ -299,9 +292,9 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
         "max_steps": max_steps,
         "replicas": replicas,
         "hits": estimate.hits,
-        "estimate": _float_cell(estimate.estimate),
-        "ci_low": _float_cell(estimate.ci_low),
-        "ci_high": _float_cell(estimate.ci_high),
+        "estimate": estimate.estimate,
+        "ci_low": estimate.ci_low,
+        "ci_high": estimate.ci_high,
         "seed": seed,
     }
     out = os.path.join(outdir, "hitprob.csv")
@@ -354,25 +347,16 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
     for index, raw in enumerate(raw_sets):
         set_id, layer_set, window = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
         try:
-            value = lp_measure_exact(layer_set)
-            method, std_error, used = "exact", 0.0, 0
-        except UnsupportedExactEvaluation:
-            needed = ball_window(layer_set.shape.ball)
-            window = window or needed
-            if not (window.contains(needed.lower) and window.contains(needed.upper)):
-                raise ConfigError(f"measure.sets[{index}].window must hold the ball's bounding box {needed}")
-            estimate = lp_measure_estimate(
-                layer_set.layer, window, layer_set.contains, samples,
-                seed=np.random.SeedSequence(seed, spawn_key=(5, index)),
-            )
-            value, std_error, used, method = estimate.value, estimate.std_error, samples, "estimate"
+            result = lp_measure(layer_set, samples, np.random.SeedSequence(seed, spawn_key=(5, index)), window)
+        except ValueError as err:
+            raise ConfigError(f"measure.sets[{index}].{err}") from err
         rows.append(
             {
                 "set_id": set_id,
-                "method": method,
-                "value": _float_cell(value),
-                "std_error": _float_cell(std_error),
-                "samples": used,
+                "method": "estimate" if result.samples else "exact",
+                "value": result.value,
+                "std_error": result.std_error,
+                "samples": result.samples,
                 "seed": seed,
             }
         )

@@ -48,10 +48,7 @@ from .measure import (
     BoxRegion,
     EmptySingleton,
     LayerSet,
-    UnsupportedExactEvaluation,
-    ball_window,
-    lp_measure_estimate,
-    lp_measure_exact,
+    lp_measure,
     sample_poisson_config,
 )
 from .paths import build_path, corridor_prob_lower_bound
@@ -185,7 +182,7 @@ class ExperimentReport:
             steps = [(0, "initial", p) for p in trajectory.initial.points]
             steps += [(e.step_index, e.kind, e.point) for e in trajectory.events]
             columns = ["step_index", "kind"] + [f"x{i}" for i in range(len(steps[0][2]))]
-            rows = [dict(zip(columns, (i, kind, *(repr(float(c)) for c in point)))) for i, kind, point in steps]
+            rows = [dict(zip(columns, (i, kind, *point))) for i, kind, point in steps]
             path = os.path.join(directory, f"{self.experiment}_{k}.csv")
             _write_csv(path, columns, rows)
             paths.append(path)
@@ -209,31 +206,29 @@ def _row(
     )
 
 
+def _report(experiment: str, model: RateModel, seed: int | None, rows: Sequence[CaseRow],
+            failures: Sequence[Trajectory] = ()) -> ExperimentReport:
+    """The report of ``experiment``, with the model's description and the seed as text."""
+    return ExperimentReport(
+        experiment, model.describe(), "" if seed is None else str(seed), tuple(rows), tuple(failures)
+    )
+
+
 def _case_seed(master_seed: int, case: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(case,))
 
 
 def _certify_positive(piece: TargetPiece, samples: int, seed: np.random.SeedSequence) -> float:
-    """Reference measure of a layer-set target, estimated for balls.
-
-    The measure is exact where :func:`lp_measure_exact` has a closed
-    form.  A ball's is estimated over the bounding window of its center
-    inflated by the radius.  A zero measure rejects the target.
-    """
+    """Reference measure of a layer-set target by :func:`lp_measure`; a zero measure rejects it."""
     if not isinstance(piece, LayerSet):
         raise ExperimentSetupError(f"positive-measure targets must be layer sets, got {piece.label()}")
-    try:
-        value = lp_measure_exact(piece)
-        how = "exactly"
-    except UnsupportedExactEvaluation:
-        window = ball_window(piece.shape.ball)
-        value = lp_measure_estimate(piece.layer, window, piece.contains, samples, seed).value
-        how = f"in {samples} draws"
-    if not value > 0.0:
+    measured = lp_measure(piece, samples, seed)
+    if not measured.value > 0.0:
+        how = f"in {measured.samples} draws" if measured.samples else "exactly"
         raise ExperimentSetupError(
             f"target {piece.label()} shows no mass {how}; refusing to test an apparently null target"
         )
-    return value
+    return measured.value
 
 
 def positive_measure_experiment(
@@ -276,12 +271,7 @@ def positive_measure_experiment(
                      estimate, verdict, f"{seed}:{case}", target_measure=measures[target_index])
             )
             case += 1
-    return ExperimentReport(
-        experiment="positive_measure",
-        model=model.describe(),
-        master_seed=str(seed),
-        rows=tuple(rows),
-    )
+    return _report("positive_measure", model, seed, rows)
 
 
 def null_set_experiment(
@@ -354,13 +344,7 @@ def null_set_experiment(
                      "PASS" if hits == 0 else "FAIL", f"{seed}:{start_index}", target_measure=0.0)
             )
             case += 1
-    return ExperimentReport(
-        experiment="null_set",
-        model=model.describe(),
-        master_seed=str(seed),
-        rows=tuple(rows),
-        failures=tuple(failures),
-    )
+    return _report("null_set", model, seed, rows, failures)
 
 
 def one_step_null_preservation(
@@ -394,12 +378,7 @@ def one_step_null_preservation(
         HittingEstimate.from_counts(flagged, total, 1), "PASS" if flagged == 0 else "FAIL",
         "" if seed is None else str(seed), target_measure=0.0,
     )
-    return ExperimentReport(
-        experiment="one_step_null_preservation",
-        model=model.describe(),
-        master_seed="" if seed is None else str(seed),
-        rows=(row,),
-    )
+    return _report("one_step_null_preservation", model, seed, [row])
 
 
 def theorem_pipeline(
@@ -444,12 +423,7 @@ def theorem_pipeline(
         "theorem_pipeline", 0, "empty", target_piece.label(), estimate,
         "PASS" if passed else "FAIL", f"{seed}:0", certified_bound=bound,
     )
-    return ExperimentReport(
-        experiment="theorem_pipeline",
-        model=model.describe(),
-        master_seed=str(seed),
-        rows=(row,),
-    )
+    return _report("theorem_pipeline", model, seed, [row])
 
 
 @dataclass(frozen=True)
@@ -613,12 +587,8 @@ def run_default_suite(
         workers=workers,
         measure_samples=sizes.measure_samples,
     )
-    extinction = ExperimentReport(
-        experiment="extinction",
-        model=extinction.model,
-        master_seed=extinction.master_seed,
-        rows=tuple(replace(row, experiment="extinction") for row in extinction.rows),
-        failures=extinction.failures,
-    )
-    reports.append(extinction)
+    reports.append(_report(
+        "extinction", model, seed + 3,
+        [replace(row, experiment="extinction") for row in extinction.rows], extinction.failures,
+    ))
     return reports

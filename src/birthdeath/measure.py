@@ -6,7 +6,8 @@ single empty configuration unit mass.  Summed over all layers it is an
 infinite measure, so nothing here tries to sample from it directly.
 Bounded sets are evaluated exactly where the geometry allows
 (:func:`lp_measure_exact`) and by Monte Carlo otherwise
-(:func:`lp_measure_estimate`).  The Poisson point process restricted to
+(:func:`lp_measure_estimate`); :func:`lp_measure` picks between them
+for a layer set.  The Poisson point process restricted to
 a bounded window acts as the normalized companion distribution and is
 what :func:`sample_poisson_config` draws from.
 
@@ -50,6 +51,7 @@ __all__ = [
     "LayerSet",
     "MeasureEstimate",
     "UnsupportedExactEvaluation",
+    "lp_measure",
     "lp_measure_exact",
     "lp_measure_estimate",
     "sample_poisson_config",
@@ -293,6 +295,16 @@ class BallSet(Shape):
         )
 
 
+def _layer_number(layer: object) -> int:
+    """``layer`` as a nonnegative int; booleans and fractional numbers raise."""
+    if not isinstance(layer, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = int(layer)
+            if number == layer and number >= 0:
+                return number
+    raise ValueError(f"layer must be a nonnegative integer, got {layer!r}")
+
+
 @dataclass(frozen=True)
 class LayerSet(TargetPiece):
     """A measurable set of configurations confined to one cardinality layer.
@@ -304,9 +316,7 @@ class LayerSet(TargetPiece):
     shape: Shape
 
     def __post_init__(self) -> None:
-        layer = int(self.layer)
-        if layer < 0:
-            raise ValueError("layer must be a nonnegative integer")
+        layer = _layer_number(self.layer)
         object.__setattr__(self, "layer", layer)
         if not isinstance(self.shape, Shape):
             raise TypeError(f"unsupported shape: {self.shape!r}")
@@ -383,9 +393,7 @@ def lp_measure_estimate(
     predicate is called once per sample, on configurations bit-identical
     to sorting each sample's points in Python.
     """
-    layer = int(layer)
-    if layer < 0:
-        raise ValueError("layer must be nonnegative")
+    layer = _layer_number(layer)
     if samples < 1:
         raise ValueError("need at least one sample")
     if layer == 0:
@@ -417,6 +425,25 @@ def lp_measure_estimate(
     # infinite scale, and so is the value where none does.
     std_error = scale * math.sqrt(frac * (1.0 - frac) / samples) if 0 < hits < samples else 0.0
     return MeasureEstimate(scale * frac if hits else 0.0, std_error, samples, hits)
+
+
+def lp_measure(layer_set: LayerSet, samples: int, seed: int | np.random.SeedSequence | None = None,
+               window: BoxRegion | None = None) -> MeasureEstimate:
+    """The measure of a layer set: its closed form where one exists, else an estimate.
+
+    A closed form comes back with 0 samples and a 0.0 error.  A ball is
+    estimated by :func:`lp_measure_estimate` from ``samples`` draws over
+    ``window``, which defaults to :func:`ball_window` of the ball and
+    must hold that box, or the estimate would miss part of the set.
+    """
+    try:
+        return MeasureEstimate(lp_measure_exact(layer_set), 0.0, 0, 0)
+    except UnsupportedExactEvaluation:
+        needed = ball_window(layer_set.shape.ball)
+    window = window or needed
+    if not (window.contains(needed.lower) and window.contains(needed.upper)):
+        raise ValueError(f"window must hold the ball's bounding box {needed}")
+    return lp_measure_estimate(layer_set.layer, window, layer_set.contains, samples, seed)
 
 
 def sample_poisson_config(

@@ -96,7 +96,7 @@ class TestPositiveMeasureExperiment:
     def test_apparently_null_ball_is_refused(self):
         m = ContactModel()
         tiny = LayerSet(2, BallSet(RhoBall(Configuration([[0.0], [1.0]]), 1e-7)))
-        with pytest.raises(ExperimentSetupError):
+        with pytest.raises(ExperimentSetupError, match="in 3000 draws"):
             positive_measure_experiment(
                 m, [tiny], [EMPTY], max_steps=10, replicas=5, seed=1, measure_samples=3_000
             )

@@ -21,10 +21,12 @@ from birthdeath import (
     Configuration,
     EmptySingleton,
     LayerSet,
+    MeasureEstimate,
     ProductOfDisjointBoxes,
     RhoBall,
     UnsupportedExactEvaluation,
     in_ball,
+    lp_measure,
     lp_measure_estimate,
     lp_measure_exact,
     sample_in_ball,
@@ -307,6 +309,85 @@ class TestEstimate:
             lp_measure_estimate(-1, UNIT, lambda c: True, samples=10)
         with pytest.raises(ValueError):
             lp_measure_estimate(1, UNIT, lambda c: True, samples=0)
+
+
+class TestLayerNumbers:
+    BOX = AllInRegion(BoxRegion((0.0,), (2.0,)))
+
+    @pytest.mark.parametrize("layer", [2.9, 1.7, True, np.True_, -1, -2.0, math.nan, math.inf, "2"])
+    def test_fractional_boolean_and_negative_layers_raise(self, layer):
+        # 2.9 used to be cut to layer 2 (measure 2.0) and True read as layer 1.
+        with pytest.raises(ValueError, match="layer must be a nonnegative integer"):
+            LayerSet(layer, self.BOX)
+        with pytest.raises(ValueError, match="layer must be a nonnegative integer"):
+            lp_measure_estimate(layer, UNIT, lambda c: True, samples=10, seed=0)
+
+    @pytest.mark.parametrize("layer", [2, np.int64(2), np.uint8(2), 2.0, np.float64(2.0)])
+    def test_integral_layers_are_read_as_ints(self, layer):
+        layer_set = LayerSet(layer, self.BOX)
+        assert type(layer_set.layer) is int and layer_set == LayerSet(2, self.BOX)
+        assert lp_measure_exact(layer_set) == 2.0
+        predicate = LayerSet(2, AllInRegion(BoxRegion((0.0,), (0.5,)))).contains
+        expected = lp_measure_estimate(2, UNIT, predicate, samples=200, seed=4)
+        assert lp_measure_estimate(layer, UNIT, predicate, samples=200, seed=4) == expected
+
+
+BALL_D1 = LayerSet(2, BallSet(RhoBall(Configuration([[0.25], [0.75]]), 0.1)))
+BALL_D2 = LayerSet(2, BallSet(RhoBall(Configuration([[0.0, 0.0], [0.5, 0.25]]), 0.2)))
+
+
+class TestLpMeasure:
+    @pytest.mark.parametrize(
+        "layer_set",
+        [
+            LayerSet(0, EmptySingleton()),
+            LayerSet(3, AllInRegion(BoxRegion((0.0,), (2.0,)))),
+            LayerSet(2, ProductOfDisjointBoxes((UNIT, BoxRegion((2.0,), (4.0,))))),
+        ],
+        ids=["empty", "all_in_region", "product_boxes"],
+    )
+    def test_closed_forms_take_no_samples(self, layer_set):
+        assert lp_measure(layer_set, 1000, seed=1) == MeasureEstimate(lp_measure_exact(layer_set), 0.0, 0, 0)
+
+    @pytest.mark.parametrize("layer_set", [BALL_D1, BALL_D2], ids=["d1", "d2"])
+    def test_a_ball_is_estimated_over_its_bounding_box(self, layer_set):
+        seed = np.random.SeedSequence(5, spawn_key=(1,))
+        window = measure.ball_window(layer_set.shape.ball)
+        expected = lp_measure_estimate(layer_set.layer, window, layer_set.contains, 4000, seed)
+        result = lp_measure(layer_set, 4000, seed)
+        assert result == expected and result.samples == 4000 and result.hits > 0
+
+    def test_a_wider_window_is_used_as_given(self):
+        wide = BoxRegion((-1.0,), (2.0,))
+        expected = lp_measure_estimate(2, wide, BALL_D1.contains, 4000, seed=6)
+        assert lp_measure(BALL_D1, 4000, seed=6, window=wide) == expected
+        assert expected != lp_measure(BALL_D1, 4000, seed=6)
+
+    @pytest.mark.parametrize(
+        "window",
+        [BoxRegion((0.2,), (0.9,)), BoxRegion((0.1,), (0.8,)), BoxRegion((2.0,), (3.0,))],
+        ids=["cuts-below", "cuts-above", "misses"],
+    )
+    def test_a_window_missing_part_of_the_ball_box_raises(self, window):
+        # The ball's box is [0.15, 0.85].
+        with pytest.raises(ValueError, match="window must hold the ball's bounding box"):
+            lp_measure(BALL_D1, 100, seed=1, window=window)
+
+    def test_estimates_call_the_module_estimator(self, monkeypatch):
+        # A patch of measure.lp_measure_estimate, as a tracer makes, sees every estimate.
+        calls = []
+        estimate = measure.lp_measure_estimate
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(measure, "lp_measure_estimate", recording)
+        seed = np.random.SeedSequence(3)
+        lp_measure(LayerSet(0, EmptySingleton()), 50, seed)
+        lp_measure(BALL_D1, 50, seed)
+        window = measure.ball_window(BALL_D1.shape.ball)
+        assert calls == [((2, window, BALL_D1.contains, 50, seed), {})]
 
 
 def reference_estimate(layer, window, predicate, samples, seed):
