@@ -295,14 +295,15 @@ class BallSet(Shape):
         )
 
 
-def _layer_number(layer: object) -> int:
-    """``layer`` as a nonnegative int; booleans and fractional numbers raise."""
-    if not isinstance(layer, (bool, np.bool_)):
+def _whole_number(value: object, name: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``; booleans and fractional numbers raise."""
+    if not isinstance(value, (bool, np.bool_)):
         with contextlib.suppress(TypeError, ValueError, OverflowError):
-            number = int(layer)
-            if number == layer and number >= 0:
+            number = int(value)
+            if number == value and number >= minimum:
                 return number
-    raise ValueError(f"layer must be a nonnegative integer, got {layer!r}")
+    wanted = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
+    raise ValueError(f"{name} must be {wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ class LayerSet(TargetPiece):
     shape: Shape
 
     def __post_init__(self) -> None:
-        layer = _layer_number(self.layer)
+        layer = _whole_number(self.layer, "layer", 0)
         object.__setattr__(self, "layer", layer)
         if not isinstance(self.shape, Shape):
             raise TypeError(f"unsupported shape: {self.shape!r}")
@@ -388,14 +389,16 @@ def lp_measure_estimate(
     left untouched, so a fixed seed (or the same seed sequence passed
     twice) gives the same estimate.  All samples are drawn at once, then
     sorted lexicographically and checked for repeated points in NumPy,
-    one block of samples at a time; a sample with a repeated point is
-    redrawn, in sample order, until its points are distinct.  The
-    predicate is called once per sample, on configurations bit-identical
-    to sorting each sample's points in Python.
+    one block of samples at a time, and each block is streamed to the
+    predicate with its point and sample tuples built lazily by ``zip``.
+    A sample with a repeated point is redrawn, in sample order, until its
+    points are distinct, before its block's predicate calls.  The
+    predicate is called once per sample, in sample order, on
+    configurations bit-identical to sorting each sample's points in
+    Python.  ``layer`` and ``samples`` are whole numbers, at least 0 and 1.
     """
-    layer = _layer_number(layer)
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    layer = _whole_number(layer, "layer", 0)
+    samples = _whole_number(samples, "samples", 1)
     if layer == 0:
         hit = bool(predicate(EMPTY))
         return MeasureEstimate(1.0 if hit else 0.0, 0.0, samples, samples if hit else 0)
@@ -409,15 +412,23 @@ def lp_measure_estimate(
         # np.lexsort takes its primary key last: axis 0 of the points.
         order = np.lexsort(block[:, :, ::-1].transpose(2, 0, 1), axis=-1)
         block = np.take_along_axis(block, order[:, :, None], axis=1)
-        repeated = (block[:, 1:] == block[:, :-1]).all(axis=2).any(axis=1).tolist()
-        for twice, rows in zip(repeated, zip(*[block[:, :, k].tolist() for k in range(d)])):
-            pts = tuple(zip(*rows))
-            while twice:
-                pts = tuple(sorted(
-                    tuple(map(float, row))
-                    for row in rng.uniform(window.lower, window.upper, size=(layer, d))
-                ))
-                twice = any(a == b for a, b in zip(pts, pts[1:]))
+        repeated = (block[:, 1:] == block[:, :-1]).all(axis=2).any(axis=1)
+        flat = block.reshape(-1, d)
+        # zip builds the points and groups them into samples lazily, in C.
+        points = zip(*[flat[:, k].tolist() for k in range(d)])
+        configs = zip(*[points] * layer)
+        if repeated.any():
+            configs = list(configs)
+            for i in np.flatnonzero(repeated).tolist():
+                twice = True
+                while twice:
+                    pts = tuple(sorted(
+                        tuple(map(float, row))
+                        for row in rng.uniform(window.lower, window.upper, size=(layer, d))
+                    ))
+                    twice = any(a == b for a, b in zip(pts, pts[1:]))
+                configs[i] = pts
+        for pts in configs:
             if predicate(Configuration._wrap(pts)):
                 hits += 1
     frac = hits / samples
@@ -435,11 +446,18 @@ def lp_measure(layer_set: LayerSet, samples: int, seed: int | np.random.SeedSequ
     estimated by :func:`lp_measure_estimate` from ``samples`` draws over
     ``window``, which defaults to :func:`ball_window` of the ball and
     must hold that box, or the estimate would miss part of the set.
+    Only a ball takes a window: one given with a closed-form shape
+    raises ``ValueError``.
     """
+    samples = _whole_number(samples, "samples", 1)
     try:
-        return MeasureEstimate(lp_measure_exact(layer_set), 0.0, 0, 0)
+        exact = lp_measure_exact(layer_set)
     except UnsupportedExactEvaluation:
         needed = ball_window(layer_set.shape.ball)
+    else:
+        if window is not None:
+            raise ValueError(f"window is taken only by a ball, and {layer_set.label()} has a closed form")
+        return MeasureEstimate(exact, 0.0, 0, 0)
     window = window or needed
     if not (window.contains(needed.lower) and window.contains(needed.upper)):
         raise ValueError(f"window must hold the ball's bounding box {needed}")

@@ -246,6 +246,25 @@ class TestConfigErrors:
         path = write_config(tmp_path, config)
         assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]},
+            {"kind": "product_boxes", "boxes": [{"lower": [0.0], "upper": [1.0]}]},
+        ],
+        ids=["all_in_region", "product_boxes"],
+    )
+    def test_window_on_a_closed_form_set_exits_2(self, tmp_path, capsys, shape):
+        # A window that does not even meet the set used to be ignored (exit 0, exact value 1.0).
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["measure"]["sets"] = [
+            {"id": "boxed", "layer": 1, "shape": shape, "window": {"lower": [5.0], "upper": [6.0]}}
+        ]
+        path = write_config(tmp_path, config)
+        assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "measure.sets[0].window is taken only by a ball" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "measure.csv").exists()
+
     def test_unreachable_validation_size_exits_2(self, tmp_path, capsys):
         # Every Poisson draw at this intensity exceeds max_size; the
         # validator must give up instead of drawing forever.

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birthdeath import measure
 from birthdeath import (
@@ -332,6 +334,29 @@ class TestLayerNumbers:
         assert lp_measure_estimate(layer, UNIT, predicate, samples=200, seed=4) == expected
 
 
+class TestSampleCounts:
+    @pytest.mark.parametrize("samples", [True, np.True_, 2.5, 0, -1, 0.0, math.nan, math.inf, "3"])
+    def test_boolean_fractional_and_small_counts_raise(self, samples):
+        # True and 2.5 used to raise TypeError from NumPy, not a ValueError naming the field.
+        with pytest.raises(ValueError, match="samples must be an integer of at least 1"):
+            lp_measure_estimate(1, UNIT, lambda c: True, samples, seed=0)
+        with pytest.raises(ValueError, match="samples must be an integer of at least 1"):
+            lp_measure_estimate(0, UNIT, lambda c: True, samples, seed=0)
+        # A closed form takes no samples, but a bad count is still refused.
+        with pytest.raises(ValueError, match="samples must be an integer of at least 1"):
+            lp_measure(LayerSet(0, EmptySingleton()), samples, seed=0)
+
+    @pytest.mark.parametrize("samples", [np.int64(300), np.uint16(300), 300.0, np.float64(300.0)])
+    def test_integral_counts_are_read_as_ints(self, samples):
+        # np.int64(3) used to come back as the result's samples, with a np.float64 value.
+        predicate = LayerSet(2, AllInRegion(BoxRegion((0.0,), (0.5,)))).contains
+        expected = lp_measure_estimate(2, UNIT, predicate, 300, seed=4)
+        got = lp_measure_estimate(2, UNIT, predicate, samples, seed=4)
+        assert got == expected and 0 < got.hits < 300
+        assert [type(v) for v in (got.value, got.std_error, got.samples, got.hits)] == [float, float, int, int]
+        assert type(lp_measure_estimate(0, UNIT, lambda c: True, samples).samples) is int
+
+
 BALL_D1 = LayerSet(2, BallSet(RhoBall(Configuration([[0.25], [0.75]]), 0.1)))
 BALL_D2 = LayerSet(2, BallSet(RhoBall(Configuration([[0.0, 0.0], [0.5, 0.25]]), 0.2)))
 
@@ -372,6 +397,21 @@ class TestLpMeasure:
         # The ball's box is [0.15, 0.85].
         with pytest.raises(ValueError, match="window must hold the ball's bounding box"):
             lp_measure(BALL_D1, 100, seed=1, window=window)
+
+    @pytest.mark.parametrize(
+        "layer_set",
+        [
+            LayerSet(0, EmptySingleton()),
+            LayerSet(1, AllInRegion(UNIT)),
+            LayerSet(1, ProductOfDisjointBoxes((UNIT,))),
+        ],
+        ids=["empty", "all_in_region", "product_boxes"],
+    )
+    def test_a_window_with_a_closed_form_raises(self, layer_set):
+        # The window used to be ignored and the exact value returned.
+        for window in (BoxRegion((5.0,), (6.0,)), UNIT):
+            with pytest.raises(ValueError, match=r"^window is taken only by a ball"):
+                lp_measure(layer_set, 100, seed=1, window=window)
 
     def test_estimates_call_the_module_estimator(self, monkeypatch):
         # A patch of measure.lp_measure_estimate, as a tracer makes, sees every estimate.
@@ -417,7 +457,11 @@ class _EighthsGenerator(np.random.Generator):
 
 
 class TestEstimateMatchesReference:
-    windows = {1: BoxRegion((0.0,), (1.0,)), 2: BoxRegion((0.0, -0.5), (1.0, 0.5))}
+    windows = {
+        1: BoxRegion((0.0,), (1.0,)),
+        2: BoxRegion((0.0, -0.5), (1.0, 0.5)),
+        3: BoxRegion((0.0, -0.5, 2.0), (1.0, 0.5, 2.5)),
+    }
 
     def predicates(self, d, layer):
         window = self.windows[d]
@@ -433,8 +477,21 @@ class TestEstimateMatchesReference:
             "always": lambda c: True,
         }
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("layer", [1, 2, 3, 4])
+    def assert_matches_reference(self, layer, window, predicate, samples, make_seed):
+        """Same value, hits and sequence of predicate arguments; ``make_seed`` gives each side its seed."""
+        seen, expected = [], []
+        got = lp_measure_estimate(
+            layer, window, lambda c: seen.append(c.points) or predicate(c), samples, seed=make_seed()
+        )
+        want = reference_estimate(
+            layer, window, lambda c: expected.append(c.points) or predicate(c), samples, make_seed()
+        )
+        assert (got.value, got.hits) == want
+        assert seen == expected and len(seen) == samples
+        assert all(len(set(points)) == layer for points in seen)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("layer", [1, 2, 3, 4, 5, 6])
     def test_hits_and_value_are_bit_identical(self, d, layer):
         window = self.windows[d]
         for k, predicate in enumerate(self.predicates(d, layer).values()):
@@ -442,26 +499,74 @@ class TestEstimateMatchesReference:
             got = lp_measure_estimate(layer, window, predicate, 2000, seed=seed)
             assert (got.value, got.hits) == reference_estimate(layer, window, predicate, 2000, seed)
 
+    @pytest.mark.parametrize("block", [1, 7, 333])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_size_does_not_change_the_estimate(self, d, block, monkeypatch):
+        # 333 does not divide the 2000 samples, so the last block is short.
+        monkeypatch.setattr(measure, "_SAMPLE_BLOCK", block)
+        for layer in (2, 5):
+            for k, predicate in enumerate(self.predicates(d, layer).values()):
+                seed = 5000 + 1000 * d + 10 * layer + k
+                self.assert_matches_reference(layer, self.windows[d], predicate, 2000, lambda: seed)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_duplicate_redraws_across_blocks(self, d, monkeypatch):
         # Eighths make repeated points, and so redraws, common; small
         # blocks put redrawn samples on both sides of block boundaries.
         monkeypatch.setattr(measure, "_SAMPLE_BLOCK", 7)
-        window = self.windows[d]
-        layer = 4
-        for predicate in self.predicates(d, layer).values():
-            seen, expected = [], []
-            got = lp_measure_estimate(
-                layer, window, lambda c: seen.append(c.points) or predicate(c), 500,
-                seed=_EighthsGenerator(np.random.PCG64(d)),
+        for predicate in self.predicates(d, 4).values():
+            self.assert_matches_reference(
+                4, self.windows[d], predicate, 500, lambda: _EighthsGenerator(np.random.PCG64(d))
             )
-            want = reference_estimate(
-                layer, window, lambda c: expected.append(c.points) or predicate(c), 500,
-                _EighthsGenerator(np.random.PCG64(d)),
-            )
-            assert (got.value, got.hits) == want
-            assert seen == expected
-            assert all(len(set(points)) == layer for points in seen)
+
+    @settings(max_examples=60)
+    @given(
+        d=st.integers(1, 3),
+        layer=st.integers(1, 6),
+        samples=st.integers(1, 300),
+        block=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eighths_draws_match_the_reference(self, d, layer, samples, block, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measure, "_SAMPLE_BLOCK", block)
+            for predicate in self.predicates(d, layer).values():
+                self.assert_matches_reference(
+                    layer, self.windows[d], predicate, samples,
+                    lambda: _EighthsGenerator(np.random.PCG64(seed)),
+                )
+
+
+class TestTraceContract:
+    @pytest.mark.parametrize(
+        "layer_set",
+        [BALL_D1, LayerSet(3, BallSet(RhoBall(Configuration([[0.0, 0.0], [0.5, 0.25], [1.0, -0.25]]), 0.3)))],
+        ids=["d1", "d2"],
+    )
+    def test_one_predicate_and_one_in_ball_call_per_sample(self, layer_set, monkeypatch):
+        # A traced benchmark run counts both calls per sample, and patches
+        # measure.in_ball after the layer set is built, as done here.
+        events = []
+        real_in_ball = measure.in_ball
+
+        def counted_in_ball(config, ball):
+            events.append(("in_ball", config.points))
+            return real_in_ball(config, ball)
+
+        def predicate(config):
+            events.append(("predicate", config.points))
+            return layer_set.contains(config)
+
+        monkeypatch.setattr(measure, "in_ball", counted_in_ball)
+        window = measure.ball_window(layer_set.shape.ball)
+        got = lp_measure_estimate(layer_set.layer, window, predicate, 5000, seed=9)
+        order = []
+        want = reference_estimate(
+            layer_set.layer, window,
+            lambda c: order.append(c.points) or real_in_ball(c, layer_set.shape.ball), 5000, 9,
+        )
+        assert (got.value, got.hits) == want and got.hits > 0
+        assert events == [(kind, points) for points in order for kind in ("predicate", "in_ball")]
 
 
 class TestPoissonSampler:
