@@ -17,10 +17,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
-import os
-import pickle
 from bisect import bisect, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from math import dist
@@ -37,6 +34,7 @@ from .measure import (
     EmptySingleton,
     LayerSet,
     TargetPiece,
+    _whole_number,
     sample_in_ball,
 )
 from .rates import ContactModel, DegenerateStateError, RateModel
@@ -404,8 +402,7 @@ def simulate(
     caller's generator is read draw by draw and left where the last
     draw took it.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+    max_steps = _whole_number(max_steps, "max_steps", 0)
     rng = np.random.default_rng(seed)
     if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         rng = _own_stream(rng, model)
@@ -656,19 +653,6 @@ def _lockstep_target(
     return empty, balls
 
 
-def _hitting_block(
-    initial: Configuration,
-    model: RateModel,
-    target: TargetSet,
-    max_steps: int,
-    root: np.random.SeedSequence,
-    start: int,
-    stop: int,
-) -> int:
-    """Hits among replicas ``start <= i < stop``, lockstep where the input allows."""
-    return _count_hits(initial, model, target, max_steps, _replica_rngs(root, range(start, stop)))
-
-
 def _count_hits(
     initial: Configuration,
     model: RateModel,
@@ -707,7 +691,6 @@ def hitting_estimate(
     max_steps: int,
     replicas: int,
     seed: int | np.random.SeedSequence | None,
-    workers: int = 1,
 ) -> HittingEstimate:
     """Estimate the probability of reaching ``target`` within ``max_steps``.
 
@@ -717,40 +700,23 @@ def hitting_estimate(
     are derived in one batch, bit-identical to ``_replica_seed`` and
     self-checked against it.  Truncation at ``max_steps`` makes this a
     lower-bound proxy for the untruncated hitting probability.
+    ``max_steps`` and ``replicas`` must be integers of at least 1.
 
-    Replicas run in blocks of at most 512.  For a
-    :class:`~birthdeath.rates.ContactModel` in d=1 without crowding and
-    a target made of empty-singleton and ball :class:`LayerSet`
-    pieces, a block advances in lockstep as NumPy arrays; every other
-    input runs the scalar kernel one replica at a time.  Each replica
-    reads its stream in the scalar kernel's order, so both backends
-    give bit-identical hit counts, and neither depends on ``workers``,
-    which must be an integer of at least 1 and is capped at the CPU
-    count.  With ``workers > 1`` the model and target must pickle, since
-    they go to worker processes; a lambda predicate raises ``ValueError``.
+    Replicas run in blocks of at most 512, one after another in this
+    process.  For a :class:`~birthdeath.rates.ContactModel` in d=1
+    without crowding and a target made of empty-singleton and ball
+    :class:`LayerSet` pieces, a block advances in lockstep as NumPy
+    arrays; every other input runs the scalar kernel one replica at a
+    time.  Each replica reads its stream in the scalar kernel's order,
+    so both backends give bit-identical hit counts, which do not depend
+    on where the blocks split.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    if max_steps < 1:
-        raise ValueError("need at least one step")
-    if workers < 1 or workers % 1:
-        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
+    max_steps = _whole_number(max_steps, "max_steps", 1)
+    replicas = _whole_number(replicas, "replicas", 1)
     root = _root_seed(seed)
-    # A pool forks all its workers at once, so never ask for more than the CPUs.
-    workers = min(int(workers), os.cpu_count() or 1)
-    if workers > 1:
-        try:
-            pickle.dumps((model, target))
-        except (pickle.PicklingError, AttributeError, TypeError) as err:
-            raise ValueError(f"workers > 1 needs a picklable model and target ({err}); "
-                             "use workers=1 or a module-level predicate") from err
-    size = min(_BLOCK, -(-replicas // workers))
-    blocks = [(k, min(k + size, replicas)) for k in range(0, replicas, size)]
-    args = (initial, model, target, max_steps, root)
-    if workers == 1 or len(blocks) == 1:
-        hits = sum(_hitting_block(*args, *block) for block in blocks)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            futures = [pool.submit(_hitting_block, *args, *block) for block in blocks]
-            hits = sum(f.result() for f in futures)
+    hits = sum(
+        _count_hits(initial, model, target, max_steps,
+                    _replica_rngs(root, range(k, min(k + _BLOCK, replicas))))
+        for k in range(0, replicas, _BLOCK)
+    )
     return HittingEstimate.from_counts(hits, replicas, max_steps)

@@ -254,7 +254,7 @@ def _run_validation(model: RateModel, config: dict, seed: int):
 # --- subcommands ------------------------------------------------------
 
 
-def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "simulate")
     initial = _parse_configuration(section.get("initial"), "simulate.initial", model.dimension)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
@@ -276,15 +276,14 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str, worker
     return 0
 
 
-def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "hitprob")
     initial = _parse_configuration(section.get("initial"), "hitprob.initial", model.dimension)
     target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model.dimension)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
     replicas = _number(section, "replicas", 2_000, "hitprob", minimum=1)
     estimate = hitting_estimate(
-        initial, target, model, max_steps, replicas,
-        np.random.SeedSequence(seed, spawn_key=(4,)), workers,
+        initial, target, model, max_steps, replicas, np.random.SeedSequence(seed, spawn_key=(4,))
     )
     row = {
         "start": json.dumps(initial.to_coord_lists()),
@@ -306,7 +305,7 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str, workers
     return 0
 
 
-def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "path")
     goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model.dimension)
     radius = model.interaction_radius
@@ -328,7 +327,7 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str, workers: i
     return 0
 
 
-def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     report = _run_validation(model, config, seed)
     out = os.path.join(outdir, "conditions.csv")
     _write_csv(out, ["condition", "name", "verdict", "witness", "detail"], report.to_csv_rows())
@@ -337,7 +336,7 @@ def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str, worker
     return 0 if report.passed else 1
 
 
-def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "measure")
     samples = _number(section, "samples", 20_000, "measure", minimum=1)
     raw_sets = _require(section, "sets", "measure")
@@ -371,7 +370,7 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str, workers
     return 0
 
 
-def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: int) -> int:
+def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "lab")
     try:
         sizes = SuiteSizes(**{
@@ -381,7 +380,7 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str, workers: in
     except ValueError as err:
         # SuiteSizes names the field first in each of its errors.
         raise ConfigError(f"lab.{err}") from err
-    reports = run_default_suite(model, seed, sizes, workers)
+    reports = run_default_suite(model, seed, sizes)
     all_passed = True
     for report in reports:
         out = os.path.join(outdir, f"lab_{report.experiment}.csv")
@@ -415,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
             "--workers", type=int, default=None,
-            help="worker processes for hitting estimates (results independent of it)",
+            help="accepted and checked (an integer of at least 1) but has no effect",
         )
         cmd.add_argument("--out", default=None, help="output directory (default: config 'out' or ./out)")
         cmd.add_argument(
@@ -460,7 +459,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         flags = {key: value for key in ("seed", "workers", "out") if (value := getattr(args, key)) is not None}
         settings = {**config, **flags}
         seed = _number(settings, "seed", 0, None, minimum=0)
-        workers = _number(settings, "workers", 1, None, minimum=1)
+        # Still read so that a malformed value exits 2; replicas always run in one process.
+        _number(settings, "workers", 1, None, minimum=1)
         outdir = settings.get("out", "out")
         if not isinstance(outdir, str) or not outdir:
             raise ConfigError(f"out must be a nonempty string, got {outdir!r}")
@@ -472,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.makedirs(outdir, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"out {outdir!r} cannot be made a directory: {err}") from err
-        return _HANDLERS[args.command](config, model, seed, outdir, workers)
+        return _HANDLERS[args.command](config, model, seed, outdir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

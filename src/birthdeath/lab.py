@@ -13,7 +13,8 @@ certified corridor bound can be compared against reality.
 
 Every report row is reproducible from the model fingerprint, the
 master seed, and the row's case index; replica streams are derived per
-case and per replica, so results are independent of worker count.
+case and per replica, so results do not depend on how replicas are
+grouped or ordered when they run.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .measure import (
     BoxRegion,
     EmptySingleton,
     LayerSet,
+    _whole_number,
     lp_measure,
     sample_poisson_config,
 )
@@ -238,7 +240,6 @@ def positive_measure_experiment(
     max_steps: int,
     replicas: int,
     seed: int,
-    workers: int = 1,
     measure_samples: int = 10_000,
 ) -> ExperimentReport:
     """Hitting experiment over every (start, target) pair.
@@ -262,9 +263,7 @@ def positive_measure_experiment(
         target = TargetSet((piece,))
         for start in starts:
             case_seed = _case_seed(seed, case)
-            estimate = hitting_estimate(
-                start, target, model, max_steps, replicas, case_seed, workers
-            )
+            estimate = hitting_estimate(start, target, model, max_steps, replicas, case_seed)
             verdict = "PASS" if estimate.ci_low > 0.0 else "FAIL"
             rows.append(
                 _row("positive_measure", case, describe_configuration(start), piece.label(),
@@ -304,6 +303,8 @@ def null_set_experiment(
             )
     if not null_targets or not starts:
         raise ExperimentSetupError("need at least one null target and one start")
+    max_steps = _whole_number(max_steps, "max_steps", 1)
+    replicas = _whole_number(replicas, "replicas", 1)
     hit_counts = [[0] * len(null_targets) for _ in starts]
     failures: list[Trajectory] = []
     for start_index, start in enumerate(starts):
@@ -388,7 +389,6 @@ def theorem_pipeline(
     extra_steps: int | None = None,
     replicas: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentReport:
     """End-to-end reachability check for one goal configuration.
 
@@ -400,10 +400,14 @@ def theorem_pipeline(
     limit above zero.  The certified bound uses a ball radius strictly
     below a quarter of the interaction radius; when the requested
     target ball is wider, the bound is computed for an inscribed ball,
-    which only makes it more conservative.
+    which only makes it more conservative.  The step budget is the
+    path's span plus ``extra_steps``, a nonnegative integer that
+    defaults to 50 spans.
     """
     if len(goal) == 0:
         raise ExperimentSetupError("the pipeline needs a nonempty goal configuration")
+    if extra_steps is not None:
+        extra_steps = _whole_number(extra_steps, "extra_steps", 0)
     radius = model.interaction_radius
     target_radius = radius / 4.0 if ball_radius is None else float(ball_radius)
     if not target_radius > 0:
@@ -412,11 +416,11 @@ def theorem_pipeline(
     path = build_path(goal, radius, model.immigration_region.center)
     bound = corridor_prob_lower_bound(path, certified_radius, model)
     span = path.length + 2 * len(goal)
-    max_steps = span + (50 * span if extra_steps is None else int(extra_steps))
+    max_steps = span + (50 * span if extra_steps is None else extra_steps)
     target_piece = LayerSet(len(goal), BallSet(RhoBall(goal, target_radius)))
     case_seed = _case_seed(seed, 0)
     estimate = hitting_estimate(
-        EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed, workers
+        EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed
     )
     passed = estimate.ci_high >= bound and estimate.ci_low > 0.0
     row = _row(
@@ -507,7 +511,6 @@ def run_default_suite(
     model: RateModel,
     seed: int,
     sizes: SuiteSizes = SuiteSizes(),
-    workers: int = 1,
 ) -> list[ExperimentReport]:
     """Run the whole default experiment suite and return its reports.
 
@@ -527,7 +530,6 @@ def run_default_suite(
             max_steps=sizes.max_steps,
             replicas=sizes.replicas,
             seed=seed,
-            workers=workers,
             measure_samples=sizes.measure_samples,
         )
     ]
@@ -573,7 +575,6 @@ def run_default_suite(
             replicas=sizes.pipeline_replicas,
             extra_steps=sizes.pipeline_extra_steps,
             seed=seed + 2,
-            workers=workers,
         )
     )
 
@@ -584,7 +585,6 @@ def run_default_suite(
         max_steps=sizes.extinction_max_steps,
         replicas=sizes.extinction_replicas,
         seed=seed + 3,
-        workers=workers,
         measure_samples=sizes.measure_samples,
     )
     reports.append(_report(

@@ -31,7 +31,7 @@ from .configurations import (
     euclidean,
     unit_ball_volume,
 )
-from .measure import BallSet, EmptySingleton, LayerSet
+from .measure import BallSet, EmptySingleton, LayerSet, _whole_number
 from .rates import RateModel
 
 __all__ = [
@@ -273,8 +273,7 @@ def corridor_event_frequency(
     frequency up to Monte Carlo error.
     """
     _require_valid(path)
-    if replicas < 1:
-        raise ValueError("need at least one replica")
+    replicas = _whole_number(replicas, "replicas", 1)
     cells = [
         LayerSet(len(vertex), BallSet(RhoBall(vertex, ball_radius)) if len(vertex) else EmptySingleton())
         for vertex in path.vertices[1:]

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -291,28 +290,14 @@ class TestWilsonInterval:
 
 
 class TestHittingEstimate:
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_for_fixed_seed(self, monkeypatch):
         m = ContactModel()
         target = TargetSet((LayerSet(0, EmptySingleton()),))
         a = hitting_estimate(Configuration([[0.1]]), target, m, 60, 200, seed=13)
+        # Counts do not depend on where the replica blocks split.
+        monkeypatch.setattr(chain, "_BLOCK", 7)
         b = hitting_estimate(Configuration([[0.1]]), target, m, 60, 200, seed=13)
         assert a == b
-
-    def test_worker_count_does_not_change_counts(self):
-        m = ContactModel()
-        target = TargetSet((LayerSet(0, EmptySingleton()),))
-        serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
-        parallel = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=3)
-        assert serial == parallel
-
-    def test_workers_need_a_picklable_target(self):
-        m = ContactModel()
-        start = Configuration([[0.1]])
-        target = TargetSet((PredicateTarget(lambda state: len(state) == 0),))
-        with pytest.raises(ValueError, match="workers=1"):
-            hitting_estimate(start, target, m, 40, 60, seed=17, workers=2)
-        serial = hitting_estimate(start, target, m, 40, 60, seed=17, workers=1)
-        assert serial == hitting_estimate(start, TargetSet((LayerSet(0, EmptySingleton()),)), m, 40, 60, seed=17)
 
     def test_truncation_monotone_in_steps(self):
         m = ContactModel()
@@ -328,37 +313,19 @@ class TestHittingEstimate:
             hitting_estimate(EMPTY, target, m, 0, 10, seed=0)
         with pytest.raises(ValueError):
             hitting_estimate(EMPTY, target, m, 10, 0, seed=0)
-        for workers in (0, -3, 1.5, math.nan):
-            with pytest.raises(ValueError, match="workers"):
-                hitting_estimate(EMPTY, target, m, 10, 10, seed=0, workers=workers)
-
-    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
-        # A serial stand-in for the pool records how many workers it was asked for.
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(chain, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(chain.os, "cpu_count", lambda: 3)
-        m = ContactModel()
-        target = TargetSet((LayerSet(0, EmptySingleton()),))
-        serial = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=1)
-        capped = hitting_estimate(Configuration([[0.1]]), target, m, 40, 60, seed=17, workers=10**6)
-        assert asked == [3]
-        assert capped == serial
+        # Counts must be integers, not booleans, floats with a fraction or non-finite floats.
+        for bad in (True, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="replicas"):
+                hitting_estimate(EMPTY, target, m, 10, bad, seed=0)
+            with pytest.raises(ValueError, match="max_steps"):
+                hitting_estimate(EMPTY, target, m, bad, 10, seed=0)
+            with pytest.raises(ValueError, match="max_steps"):
+                simulate(EMPTY, m, target, bad, seed=0)
+        with pytest.raises(ValueError, match="max_steps"):
+            simulate(EMPTY, m, target, -1, seed=0)
+        # An integral float counts as its integer.
+        assert hitting_estimate(EMPTY, target, m, 10.0, 10.0, seed=0) == hitting_estimate(
+            EMPTY, target, m, 10, 10, seed=0)
 
 
 class TestNullEntryByBirth:
@@ -445,20 +412,18 @@ class TestLockstepBackend:
     # never (pure lockstep arithmetic), the default, and from the start.
     tails = [0, _lockstep._TAIL, 10**9]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("split", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_hit_counts_equal_the_scalar_kernel(self, seed, workers, monkeypatch):
-        # Small blocks, so every estimate spans several of them.
-        monkeypatch.setattr(chain, "_BLOCK", 16)
+    def test_hit_counts_equal_the_scalar_kernel(self, seed, split, monkeypatch):
+        # Small blocks, so every estimate spans several of them; splitting
+        # each block in two must not change the counts either.
+        monkeypatch.setattr(chain, "_BLOCK", 16 // split)
         lockstep, scalar = ContactModel(), _ScalarContact()
         assert len(self.starts[2]) > 1
-        # The hand-off does not depend on the worker split, and a pool per
-        # estimate is slow, so two workers run at the default tail only.
-        tails = self.tails if workers == 1 else [_lockstep._TAIL]
-        cases = itertools.product(tails, self.starts, self.targets + self.box_targets, [1, 7, 400])
+        cases = itertools.product(self.tails, self.starts, self.targets + self.box_targets, [1, 7, 400])
         for tail, start, target, max_steps in cases:
             monkeypatch.setattr(_lockstep, "_TAIL", tail)
-            fast = hitting_estimate(start, target, lockstep, max_steps, 50, seed, workers)
+            fast = hitting_estimate(start, target, lockstep, max_steps, 50, seed)
             slow = hitting_estimate(start, target, scalar, max_steps, 50, seed)
             assert fast == slow, (tail, start, target.label(), max_steps)
 

@@ -253,6 +253,13 @@ class TestNullSetExperiment:
             null_set_experiment(
                 m, [PredicateTarget(lambda s: False)], [EMPTY], max_steps=5, replicas=5, seed=1
             )
+        # A run that audits no step, or a count that is no integer, is refused.
+        null = [ExactPointTarget((1.0,))]
+        for field, bad in [("max_steps", 0), ("max_steps", 2.5), ("max_steps", True),
+                           ("replicas", 0), ("replicas", math.nan), ("replicas", True)]:
+            counts = {"max_steps": 5, "replicas": 5, field: bad}
+            with pytest.raises(ValueError, match=field):
+                null_set_experiment(m, null, [EMPTY], seed=1, **counts)
 
     def test_birth_entry_check_counts_what_a_full_check_counts(self):
         # Newborns on a quarter grid visit the null sets often; the audit
@@ -356,6 +363,11 @@ class TestTheoremPipeline:
     def test_rejects_empty_goal(self):
         with pytest.raises(ExperimentSetupError):
             theorem_pipeline(ContactModel(), EMPTY, replicas=10, seed=1)
+        # The step budget may not fall below the path's span.
+        goal = Configuration([[0.1]])
+        for bad in (-2, 1.5, True):
+            with pytest.raises(ValueError, match="extra_steps"):
+                theorem_pipeline(ContactModel(), goal, extra_steps=bad, replicas=10, seed=1)
 
     def test_explicit_radius_below_quarter_is_used_directly(self):
         m = ContactModel()

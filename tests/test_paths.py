@@ -224,3 +224,6 @@ class TestCorridorFrequency:
         path = Path((EMPTY, Configuration([[0.0]])), 1.0, (0.0,))
         with pytest.raises(ValueError):
             corridor_event_frequency(path, 0.1, m, replicas=0, seed=1)
+        for bad in (True, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="replicas"):
+                corridor_event_frequency(path, 0.1, m, replicas=bad, seed=1)
