@@ -276,15 +276,16 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     perfect matching of its points to the centers within the radius of
     each.  A candidate of a different cardinality is never a member.
     """
-    a = candidate.points
-    b = ball.center.points
+    a = candidate._points
+    b = ball.center._points
     n = len(b)
     if len(a) != n:
         return False
-    if len(a[0]) != len(b[0]):
+    d = len(b[0])
+    if len(a[0]) != d:
         _check_same_dimension(candidate, ball.center)
     radius = ball.radius
-    if len(b[0]) == 1:
+    if d == 1:
         for (x,), (y,) in zip(a, b):
             if abs(x - y) > radius:
                 return False

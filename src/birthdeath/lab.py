@@ -447,16 +447,14 @@ class SuiteSizes:
     poisson_intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        """Reject a budget no experiment can run, so a suite fails before it starts."""
+        """Read every count as a whole number; a budget no experiment can run fails before the suite."""
         for name, value in asdict(self).items():
             if name == "poisson_intensity":
-                if not 0 < value < math.inf:
+                if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
                     raise ValueError(f"poisson_intensity must be positive and finite, got {value!r}")
-            elif name == "pipeline_extra_steps":
-                if value is not None and value < 0:
-                    raise ValueError(f"pipeline_extra_steps must be None or at least 0, got {value!r}")
-            elif value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+            elif not (name == "pipeline_extra_steps" and value is None):
+                minimum = 0 if name == "pipeline_extra_steps" else 1
+                object.__setattr__(self, name, _whole_number(value, name, minimum))
 
 
 def default_window(model: RateModel) -> BoxRegion:

@@ -137,11 +137,11 @@ def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Genera
         return (float(center[0] + radius * (2.0 * rng.random() - 1.0)),)
     while True:
         direction = rng.standard_normal(d)
-        norm = math.sqrt(float(direction @ direction))
+        norm = math.sqrt(direction.dot(direction))
         if norm > 0.0:
             break
     scale = radius * rng.random() ** (1.0 / d) / norm
-    return tuple(c + scale * v for c, v in zip(center, direction.tolist()))
+    return tuple([c + scale * v for c, v in zip(center, direction.tolist())])
 
 
 # --- layer sets -------------------------------------------------------
@@ -168,7 +168,8 @@ class Shape(abc.ABC):
     fixed_layer: int | None
 
     @abc.abstractmethod
-    def contains(self, config: Configuration, layer: int) -> bool: ...
+    def contains(self, config: Configuration, layer: int) -> bool:
+        """Membership of ``config``, which :class:`LayerSet` passes only when it has ``layer`` points."""
 
     @abc.abstractmethod
     def label(self, layer: int) -> str: ...
@@ -185,7 +186,7 @@ class EmptySingleton(Shape):
     fixed_layer = 0
 
     def contains(self, config: Configuration, layer: int) -> bool:
-        return not config.points
+        return True
 
     def label(self, layer: int) -> str:
         return "empty"
@@ -202,8 +203,7 @@ class AllInRegion(Shape):
     fixed_layer = None
 
     def contains(self, config: Configuration, layer: int) -> bool:
-        points = config.points
-        return len(points) == layer and all(map(self.region.contains, points))
+        return all(map(self.region.contains, config.points))
 
     def label(self, layer: int) -> str:
         lower, upper = list(self.region.lower), list(self.region.upper)
@@ -252,9 +252,8 @@ class ProductOfDisjointBoxes(Shape):
     def contains(self, config: Configuration, layer: int) -> bool:
         # A point on a face two boxes share lies in both, so a perfect
         # matching of points to the boxes that hold them decides.
-        points = config.points
-        return len(points) == layer and _perfect_matching_exists(
-            [[j for j, box in enumerate(self.boxes) if box.contains(p)] for p in points]
+        return _perfect_matching_exists(
+            [[j for j, box in enumerate(self.boxes) if box.contains(p)] for p in config.points]
         )
 
     def label(self, layer: int) -> str:
@@ -326,8 +325,8 @@ class LayerSet(TargetPiece):
             raise ValueError(f"layer {layer} does not fit the shape, which sits on layer {fixed}")
 
     def contains(self, config: Configuration) -> bool:
-        """Set membership for a concrete configuration."""
-        return self.shape.contains(config, self.layer)
+        """Set membership for a concrete configuration; only one on the layer reaches the shape."""
+        return len(config.points) == self.layer and self.shape.contains(config, self.layer)
 
     def label(self) -> str:
         return self.shape.label(self.layer)

@@ -305,10 +305,12 @@ class ContactModel(RateModel):
         if self.crowding_death == 0.0 or n <= 1:
             return [self.baseline_death] * n
         radius = self.interaction_radius
+        dist = math.dist
         near = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if math.dist(pts[i], pts[j]) <= radius:
+        for i in range(1, n):
+            x = pts[i]
+            for j in range(i):
+                if dist(x, pts[j]) <= radius:
                     near[i] += 1
                     near[j] += 1
         return [self.baseline_death + self.crowding_death * c for c in near]

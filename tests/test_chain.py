@@ -289,6 +289,59 @@ class TestWilsonInterval:
             assert low <= hits / total <= high
 
 
+# Moves recorded with the ball draw's norm taken as ``direction @ direction``
+# and with every layer set testing its own size; any change to the draws,
+# the crowding rates or the step kernel shows here.
+GOLDEN_D2 = (
+    ("birth", (0.5608397580136064, -0.2456972676814292)),
+    ("death", (0.3, 0.1)),
+    ("death", (0.0, 0.0)),
+    ("birth", (0.397798509007626, 0.9093569047848842)),
+    ("death", (0.5608397580136064, -0.2456972676814292)),
+    ("birth", (0.22705170931446628, -0.3851034028806462)),
+    ("birth", (0.07457412343077713, -0.05016713616637497)),
+    ("birth", (-0.07671659513978814, -0.10315656416373176)),
+    ("birth", (-0.3986253619046763, 0.251661141923498)),
+    ("birth", (1.1389880300310562, -0.7502093535831327)),
+    ("birth", (0.4958686642749674, -0.0729237332168387)),
+    ("birth", (0.31801183199560573, -0.8283072525006685)),
+    ("death", (0.4958686642749674, -0.0729237332168387)),
+    ("death", (-0.3986253619046763, 0.251661141923498)),
+    ("birth", (0.5486967637452896, -0.21311331764571756)),
+    ("birth", (0.5250650331860021, -0.599910359116665)),
+)
+GOLDEN_D3 = (
+    ("birth", (0.01774139698682003, 0.24101114953907904, -0.6170024532643117)),
+    ("birth", (-0.31956810783791306, 0.5412136745565292, -0.3995388556469691)),
+    ("birth", (0.14351629207388458, 0.4085705167980243, -0.38339397148863613)),
+    ("birth", (0.33129518422779863, -0.161667893036407, 0.3088613841156158)),
+    ("birth", (-0.19912649135396723, 0.9440908018454235, -0.3124650320092772)),
+    ("death", (0.2, -0.3, 0.1)),
+    ("death", (-0.19912649135396723, 0.9440908018454235, -0.3124650320092772)),
+    ("birth", (0.10182879166029501, 0.6896466836170569, -0.7373670896910792)),
+    ("birth", (0.17338813978116016, 0.41356491180536353, 0.01642295379225811)),
+    ("birth", (-0.09613559698050383, 0.8380461703739068, 0.13760273347855884)),
+    ("birth", (0.1845602967950851, 0.0019118489993820154, 0.4912637114100267)),
+    ("birth", (-0.4545953704423922, 0.42029199068701256, -0.8456776929427736)),
+)
+
+
+class TestGoldenMoves:
+    def test_d2_crowding_trajectory(self):
+        m = ContactModel(dimension=2, crowding_death=0.3, immigration_intensity=3.0,
+                         neighbor_intensity=1.5, baseline_death=0.4)
+        start = Configuration([(0.0, 0.0), (0.3, 0.1), (-0.2, 0.4)])
+        traj = simulate(start, m, None, 16, 2024)
+        assert tuple((e.kind, e.point) for e in traj.events) == GOLDEN_D2
+
+    def test_d3_crowding_trajectory(self):
+        m = ContactModel(dimension=3, crowding_death=0.25, interaction_radius=0.8,
+                         immigration_intensity=3.0, neighbor_intensity=2.0, baseline_death=0.4)
+        start = Configuration([(0.0, 0.0, 0.0), (0.2, -0.3, 0.1)])
+        traj = simulate(start, m, None, 12, 99)
+        assert tuple((e.kind, e.point) for e in traj.events) == GOLDEN_D3
+
+
 class TestHittingEstimate:
     def test_deterministic_for_fixed_seed(self, monkeypatch):
         m = ContactModel()

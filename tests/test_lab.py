@@ -369,6 +369,14 @@ class TestTheoremPipeline:
             with pytest.raises(ValueError, match="extra_steps"):
                 theorem_pipeline(ContactModel(), goal, extra_steps=bad, replicas=10, seed=1)
 
+    def test_d2_crowding_hit_count_is_unchanged(self):
+        # Recorded before the ball draw and the layer-set size test were
+        # made cheaper; the moves and hits must stay bit-identical.
+        m = ContactModel(dimension=2, crowding_death=0.3)
+        goal = Configuration([(-0.15, 0.05), (0.1, -0.1), (0.05, 0.2)])
+        row = theorem_pipeline(m, goal, extra_steps=3, replicas=300, seed=41).rows[0]
+        assert (row.max_steps, row.hits, row.replicas, row.verdict) == (14, 11, 300, "PASS")
+
     def test_explicit_radius_below_quarter_is_used_directly(self):
         m = ContactModel()
         goal = Configuration([[0.1]])
@@ -426,11 +434,27 @@ class TestSuiteAndReports:
             ("poisson_intensity", 0.0),
             ("poisson_intensity", math.nan),
             ("poisson_intensity", math.inf),
+            ("replicas", True),
+            ("null_max_steps", 2.5),
+            ("extinction_max_steps", math.inf),
+            ("preservation_draws", 1.5),
+            ("measure_samples", math.nan),
+            ("pipeline_extra_steps", 0.5),
+            ("pipeline_extra_steps", False),
+            ("poisson_intensity", True),
+            pytest.param("poisson_intensity", np.True_, id="poisson_intensity-numpy-True"),
         ],
     )
     def test_suite_sizes_reject_budgets_no_experiment_can_run(self, field, value):
         with pytest.raises(ValueError, match=field):
             SuiteSizes(**{field: value})
+
+    def test_suite_sizes_read_integral_counts_as_ints(self):
+        sizes = SuiteSizes(replicas=np.int64(7), preservation_draws=2.0, pipeline_extra_steps=0.0)
+        assert (sizes.replicas, sizes.preservation_draws, sizes.pipeline_extra_steps) == (7, 2, 0)
+        assert all(type(getattr(sizes, name)) is int
+                   for name in ("replicas", "preservation_draws", "pipeline_extra_steps"))
+        assert SuiteSizes(pipeline_extra_steps=None).pipeline_extra_steps is None
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         m = ContactModel()

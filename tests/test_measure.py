@@ -5,6 +5,7 @@ a layer-n all-in-box set weighs vol(box)^n / n!, a product of disjoint
 boxes weighs the product of volumes, and the empty singleton weighs 1.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from birthdeath import (
     ProductOfDisjointBoxes,
     RhoBall,
     UnsupportedExactEvaluation,
+    distance_rho,
     in_ball,
     lp_measure,
     lp_measure_estimate,
@@ -91,6 +93,34 @@ class TestRegions:
             scale = radius * twin.random() ** (1.0 / dimension) / norm
             assert point == tuple(float(c + scale * v) for c, v in zip(center, direction))
         assert all(type(c) is float for c in point)
+
+    @settings(max_examples=150)
+    @given(
+        dimension=st.integers(2, 5),
+        coords=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
+        radius=st.floats(1e-6, 1e3),
+        seed=st.integers(0, 2**63),
+        draws=st.integers(1, 20),
+    )
+    def test_ball_draw_equals_its_matmul_form(self, dimension, coords, radius, seed, draws):
+        # The norm is taken with ndarray.dot; the reference is the draw
+        # as it was written with ``@`` and a generator expression.
+        def matmul_draw(center, radius, rng):
+            d = len(center)
+            while True:
+                direction = rng.standard_normal(d)
+                norm = math.sqrt(float(direction @ direction))
+                if norm > 0.0:
+                    break
+            scale = radius * rng.random() ** (1.0 / d) / norm
+            return tuple(c + scale * v for c, v in zip(center, direction.tolist()))
+
+        center = tuple(coords[:dimension])
+        mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            got, want = sample_in_ball(center, radius, mine), matmul_draw(center, radius, twin)
+            assert [c.hex() for c in got] == [c.hex() for c in want]
+            assert mine.bit_generator.state == twin.bit_generator.state
 
     def test_ball_sampling_d1_covers_both_sides(self):
         rng = np.random.default_rng(5)
@@ -163,6 +193,76 @@ class TestLayerSets:
             LayerSet(1, ProductOfDisjointBoxes((UNIT,))).contains(wide)
         with pytest.raises(ValueError):
             UNIT.contains((0.5, 99.0))
+
+
+class _RecordingShape(measure.Shape):
+    """A shape that fits every layer, admits everything and records the sizes it is asked about."""
+
+    fixed_layer = None
+
+    def __init__(self):
+        self.sizes = []
+
+    def contains(self, config, layer):
+        self.sizes.append(len(config))
+        return True
+
+    def label(self, layer):
+        return "recording"
+
+    def exact_measure(self, layer):
+        return 1.0
+
+
+def _member_with_size_test(layer_set, config):
+    """Membership decided as each shape once did it, with its own size test, by brute force."""
+    shape, points = layer_set.shape, config.points
+    if isinstance(shape, EmptySingleton):
+        return not points
+    if isinstance(shape, BallSet):
+        return distance_rho(config, shape.ball.center) <= shape.ball.radius
+    if len(points) != layer_set.layer:
+        return False
+    if isinstance(shape, AllInRegion):
+        return all(shape.region.contains(p) for p in points)
+    return any(all(box.contains(p) for box, p in zip(boxes, points))
+               for boxes in itertools.permutations(shape.boxes))
+
+
+def _gate_sets(d):
+    pad = (0.0,) * (d - 1)
+    boxes = [BoxRegion((lo,) + pad, (lo + 0.5,) + (1.0,) * (d - 1)) for lo in (0.0, 0.5, 1.0)]
+    centers = [(0.25,) + (0.5,) * (d - 1), (0.75,) + pad, (1.25,) + (0.5,) * (d - 1)]
+    sets = [LayerSet(0, EmptySingleton())]
+    for layer in (1, 2, 3):
+        sets.append(LayerSet(layer, AllInRegion(BoxRegion((0.0,) * d, (1.0,) * d))))
+        sets.append(LayerSet(layer, ProductOfDisjointBoxes(tuple(boxes[:layer]))))
+        sets.append(LayerSet(layer, BallSet(RhoBall(Configuration(centers[:layer]), 0.375))))
+    return sets
+
+
+class TestLayerSetGate:
+    def test_off_layer_configurations_never_reach_the_shape(self):
+        shape = _RecordingShape()
+        layer_set = LayerSet(2, shape)
+        configs = [Configuration([[float(k)] for k in range(size)]) for size in range(5)]
+        assert [layer_set.contains(c) for c in configs] == [False, False, True, False, False]
+        assert shape.sizes == [2]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shapes_answer_as_with_their_own_size_tests(self, d):
+        # Coordinates on an eighths grid put points on box faces and ball boundaries.
+        rng = np.random.default_rng(40 + d)
+        for layer_set in _gate_sets(d):
+            answers = set()
+            for size in range(layer_set.layer + 3):
+                for _ in range(150):
+                    grid = rng.integers(-2, 13, size=(size, d)) / 8.0
+                    config = Configuration({tuple(row) for row in grid.tolist()})
+                    want = _member_with_size_test(layer_set, config)
+                    assert layer_set.contains(config) == want, (layer_set.label(), config)
+                    answers.add(want)
+            assert answers == {False, True}, layer_set.label()
 
 
 class TestExactMeasure:

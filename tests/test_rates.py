@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from birthdeath import (
@@ -135,6 +137,23 @@ class TestContactModelRates:
         assert m.death_rates(spread) == [1.5, 1.5, 1.0]
         for p in spread:
             assert m.death_rate(p, spread) == m.death_rates(spread)[spread.points.index(p)]
+
+    @settings(max_examples=200)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(0, 8),
+           radius=st.sampled_from([0.25, 0.5, 1.0]), baseline=st.floats(0.0, 3.0),
+           crowding=st.floats(1e-3, 3.0))
+    def test_crowding_rates_equal_an_all_pairs_count(self, data, d, n, radius, baseline, crowding):
+        # Quarter-grid coordinates put pairs exactly at the interaction radius.
+        coord = st.integers(-6, 6).map(lambda k: k / 4.0)
+        points = data.draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n, unique=True))
+        m = ContactModel(dimension=d, interaction_radius=radius, baseline_death=baseline,
+                         crowding_death=crowding)
+        state = Configuration(points)
+        pts = state.points
+        want = [baseline + crowding * sum(1 for j, y in enumerate(pts) if j != i
+                                          and math.dist(x, y) <= radius)
+                for i, x in enumerate(pts)]
+        assert m.death_rates(state) == want
 
     def test_death_rates_without_crowding_fast_path(self):
         m = ContactModel()
