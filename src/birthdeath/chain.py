@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _lockstep
-from .configurations import Configuration, Point, euclidean
+from .configurations import Configuration, Point, _whole_number, as_point, euclidean
 from .measure import (
     BallRegion,
     BallSet,
@@ -34,7 +34,6 @@ from .measure import (
     EmptySingleton,
     LayerSet,
     TargetPiece,
-    _whole_number,
     sample_in_ball,
 )
 from .rates import ContactModel, DegenerateStateError, RateModel
@@ -160,7 +159,7 @@ class ExactPointTarget(NullTarget):
     point: Point
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "point", tuple(float(c) for c in self.point))
+        object.__setattr__(self, "point", as_point(self.point))
 
     def contains(self, state: Configuration) -> bool:
         return self.point in state
@@ -426,7 +425,7 @@ def simulate(
 
 def death_probability(state: Configuration, point: Sequence[float], model: RateModel) -> float:
     """Exact probability that the next move removes ``point``."""
-    pt = tuple(float(c) for c in point)
+    pt = as_point(point)
     if pt not in state:
         raise ValueError(f"point {pt!r} is not in the state")
     total = model.jump_rate(state)
@@ -471,10 +470,10 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (95% by default)."""
-    if total <= 0:
-        raise ValueError("need at least one trial")
-    if not 0 <= hits <= total:
-        raise ValueError("hits must lie between 0 and total")
+    total = _whole_number(total, "total", 1)
+    hits = _whole_number(hits, "hits", 0)
+    if hits > total:
+        raise ValueError(f"hits must be at most total, got {hits} of {total}")
     p = hits / total
     z2 = z * z
     denom = 1.0 + z2 / total

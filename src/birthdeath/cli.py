@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from typing import Any, Sequence
@@ -28,7 +27,7 @@ from .chain import (
     hitting_estimate,
     simulate,
 )
-from .configurations import Configuration, RhoBall, distance_rho
+from .configurations import Configuration, RhoBall, _real, _whole_number, distance_rho
 from .lab import SuiteSizes, _write_csv, default_window, run_default_suite
 from .measure import (
     AllInRegion,
@@ -62,6 +61,15 @@ def _require(mapping: dict, key: str, context: str | None = None) -> Any:
     return mapping[key]
 
 
+@contextlib.contextmanager
+def _config_error(prefix: str):
+    """Re-raise a library refusal (``TypeError``, ``ValueError``, ``OverflowError``) as a ``ConfigError``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{prefix}{err}") from err
+
+
 def _read_json(path: str, what: str) -> Any:
     """The JSON document at ``path``; ``what`` names it in errors."""
     try:
@@ -81,31 +89,30 @@ def _section(mapping: dict, key: str, context: str | None = None) -> dict:
     return section
 
 
+def _json_number(value: Any) -> Any:
+    """The integer a JSON string spells (``"120"``), or ``value`` itself; the readers parse the rest."""
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    return value
+
+
 def _number(section: dict, key: str, default: Any, context: str | None,
             kind: type = int, minimum: float | None = None) -> Any:
-    """``section[key]``, or ``default`` when absent, as a finite ``kind`` number of at least ``minimum``.
+    """``section[key]``, or ``default`` when absent, read by the library's number rule as ``context.key``.
 
-    Takes JSON numbers, not booleans, and strings that ``kind`` parses.  An
-    ``int`` takes an integral float; integers never pass through a float, so
-    huge ones stay exact.  ``None`` is kept where the default is ``None``.
+    ``int`` reads a whole number of at least ``minimum``, and ``float`` a finite real, above
+    ``minimum`` when one is given.  Numeric strings count as numbers, integers never pass through
+    a float, so huge ones stay exact, and ``None`` is kept where the default is ``None``.
     """
     name = _name(context, key)
     value = _require(section, key, context) if default is _REQUIRED else section.get(key, default)
     if value is None and default is None:
         return None
-    number = None
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        with contextlib.suppress(ValueError, OverflowError):
-            number = kind(value) if isinstance(value, str) or kind is float else value
-    if number is None or isinstance(number, float) and not math.isfinite(number):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind is int and isinstance(number, float):
-        if not number.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        number = int(number)
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
-    return number
+    with _config_error(""):
+        if kind is int:
+            return _whole_number(_json_number(value), name, minimum)
+        return _real(_json_number(value), name, minimum, strict=True)
 
 
 def build_model(config: dict) -> RateModel:
@@ -116,10 +123,8 @@ def build_model(config: dict) -> RateModel:
         raise ConfigError(f"unknown model '{name}' (only 'contact' is built in)")
     kwargs = {k: v for k, v in section.items() if k != "name"}
     kwargs.setdefault("dimension", config.get("dimension", 1))
-    try:
+    with _config_error("bad model parameters: "):
         return ContactModel(**kwargs)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad model parameters: {err}") from err
 
 
 def _parse_configuration(raw: Any, context: str, dimension: int | None) -> Configuration:
@@ -128,10 +133,8 @@ def _parse_configuration(raw: Any, context: str, dimension: int | None) -> Confi
         raw = []
     if not isinstance(raw, list):
         raise ConfigError(f"{context} must be a list of points")
-    try:
+    with _config_error(f"bad {context}: "):
         config = Configuration(raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad {context}: {err}") from err
     if dimension is not None and config.dimension not in (None, dimension):
         raise ConfigError(f"{context} has {config.dimension}-D points, the model is {dimension}-D")
     return config
@@ -141,10 +144,8 @@ def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
     """A box in the model's ``dimension``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object with 'lower' and 'upper'")
-    try:
+    with _config_error(f"bad {context}: "):
         box = BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad {context}: {err}") from err
     if box.dimension != dimension:
         raise ConfigError(f"{context} is a {box.dimension}-D box, the model is {dimension}-D")
     return box
@@ -153,7 +154,7 @@ def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
 def _parse_layer_set(raw: dict, context: str, layer: int | None, dimension: int) -> LayerSet:
     """The layer set of ``raw['kind']`` on ``layer``; None takes the layer the shape fixes."""
     kind = _require(raw, "kind", context)
-    try:
+    with _config_error(f"bad {context}: "):
         if kind == "empty":
             shape = EmptySingleton()
         elif kind == "all_in_region":
@@ -169,8 +170,6 @@ def _parse_layer_set(raw: dict, context: str, layer: int | None, dimension: int)
         if layer is None and shape.fixed_layer is None:
             raise ConfigError(f"missing key '{context}.layer'")
         return LayerSet(shape.fixed_layer if layer is None else layer, shape)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad {context}: {err}") from err
 
 
 def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
@@ -184,7 +183,7 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
         if not isinstance(item, dict):
             raise ConfigError(f"every piece of {context} must be an object")
         kind = _require(item, "kind", context)
-        try:
+        with _config_error(f"bad piece in {context}: "):
             if kind == "exact_point":
                 point = _parse_configuration([_require(item, "point", context)], context, dimension)
                 pieces.append(ExactPointTarget(point.points[0]))
@@ -198,8 +197,6 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
             else:
                 layer = _number(item, "layer", None, context, minimum=0)
                 pieces.append(_parse_layer_set(item, context, layer, dimension))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad piece in {context}: {err}") from err
     return TargetSet(tuple(pieces))
 
 
@@ -224,9 +221,7 @@ def _run_validation(model: RateModel, config: dict, seed: int):
     max_size = _number(section, "max_size", 12, "validate", minimum=1)
     trials = _number(section, "trial_states", 40, "validate", minimum=0)
     probes = _number(section, "probe_points", 16, "validate", minimum=1)
-    intensity = _number(section, "intensity", 1.0, "validate", float)
-    if intensity <= 0:
-        raise ConfigError(f"validate.intensity must be positive, got {intensity!r}")
+    intensity = _number(section, "intensity", 1.0, "validate", float, minimum=0.0)
     if "window" in section:
         window = _parse_box(section["window"], "validate.window", model.dimension)
     else:
@@ -234,17 +229,18 @@ def _run_validation(model: RateModel, config: dict, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     states = [Configuration(), Configuration([model.immigration_region.center])]
     draws = 0
-    while len(states) < trials:
-        if draws == _DRAWS_PER_TRIAL * trials:
-            raise ConfigError(
-                f"validation found only {len(states)} of {trials} trial states with at most "
-                f"{max_size} points in {draws} Poisson draws; "
-                "lower validate.intensity or raise validate.max_size"
-            )
-        draws += 1
-        state = sample_poisson_config(intensity, window, rng)
-        if len(state) <= max_size:
-            states.append(state)
+    with _config_error(f"validate: no trial state can be drawn on {window}: "):
+        while len(states) < trials:
+            if draws == _DRAWS_PER_TRIAL * trials:
+                raise ConfigError(
+                    f"validation found only {len(states)} of {trials} trial states with at most "
+                    f"{max_size} points in {draws} Poisson draws; "
+                    "lower validate.intensity or raise validate.max_size"
+                )
+            draws += 1
+            state = sample_poisson_config(intensity, window, rng)
+            if len(state) <= max_size:
+                states.append(state)
     return validate_conditions(
         model, max_size, states, probe_points=probes,
         seed=np.random.SeedSequence(seed, spawn_key=(2,)),
@@ -310,12 +306,10 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model.dimension)
     radius = model.interaction_radius
     ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
-    path = build_path(goal, radius, model.immigration_region.center)
-    cap = path_length_cap(goal, radius, model.immigration_region.center)
-    try:
+    with _config_error("path: "):
+        path = build_path(goal, radius, model.immigration_region.center)
         bound = corridor_prob_lower_bound(path, ball_radius, model)
-    except ValueError as err:
-        raise ConfigError(f"path: {err}") from err
+    cap = path_length_cap(goal, radius, model.immigration_region.center)
     out = os.path.join(outdir, "path.jsonl")
     with open(out, "w") as handle:
         for vertex in path.vertices:
@@ -345,10 +339,8 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     rows = []
     for index, raw in enumerate(raw_sets):
         set_id, layer_set, window = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
-        try:
+        with _config_error(f"measure.sets[{index}]."):
             result = lp_measure(layer_set, samples, np.random.SeedSequence(seed, spawn_key=(5, index)), window)
-        except ValueError as err:
-            raise ConfigError(f"measure.sets[{index}].{err}") from err
         rows.append(
             {
                 "set_id": set_id,
@@ -372,15 +364,15 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "lab")
-    try:
+    # SuiteSizes names the field first in each of its errors.
+    with _config_error("lab."):
         sizes = SuiteSizes(**{
-            name: _number(section, name, default, "lab", float if name == "poisson_intensity" else int)
+            name: _json_number(section.get(name, default))
             for name, default in dataclasses.asdict(SuiteSizes()).items()
         })
-    except ValueError as err:
-        # SuiteSizes names the field first in each of its errors.
-        raise ConfigError(f"lab.{err}") from err
-    reports = run_default_suite(model, seed, sizes)
+    # A start, target or goal that the suite builds from the model and the library refuses.
+    with _config_error("lab: "):
+        reports = run_default_suite(model, seed, sizes)
     all_passed = True
     for report in reports:
         out = os.path.join(outdir, f"lab_{report.experiment}.csv")

@@ -13,6 +13,7 @@ cardinality layers.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import insort
 from dataclasses import dataclass
@@ -35,21 +36,39 @@ __all__ = [
 ]
 
 
-def _float(value: float, name: str = "a point coordinate") -> float:
-    """``float(value)``, rejecting booleans (NumPy's too) rather than reading them as 0 or 1."""
+def _real(value: object, name: str, lower: float | None = None, strict: bool = False) -> float:
+    """``float(value)``, finite, not from a boolean (NumPy's neither), and at least ``lower``
+    (above it when ``strict``); anything else raises ``ValueError`` naming ``name``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if lower is not None and not (number > lower if strict else number >= lower):
+        raise ValueError(f"{name} must be {'above' if strict else 'at least'} {lower!r}, got {value!r}")
+    return number
+
+
+def _whole_number(value: object, name: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``; booleans and fractional numbers raise."""
+    boolean = isinstance(value, (bool, np.bool_))
+    if not boolean:
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = int(value)
+            if number == value and number >= minimum:
+                return number
+    wanted = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
+    raise ValueError(f"{name} must be {wanted}{', not a boolean' if boolean else ''}, got {value!r}")
 
 
 def as_point(coords: Iterable[float]) -> Point:
     """Coerce ``coords`` into a point, a tuple of finite floats (not booleans)."""
-    point = tuple(map(_float, coords))
+    point = tuple([_real(c, "a point coordinate") for c in coords])
     if not point:
         raise ValueError("a point needs at least one coordinate")
-    for c in point:
-        if not math.isfinite(c):
-            raise ValueError(f"point has a non-finite coordinate: {point!r}")
     return point
 
 
@@ -144,7 +163,7 @@ class Configuration:
 
     def without_point(self, point: Iterable[float]) -> "Configuration":
         """Return a copy with ``point`` removed; the point must be present."""
-        pt = tuple(float(c) for c in point)
+        pt = as_point(point)
         try:
             idx = self._points.index(pt)
         except ValueError:
@@ -178,10 +197,7 @@ class RhoBall:
             raise TypeError("center must be a Configuration")
         if len(self.center) == 0:
             raise ValueError("ball center must be a nonempty configuration")
-        radius = float(self.radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError("ball radius must be positive and finite")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _real(self.radius, "ball radius", 0.0, strict=True))
 
     @property
     def layer(self) -> int:
@@ -320,7 +336,5 @@ def unit_ball_volume(dimension: int) -> float:
 
     Examples: 2.0 in d=1, pi in d=2, 4*pi/3 in d=3.
     """
-    d = int(dimension)
-    if d < 1:
-        raise ValueError("dimension must be a positive integer")
+    d = _whole_number(dimension, "dimension", 1)
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)

@@ -20,7 +20,6 @@ grouped or ordered when they run.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -43,13 +42,12 @@ from .chain import (
     hitting_estimate,
     simulate,
 )
-from .configurations import EMPTY, Configuration, RhoBall
+from .configurations import EMPTY, Configuration, RhoBall, _real, _whole_number
 from .measure import (
     BallSet,
     BoxRegion,
     EmptySingleton,
     LayerSet,
-    _whole_number,
     lp_measure,
     sample_poisson_config,
 )
@@ -397,7 +395,9 @@ def theorem_pipeline(
     frequency of the bottleneck ball around ``goal`` from the empty
     state.  The run passes when the observed Wilson interval is
     consistent with the bound: upper limit at or above it and lower
-    limit above zero.  The certified bound uses a ball radius strictly
+    limit above zero.  Where no positive bound can be certified (a
+    zero death floor, or underflow) the row FAILs with bound 0.0.  The
+    certified bound uses a ball radius strictly
     below a quarter of the interaction radius; when the requested
     target ball is wider, the bound is computed for an inscribed ball,
     which only makes it more conservative.  The step budget is the
@@ -409,12 +409,13 @@ def theorem_pipeline(
     if extra_steps is not None:
         extra_steps = _whole_number(extra_steps, "extra_steps", 0)
     radius = model.interaction_radius
-    target_radius = radius / 4.0 if ball_radius is None else float(ball_radius)
-    if not target_radius > 0:
-        raise ExperimentSetupError("ball_radius must be positive")
+    target_radius = radius / 4.0 if ball_radius is None else _real(ball_radius, "ball_radius", 0.0, strict=True)
     certified_radius = target_radius if target_radius < radius / 4.0 else radius / 8.0
     path = build_path(goal, radius, model.immigration_region.center)
-    bound = corridor_prob_lower_bound(path, certified_radius, model)
+    try:
+        bound = corridor_prob_lower_bound(path, certified_radius, model)
+    except ValueError:
+        bound = 0.0
     span = path.length + 2 * len(goal)
     max_steps = span + (50 * span if extra_steps is None else extra_steps)
     target_piece = LayerSet(len(goal), BallSet(RhoBall(goal, target_radius)))
@@ -422,7 +423,7 @@ def theorem_pipeline(
     estimate = hitting_estimate(
         EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed
     )
-    passed = estimate.ci_high >= bound and estimate.ci_low > 0.0
+    passed = bound > 0.0 and estimate.ci_high >= bound and estimate.ci_low > 0.0
     row = _row(
         "theorem_pipeline", 0, "empty", target_piece.label(), estimate,
         "PASS" if passed else "FAIL", f"{seed}:0", certified_bound=bound,
@@ -450,11 +451,10 @@ class SuiteSizes:
         """Read every count as a whole number; a budget no experiment can run fails before the suite."""
         for name, value in asdict(self).items():
             if name == "poisson_intensity":
-                if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:
-                    raise ValueError(f"poisson_intensity must be positive and finite, got {value!r}")
+                value = _real(value, name, 0.0, strict=True)
             elif not (name == "pipeline_extra_steps" and value is None):
-                minimum = 0 if name == "pipeline_extra_steps" else 1
-                object.__setattr__(self, name, _whole_number(value, name, minimum))
+                value = _whole_number(value, name, 0 if name == "pipeline_extra_steps" else 1)
+            object.__setattr__(self, name, value)
 
 
 def default_window(model: RateModel) -> BoxRegion:

@@ -33,6 +33,8 @@ from .configurations import (
     Point,
     RhoBall,
     _perfect_matching_exists,
+    _real,
+    _whole_number,
     as_point,
     euclidean,
     in_ball,
@@ -110,10 +112,7 @@ class BallRegion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_point(self.center))
-        radius = float(self.radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError("ball radius must be positive and finite")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _real(self.radius, "ball radius", 0.0, strict=True))
 
     @property
     def dimension(self) -> int:
@@ -294,17 +293,6 @@ class BallSet(Shape):
         )
 
 
-def _whole_number(value: object, name: str, minimum: int) -> int:
-    """``value`` as a Python int of at least ``minimum``; booleans and fractional numbers raise."""
-    if not isinstance(value, (bool, np.bool_)):
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            number = int(value)
-            if number == value and number >= minimum:
-                return number
-    wanted = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
-    raise ValueError(f"{name} must be {wanted}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LayerSet(TargetPiece):
     """A measurable set of configurations confined to one cardinality layer.
@@ -367,6 +355,18 @@ def ball_window(ball: RhoBall) -> BoxRegion:
 # Samples sorted, checked and turned into Python points per pass, which
 # bounds the Python objects alive at once.
 _SAMPLE_BLOCK = 4096
+# Redraws of a sample with a repeated point before its window is refused.
+_REDRAWS = 1000
+
+
+def _distinct_draw(rng: np.random.Generator, window: BoxRegion, count: int) -> tuple[Point, ...]:
+    """``count`` window-uniform points, sorted, drawn again while two coincide, at most 1000 times."""
+    for _ in range(_REDRAWS):
+        rows = rng.uniform(window.lower, window.upper, size=(count, window.dimension)).tolist()
+        pts = tuple(sorted(map(tuple, rows)))
+        if all(a != b for a, b in zip(pts, pts[1:])):
+            return pts
+    raise ValueError(f"window {window} cannot hold {count} distinct points: {_REDRAWS} draws repeated one")
 
 
 def lp_measure_estimate(
@@ -391,7 +391,9 @@ def lp_measure_estimate(
     one block of samples at a time, and each block is streamed to the
     predicate with its point and sample tuples built lazily by ``zip``.
     A sample with a repeated point is redrawn, in sample order, until its
-    points are distinct, before its block's predicate calls.  The
+    points are distinct, before its block's predicate calls; after 1000
+    redraws in a row, ``ValueError`` says the window cannot hold ``layer``
+    distinct points.  The
     predicate is called once per sample, in sample order, on
     configurations bit-identical to sorting each sample's points in
     Python.  ``layer`` and ``samples`` are whole numbers, at least 0 and 1.
@@ -419,14 +421,7 @@ def lp_measure_estimate(
         if repeated.any():
             configs = list(configs)
             for i in np.flatnonzero(repeated).tolist():
-                twice = True
-                while twice:
-                    pts = tuple(sorted(
-                        tuple(map(float, row))
-                        for row in rng.uniform(window.lower, window.upper, size=(layer, d))
-                    ))
-                    twice = any(a == b for a, b in zip(pts, pts[1:]))
-                configs[i] = pts
+                configs[i] = _distinct_draw(rng, window, layer)
         for pts in configs:
             if predicate(Configuration._wrap(pts)):
                 hits += 1
@@ -473,16 +468,12 @@ def sample_poisson_config(
     The point count is Poisson with mean ``intensity * window.volume``
     and the points are independent uniforms in the window.  This is the
     normalized stand-in for the (infinite) reference measure when test
-    states are needed.
+    states are needed.  A draw with a repeated point is redrawn, at most
+    1000 times.
     """
-    if not intensity > 0:
-        raise ValueError("intensity must be positive")
+    intensity = _real(intensity, "intensity", 0.0, strict=True)
     rng = np.random.default_rng(rng)
     count = int(rng.poisson(intensity * window.volume))
     if count == 0:
         return EMPTY
-    while True:
-        rows = rng.uniform(window.lower, window.upper, size=(count, window.dimension))
-        pts = [tuple(row) for row in rows.tolist()]
-        if len(set(pts)) == count:
-            return Configuration(pts)
+    return Configuration._wrap(_distinct_draw(rng, window, count))

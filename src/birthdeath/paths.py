@@ -27,11 +27,13 @@ from .configurations import (
     Configuration,
     Point,
     RhoBall,
+    _real,
+    _whole_number,
     as_point,
     euclidean,
     unit_ball_volume,
 )
-from .measure import BallSet, EmptySingleton, LayerSet, _whole_number
+from .measure import BallSet, EmptySingleton, LayerSet
 from .rates import RateModel
 
 __all__ = [
@@ -58,9 +60,7 @@ class Path:
         vertices = tuple(self.vertices)
         if not vertices:
             raise ValueError("a path needs at least one vertex")
-        radius = float(self.interaction_radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError("interaction_radius must be positive and finite")
+        radius = _real(self.interaction_radius, "interaction_radius", 0.0, strict=True)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "interaction_radius", radius)
         object.__setattr__(self, "empty_exit", as_point(self.empty_exit))
@@ -147,6 +147,11 @@ def path_length_cap(goal: Configuration, interaction_radius: float, anchor: Poin
     return 2 * (total + len(goal))
 
 
+# The most quarter radii build_path walks: its vertices hold O(length**2)
+# points, and past 1074 steps a corridor bound (at most 1/2 a step) is 0.0.
+_MAX_QUARTERS = 4096
+
+
 def build_path(
     goal: Configuration, interaction_radius: float, anchor: Sequence[float]
 ) -> Path:
@@ -157,16 +162,19 @@ def build_path(
     point (so every insertion stays well within the half-radius rule),
     then deletes the scaffold in reverse insertion order.  The result
     always validates and its length never exceeds
-    :func:`path_length_cap`.
+    :func:`path_length_cap`.  A goal whose distances from the anchor sum
+    to more than 4096 quarter radii raises ``ValueError``.
     """
     anchor_pt = as_point(anchor)
-    radius = float(interaction_radius)
-    if not radius > 0:
-        raise ValueError("interaction_radius must be positive")
+    radius = _real(interaction_radius, "interaction_radius", 0.0, strict=True)
     if len(goal) and len(anchor_pt) != goal.dimension:
         raise ValueError("anchor dimension must match the goal configuration")
     if len(goal) == 0:
         return Path((EMPTY,), radius, anchor_pt)
+    quarter = radius / 4.0
+    reach = sum(euclidean(p, anchor_pt) for p in goal) / quarter if quarter else math.inf
+    if not reach <= _MAX_QUARTERS:
+        raise ValueError(f"the goal lies {reach:.6g} quarter radii from the anchor, more than {_MAX_QUARTERS}")
 
     vertices = [EMPTY]
     current: list[Point] = []
@@ -180,7 +188,6 @@ def build_path(
         vertices.append(Configuration(current))
 
     insert(anchor_pt)
-    quarter = radius / 4.0
     for target in goal.points:
         if target in present:
             continue
@@ -221,12 +228,10 @@ def corridor_step_bound(model: RateModel, ball_radius: float, max_size: int) -> 
     The birth ball is capped by the immigration radius so that the exit
     step from the empty configuration is covered as well.
     """
-    radius = float(ball_radius)
+    radius = _real(ball_radius, "ball_radius")
     if not 0 < radius < model.interaction_radius / 4.0:
         raise ValueError("ball_radius must sit strictly between 0 and a quarter radius")
-    sup = model.jump_rate_sup(max_size)
-    if not sup > 0:
-        raise ValueError("jump-rate bound must be positive")
+    sup = _real(model.jump_rate_sup(max_size), "the jump-rate bound", 0.0, strict=True)
     effective = min(radius, model.immigration_region.radius)
     birth_branch = (
         model.birth_floor * unit_ball_volume(model.dimension) * effective ** model.dimension
@@ -241,7 +246,9 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
     The corridor event keeps the chain inside the bottleneck ball of
     ``ball_radius`` around vertex k after step k, for every step.  The
     bound is the per-step bound raised to the path length, with the
-    population cap set to one more than the largest vertex size.
+    population cap set to one more than the largest vertex size.  A
+    bound that is not positive (a zero death floor, or underflow)
+    certifies nothing and raises ``ValueError``.
     """
     _require_valid(path)
     exits_empty = any(
@@ -253,8 +260,10 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
             "the path anchor is the model's immigration center"
         )
     max_size = 1 + max(len(v) for v in path.vertices)
-    per_step = corridor_step_bound(model, ball_radius, max_size)
-    return per_step ** path.length
+    bound = corridor_step_bound(model, ball_radius, max_size) ** path.length
+    if not bound > 0:
+        raise ValueError(f"the corridor bound {bound!r} is not positive and certifies nothing")
+    return bound
 
 
 def corridor_event_frequency(

@@ -31,7 +31,8 @@ from .configurations import (
     EMPTY,
     Configuration,
     Point,
-    _float,
+    _real,
+    _whole_number,
     as_point,
     euclidean,
     unit_ball_volume,
@@ -112,9 +113,7 @@ class RateModel(abc.ABC):
         Uses the declared linear birth bound plus the declared death cap;
         both grow with the population, so the bound is tight at max_size.
         """
-        m = int(max_size)
-        if m < 0:
-            raise ValueError("max_size must be nonnegative")
+        m = _whole_number(max_size, "max_size", 0)
         return (
             self.birth_mass_slope * m
             + self.birth_mass_offset
@@ -196,13 +195,6 @@ def _ball_region_relation(component: BallRegion, region: BoxRegion | BallRegion)
     return "partial"
 
 
-def _finite(name: str, value: float) -> float:
-    value = _float(value, name)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _interval_overlap(lo_a: float, up_a: float, lo_b: float, up_b: float) -> float:
     return max(0.0, min(up_a, up_b) - max(lo_a, lo_b))
 
@@ -230,36 +222,24 @@ class ContactModel(RateModel):
         immigration_radius: float = 0.5,
         birth_floor: float | None = None,
     ) -> None:
-        if isinstance(dimension, (bool, np.bool_)):
-            raise ValueError(f"dimension must be a number, not a boolean, got {dimension!r}")
-        try:
-            self.dimension = int(dimension)
-        except OverflowError as err:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}") from err
-        if self.dimension != dimension or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        self.interaction_radius = _finite("interaction_radius", interaction_radius)
-        if not self.interaction_radius > 0:
-            raise ValueError("interaction_radius must be positive")
-        self.immigration_intensity = _finite("immigration_intensity", immigration_intensity)
-        self.neighbor_intensity = _finite("neighbor_intensity", neighbor_intensity)
-        if not self.immigration_intensity > 0:
-            raise ValueError("immigration_intensity must be positive")
-        if not self.neighbor_intensity > 0:
-            raise ValueError("neighbor_intensity must be positive")
-        self.baseline_death = _finite("baseline_death", baseline_death)
-        self.crowding_death = _finite("crowding_death", crowding_death)
-        if self.baseline_death < 0 or self.crowding_death < 0:
-            raise ValueError("death parameters must be nonnegative")
+        self.dimension = _whole_number(dimension, "dimension", 1)
+        self.interaction_radius = _real(interaction_radius, "interaction_radius", 0.0, strict=True)
+        self.immigration_intensity = _real(immigration_intensity, "immigration_intensity", 0.0, strict=True)
+        self.neighbor_intensity = _real(neighbor_intensity, "neighbor_intensity", 0.0, strict=True)
+        self.baseline_death = _real(baseline_death, "baseline_death", 0.0)
+        self.crowding_death = _real(crowding_death, "crowding_death", 0.0)
         if immigration_center is None:
             immigration_center = (0.0,) * self.dimension
         center = as_point(immigration_center)
         if len(center) != self.dimension:
             raise ValueError("immigration_center dimension mismatch")
-        self.immigration_region = BallRegion(center, _finite("immigration_radius", immigration_radius))
+        radius = _real(immigration_radius, "immigration_radius", 0.0, strict=True)
+        if any(c - radius == c + radius for c in center):
+            raise ValueError(f"immigration_radius {radius!r} is below the spacing of doubles at immigration_center")
+        self.immigration_region = BallRegion(center, radius)
         if birth_floor is None:
             birth_floor = 0.5 * min(self.immigration_intensity, self.neighbor_intensity)
-        self.birth_floor = _finite("birth_floor", birth_floor)
+        self.birth_floor = _real(birth_floor, "birth_floor")
         if not 0 < self.birth_floor < min(self.immigration_intensity, self.neighbor_intensity):
             raise ValueError(
                 "birth_floor must sit strictly between zero and the smaller intensity"
@@ -268,18 +248,12 @@ class ContactModel(RateModel):
         # positive total jump mass and the chain can always move.
         try:
             ball = unit_ball_volume(self.dimension)
-            self._immigration_mass = (
-                self.immigration_intensity * ball * self.immigration_region.radius ** self.dimension
-            )
-            self._per_neighbor_mass = (
-                self.neighbor_intensity * ball * self.interaction_radius ** self.dimension
-            )
+            immigration = self.immigration_intensity * ball * radius ** self.dimension
+            per_neighbor = self.neighbor_intensity * ball * self.interaction_radius ** self.dimension
         except OverflowError as err:
             raise ValueError(f"birth masses overflow in dimension {self.dimension}") from err
-        for name, mass in (("immigration", self._immigration_mass),
-                           ("per-neighbor", self._per_neighbor_mass)):
-            if not 0.0 < mass < math.inf:
-                raise ValueError(f"the {name} birth mass {mass!r} is not positive and finite")
+        self._immigration_mass = _real(immigration, "the immigration birth mass", 0.0, strict=True)
+        self._per_neighbor_mass = _real(per_neighbor, "the per-neighbor birth mass", 0.0, strict=True)
         self.birth_mass_slope = self._per_neighbor_mass
         self.birth_mass_offset = self._immigration_mass
 
@@ -336,7 +310,8 @@ class ContactModel(RateModel):
         return self.baseline_death
 
     def death_rate_sup(self, max_size: int) -> float:
-        return self.baseline_death + self.crowding_death * max(0, int(max_size) - 1)
+        m = _whole_number(max_size, "max_size", 0)
+        return self.baseline_death + self.crowding_death * max(0, m - 1)
 
     def _exact_birth_mass_in_region(
         self, state: Configuration, region: BoxRegion | BallRegion
@@ -444,9 +419,8 @@ def validate_conditions(
     on the immigration ball at the empty state).  A trial state larger
     than ``max_size``, or no probe points, is rejected up front.
     """
-    if probe_points < 1:
-        raise ValueError(f"probe_points must be at least 1, got {probe_points!r}")
-    max_size = int(max_size)
+    probe_points = _whole_number(probe_points, "probe_points", 1)
+    max_size = _whole_number(max_size, "max_size", 0)
     for state in trial_states:
         if len(state) > max_size:
             raise ValueError("trial state exceeds max_size")

@@ -7,12 +7,30 @@ deadline, which a loaded two-core machine can overrun; each test keeps
 its own ``max_examples``.
 """
 
+import contextlib
+import signal
+
 from hypothesis import settings
 
 settings.register_profile("birthdeath", deadline=None)
 settings.load_profile("birthdeath")
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Fail the block with ``TimeoutError`` if it runs ``seconds`` seconds, so a hang fails its test."""
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def record_acceptance(number: int, passed: bool, detail: str) -> str:

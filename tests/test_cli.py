@@ -1,15 +1,23 @@
 """Command-line interface tests, driven through main() for speed."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birthdeath import LayerSet
 from birthdeath.cli import _parse_measure_set, _parse_target, main
+from conftest import alarm
 
 BASE_CONFIG = {
     "seed": 11,
@@ -121,6 +129,16 @@ class TestConfigErrors:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "bad model parameters" in err and "Traceback" not in err
+
+    def test_sub_ulp_immigration_ball_exits_2(self, tmp_path, capsys):
+        # 1.0 +- 1e-300 == 1.0: simulate used to raise "box needs lower < upper"
+        # from the zero-width default window of the validation gate.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"].update(interaction_radius=1e-300, immigration_center=[1.0], immigration_radius=1e-300)
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "immigration_radius" in err and "immigration_center" in err
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
@@ -556,3 +574,110 @@ class TestReadme:
                 assert layer_set == piece
                 layer_sets += 1
         assert layer_sets == 4
+
+
+# --- config fuzzer ------------------------------------------------------
+
+# The README config with budgets small enough that every command runs in milliseconds.
+FUZZ_BASE = {
+    "seed": 3,
+    "workers": 1,
+    "model": {
+        "name": "contact",
+        "dimension": 1,
+        "interaction_radius": 1.0,
+        "immigration_intensity": 0.8,
+        "neighbor_intensity": 0.1,
+        "baseline_death": 1.0,
+        "crowding_death": 0.0,
+        "immigration_center": [0.0],
+        "immigration_radius": 0.5,
+    },
+    "simulate": {"initial": [], "max_steps": 5, "target": [{"kind": "empty"}]},
+    "hitprob": {"initial": [[0.1]], "target": [{"kind": "empty"}], "max_steps": 5, "replicas": 3},
+    "path": {"goal": [[0.2], [0.45]], "ball_radius": 0.1},
+    "measure": {
+        "samples": 20,
+        "sets": [
+            {"id": "box", "layer": 2, "shape": {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]}},
+            {"id": "ball", "layer": 1, "shape": {"kind": "ball", "center": [[0.0]], "radius": 0.1},
+             "window": {"lower": [-0.5], "upper": [0.5]}},
+        ],
+    },
+    "lab": {"max_steps": 5, "replicas": 2, "null_max_steps": 2, "null_replicas": 2, "preservation_draws": 2,
+            "pipeline_replicas": 2, "pipeline_extra_steps": 2, "extinction_replicas": 2,
+            "extinction_max_steps": 5, "measure_samples": 20, "poisson_intensity": 1.0},
+    "validate": {"max_size": 10, "trial_states": 4, "probe_points": 2, "intensity": 1.0,
+                 "window": {"lower": [-1.5], "upper": [1.5]}},
+}
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every key path into ``node``: sections, lists and leaves."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _fuzz_paths(child, prefix + (key,))
+
+
+# Budgets take small or malformed values only: a huge budget is a long run, not a defect.
+_BUDGETS = {"seed", "workers", "dimension", "max_steps", "replicas", "samples", "layer", "trial_states",
+            "probe_points", "max_size", "null_max_steps", "null_replicas", "preservation_draws",
+            "pipeline_replicas", "pipeline_extra_steps", "extinction_replicas", "extinction_max_steps",
+            "measure_samples"}
+_MALFORMED = [True, False, None, math.nan, math.inf, -math.inf, "x", "nan", [], {}, [1.0], {"kind": "mystery"}]
+_BUDGET_VALUES = st.sampled_from(_MALFORMED + [-1, 0.5, 2.5, "2"]) | st.integers(0, 3)
+# Sub-ulp and huge radii, coordinates and intensities.
+_REAL_VALUES = st.sampled_from([5e-324, 1e-300, 1e-16, 1e300, 1.7e308, -1e300, 0.0, -1.0, 1.0, "0.5"] + _MALFORMED)
+# Type swaps, degenerate, reversed and mis-sized boxes, and unknown or incomplete pieces.
+_STRUCTURE_VALUES = _REAL_VALUES | st.sampled_from([
+    [[1e300]], [[5e-324], [1.0]], [[1.0, 1.0]], {"lower": [0.0], "upper": [0.0]}, {"lower": [1.0], "upper": [0.0]},
+    {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, {"lower": [0.0], "upper": [5e-324]}, [{"kind": "nope"}],
+    [{"kind": "ball", "center": [[0.0]]}], [{"kind": "hyperplane", "axis": 3, "value": 0.0}],
+    [{"kind": "product_boxes", "boxes": []}],
+])
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    command = draw(st.sampled_from(["simulate", "hitprob", "path", "validate", "measure", "lab"]))
+    # Mutate only what the command reads (the validation gate reads ``validate``), so most mutations reach it.
+    gate = "validate" if command in ("simulate", "hitprob", "lab") else command
+    read = {"seed", "workers", "model", command, gate}
+    config = json.loads(json.dumps(FUZZ_BASE))
+    paths = [path for path in _fuzz_paths(FUZZ_BASE) if path[0] in read]
+    for _ in range(draw(st.integers(1, 3))):
+        *steps, last = draw(st.sampled_from(paths))
+        node, base = config, FUZZ_BASE
+        for key in steps:
+            base = base[key]
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            # A step an earlier mutation replaced is skipped.
+            for key in steps:
+                node = node[key]
+            if isinstance(node, dict) and isinstance(last, str) or isinstance(node, list) and last < len(node):
+                kind = type(base[last])
+                # A copy, so a later mutation cannot write into the shared sample value.
+                node[last] = copy.deepcopy(draw(_BUDGET_VALUES if last in _BUDGETS else _REAL_VALUES
+                                                if kind is float else _STRUCTURE_VALUES))
+    return command, draw(st.booleans()), config
+
+
+class TestConfigFuzzer:
+    """Malformed configs exit 2 with a config error; nothing raises or hangs."""
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(run=_fuzzed_runs())
+    def test_every_config_exits_0_1_or_2(self, run):
+        command, skip_validation, config = run
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "config.json")
+            with open(path, "w") as handle:
+                json.dump(config, handle)
+            argv = [command, "--config", path, "--out", os.path.join(directory, "out")]
+            err = io.StringIO()
+            with alarm(5), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--skip-validation"] * skip_validation)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert "config error" in err.getvalue()

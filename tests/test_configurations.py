@@ -15,13 +15,26 @@ from hypothesis import strategies as st
 
 from birthdeath import (
     EMPTY,
+    BallRegion,
+    BoxRegion,
     Configuration,
+    ContactModel,
+    ExactPointTarget,
+    Path,
     RhoBall,
+    SuiteSizes,
+    build_path,
+    corridor_step_bound,
+    death_probability,
     distance_rho,
     euclidean,
     in_ball,
+    sample_poisson_config,
     symmetric_difference_size,
+    theorem_pipeline,
     unit_ball_volume,
+    validate_conditions,
+    wilson_interval,
 )
 
 
@@ -297,3 +310,87 @@ class TestSymAndVolume:
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
         with pytest.raises(ValueError):
             unit_ball_volume(0)
+
+
+# --- one number rule at every entry point ------------------------------
+
+_MODEL = ContactModel()
+_POINT = Configuration([[0.0]])
+_BOX = BoxRegion((0.0,), (1.0,))
+_GOAL = Configuration([[-1 / 6], [1 / 6]])
+
+# Entry points that read a finite real, each a factory of the value and the field its error names.
+_REALS = [
+    ("RhoBall", lambda v: RhoBall(_POINT, v), "radius"),
+    ("BallRegion", lambda v: BallRegion((0.0,), v), "radius"),
+    ("BallRegion-center", lambda v: BallRegion((v,), 1.0), "point coordinate"),
+    ("Configuration", lambda v: Configuration([[0.0], [v]]), "point coordinate"),
+    ("Path", lambda v: Path((EMPTY, _POINT), v, (0.0,)), "interaction_radius"),
+    ("build_path", lambda v: build_path(_POINT, v, (0.0,)), "interaction_radius"),
+    ("corridor_step_bound", lambda v: corridor_step_bound(_MODEL, v, 3), "ball_radius"),
+    ("theorem_pipeline", lambda v: theorem_pipeline(_MODEL, _GOAL, ball_radius=v, replicas=1), "ball_radius"),
+    ("sample_poisson_config", lambda v: sample_poisson_config(v, _BOX, 1), "intensity"),
+    ("SuiteSizes", lambda v: SuiteSizes(poisson_intensity=v), "poisson_intensity"),
+    ("ExactPointTarget", lambda v: ExactPointTarget((v,)), "point coordinate"),
+    ("death_probability", lambda v: death_probability(_POINT, (v,), _MODEL), "point coordinate"),
+] + [
+    (f"ContactModel-{name}", lambda v, name=name: ContactModel(**{name: v}), name)
+    for name in ("interaction_radius", "immigration_intensity", "neighbor_intensity", "baseline_death",
+                 "crowding_death", "immigration_radius", "birth_floor")
+]
+
+# Entry points that read a whole number.
+_COUNTS = [
+    ("unit_ball_volume", unit_ball_volume, "dimension"),
+    ("ContactModel-dimension", lambda v: ContactModel(dimension=v), "dimension"),
+    ("jump_rate_sup", _MODEL.jump_rate_sup, "max_size"),
+    ("death_rate_sup", _MODEL.death_rate_sup, "max_size"),
+    ("validate_conditions-max_size", lambda v: validate_conditions(_MODEL, v, [EMPTY]), "max_size"),
+    ("validate_conditions-probe_points",
+     lambda v: validate_conditions(_MODEL, 2, [EMPTY], probe_points=v), "probe_points"),
+    ("corridor_step_bound-max_size", lambda v: corridor_step_bound(_MODEL, 0.1, v), "max_size"),
+    ("wilson_interval-hits", lambda v: wilson_interval(v, 3), "hits"),
+    ("wilson_interval-total", lambda v: wilson_interval(1, v), "total"),
+    ("SuiteSizes-replicas", lambda v: SuiteSizes(replicas=v), "replicas"),
+]
+
+
+def _refusals():
+    # Every value in the rule's history: booleans, which float() and int()
+    # read as 0 or 1, fractional counts, NaN and the infinities.
+    for label, factory, field in _REALS:
+        for value in (True, np.True_, math.nan, math.inf, -math.inf):
+            yield pytest.param(lambda f=factory, v=value: f(v), field, id=f"{label}-{value!r}")
+    for label, factory, field in _COUNTS:
+        for value in (True, np.False_, 1.5, 2.5, math.nan, math.inf):
+            yield pytest.param(lambda f=factory, v=value: f(v), field, id=f"{label}-{value!r}")
+
+
+class TestNumberRule:
+    """Every number the package reads goes through ``_real`` or ``_whole_number``."""
+
+    @pytest.mark.parametrize("call, field", list(_refusals()))
+    def test_refused_with_the_field_named(self, call, field):
+        with pytest.raises(ValueError, match=field):
+            call()
+
+    def test_booleans_are_named_as_booleans(self):
+        for call in (lambda: RhoBall(_POINT, np.False_), lambda: ContactModel(dimension=True)):
+            with pytest.raises(ValueError, match="boolean"):
+                call()
+
+    def test_integral_floats_and_numpy_scalars_read_as_before(self):
+        assert RhoBall(_POINT, np.float64(0.5)) == RhoBall(_POINT, 0.5)
+        assert type(RhoBall(_POINT, 1).radius) is float
+        assert Configuration([[np.float32(0.5)]]).points == ((0.5,),)
+        for dimension in (2.0, np.int64(2)):
+            model = ContactModel(dimension=dimension)
+            assert model.dimension == 2 and type(model.dimension) is int
+            assert unit_ball_volume(dimension) == unit_ball_volume(2)
+        assert _MODEL.jump_rate_sup(np.int64(3)) == _MODEL.jump_rate_sup(3.0) == _MODEL.jump_rate_sup(3)
+        assert wilson_interval(np.int64(1), 4.0) == wilson_interval(1, 4)
+        assert corridor_step_bound(_MODEL, np.float64(0.1), 3.0) == corridor_step_bound(_MODEL, 0.1, 3)
+        assert sample_poisson_config(np.float64(2.0), _BOX, 5) == sample_poisson_config(2, _BOX, 5)
+        states = [EMPTY, _POINT]
+        assert (validate_conditions(_MODEL, 3.0, states, probe_points=np.int64(4), seed=1)
+                == validate_conditions(_MODEL, 3, states, probe_points=4, seed=1))

@@ -32,7 +32,10 @@ from birthdeath import (
     simulate,
     step,
     TargetSet,
+    build_path,
+    corridor_prob_lower_bound,
     theorem_pipeline,
+    validate_conditions,
 )
 from birthdeath import chain, lab
 from birthdeath.chain import HittingEstimate
@@ -383,6 +386,30 @@ class TestTheoremPipeline:
         report = theorem_pipeline(m, goal, ball_radius=0.05, replicas=200, seed=23)
         assert report.passed
         assert "radius=0.05" in report.rows[0].target
+
+
+class TestNegativeControls:
+    """A model outside the standing conditions must FAIL where the paper's conclusion fails."""
+
+    def test_zero_death_floor_certifies_nothing_and_fails(self):
+        # Condition 3 broken: no point ever dies, so no positive corridor
+        # bound exists and the empty configuration is never reached again.
+        m = ContactModel(baseline_death=0.0)
+        states = [EMPTY, Configuration([[0.0]]), Configuration([[0.0], [0.3]])]
+        report = validate_conditions(m, 4, states, seed=3)
+        assert [c.index for c in report.checks if not c.passed] == [3]
+        goal = Configuration([[-1.0 / 6.0], [1.0 / 6.0]])
+        path = build_path(goal, m.interaction_radius, m.immigration_region.center)
+        with pytest.raises(ValueError, match="not positive"):
+            corridor_prob_lower_bound(path, 0.1, m)
+        # It used to PASS with bound 0.0 and 135/300 hits.
+        row = theorem_pipeline(m, goal, replicas=300, seed=5).rows[0]
+        assert (row.verdict, row.certified_bound, row.hits) == ("FAIL", 0.0, 135)
+        extinction = positive_measure_experiment(
+            m, [LayerSet(0, EmptySingleton())], [lab.default_extinction_start(m)],
+            max_steps=200, replicas=30, seed=4,
+        )
+        assert [(r.verdict, r.hits) for r in extinction.rows] == [("FAIL", 0)]
 
 
 class TestSuiteAndReports:

@@ -36,6 +36,7 @@ from birthdeath import (
     sample_in_ball,
     sample_poisson_config,
 )
+from conftest import alarm
 
 UNIT = BoxRegion((0.0,), (1.0,))
 
@@ -635,6 +636,20 @@ class TestEstimateMatchesReference:
                     layer, self.windows[d], predicate, samples,
                     lambda: _EighthsGenerator(np.random.PCG64(seed)),
                 )
+
+
+class TestRedrawLimit:
+    """A window with too few doubles for the distinct points asked of it raises instead of looping."""
+
+    def test_estimate_on_a_two_double_window_raises(self):
+        # [0, 5e-324] holds two doubles, so three distinct points never come.
+        with alarm(5), pytest.raises(ValueError, match="cannot hold 3 distinct points"):
+            lp_measure_estimate(3, BoxRegion((0.0,), (5e-324,)), lambda c: True, 10, seed=1)
+
+    def test_poisson_draw_on_a_two_double_window_raises(self):
+        window = BoxRegion((1.0,), (math.nextafter(1.0, 2.0),))
+        with alarm(5), pytest.raises(ValueError, match="distinct points"):
+            sample_poisson_config(1e17, window, 1)
 
 
 class TestTraceContract:
