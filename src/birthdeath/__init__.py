@@ -18,144 +18,17 @@ The package is organized around five pieces:
 and ``cli`` exposes everything as the ``bdlab`` command.
 """
 
-from .chain import (
-    ChainEvent,
-    ExactPointTarget,
-    HittingEstimate,
-    HyperplaneTarget,
-    NullTarget,
-    PairDistanceTarget,
-    PredicateTarget,
-    RegionProbability,
-    TargetPiece,
-    TargetSet,
-    Trajectory,
-    birth_probability_region,
-    death_probability,
-    hitting_estimate,
-    simulate,
-    step,
-    wilson_interval,
-)
-from .configurations import (
-    EMPTY,
-    Configuration,
-    RhoBall,
-    distance_rho,
-    euclidean,
-    in_ball,
-    symmetric_difference_size,
-    unit_ball_volume,
-)
-from .lab import (
-    CaseRow,
-    ExperimentReport,
-    ExperimentSetupError,
-    SuiteSizes,
-    null_set_experiment,
-    one_step_null_preservation,
-    positive_measure_experiment,
-    run_default_suite,
-    theorem_pipeline,
-)
-from .measure import (
-    AllInRegion,
-    BallRegion,
-    BallSet,
-    BoxRegion,
-    EmptySingleton,
-    LayerSet,
-    MeasureEstimate,
-    ProductOfDisjointBoxes,
-    UnsupportedExactEvaluation,
-    lp_measure,
-    lp_measure_estimate,
-    lp_measure_exact,
-    sample_in_ball,
-    sample_poisson_config,
-)
-from .paths import (
-    Path,
-    PathValidation,
-    build_path,
-    corridor_event_frequency,
-    corridor_prob_lower_bound,
-    corridor_step_bound,
-    is_valid_path,
-    path_length_cap,
-)
-from .rates import (
-    ConditionCheck,
-    ConditionReport,
-    ContactModel,
-    DegenerateStateError,
-    RateModel,
-    validate_conditions,
-)
+from . import chain, configurations, lab, measure, paths, rates
+from .chain import *
+from .configurations import *
+from .lab import *
+from .measure import *
+from .paths import *
+from .rates import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllInRegion",
-    "BallRegion",
-    "BallSet",
-    "BoxRegion",
-    "CaseRow",
-    "ChainEvent",
-    "ConditionCheck",
-    "ConditionReport",
-    "Configuration",
-    "ContactModel",
-    "DegenerateStateError",
-    "EMPTY",
-    "EmptySingleton",
-    "ExactPointTarget",
-    "ExperimentReport",
-    "ExperimentSetupError",
-    "HittingEstimate",
-    "HyperplaneTarget",
-    "LayerSet",
-    "MeasureEstimate",
-    "NullTarget",
-    "PairDistanceTarget",
-    "Path",
-    "PathValidation",
-    "PredicateTarget",
-    "ProductOfDisjointBoxes",
-    "RateModel",
-    "RegionProbability",
-    "RhoBall",
-    "SuiteSizes",
-    "TargetPiece",
-    "TargetSet",
-    "Trajectory",
-    "UnsupportedExactEvaluation",
-    "birth_probability_region",
-    "build_path",
-    "corridor_event_frequency",
-    "corridor_prob_lower_bound",
-    "corridor_step_bound",
-    "death_probability",
-    "distance_rho",
-    "euclidean",
-    "hitting_estimate",
-    "in_ball",
-    "is_valid_path",
-    "lp_measure",
-    "lp_measure_estimate",
-    "lp_measure_exact",
-    "null_set_experiment",
-    "one_step_null_preservation",
-    "path_length_cap",
-    "positive_measure_experiment",
-    "run_default_suite",
-    "sample_in_ball",
-    "sample_poisson_config",
-    "simulate",
-    "step",
-    "symmetric_difference_size",
-    "theorem_pipeline",
-    "unit_ball_volume",
-    "validate_conditions",
-    "wilson_interval",
-]
+# The package API is every module's own ``__all__``; no name is listed twice.
+__all__ = sorted(
+    {name for module in (chain, configurations, lab, measure, paths, rates) for name in module.__all__}
+)

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rates import ContactModel
+from .measure import _REDRAWS
+from .rates import ContactModel, _crowded_birth
 
 # Uniforms drawn per replica and refill; a step reads at most three
 # unless a newborn lands exactly on an occupied point.
@@ -181,7 +182,11 @@ def count_hits(
             pts, n, births, draws.take(births), draws.take(births)
         )
         redraw = np.flatnonzero(collide)
+        tries = _REDRAWS
         while redraw.size:
+            tries -= 1
+            if not tries:
+                raise _crowded_birth(model)
             again = births[redraw]
             draws.reserve(2, again)
             found = birth_location(pts, n, again, draws.take(again), draws.take(again))

@@ -34,14 +34,14 @@ from .measure import (
     EmptySingleton,
     LayerSet,
     TargetPiece,
+    _REDRAWS,
     sample_in_ball,
 )
-from .rates import ContactModel, DegenerateStateError, RateModel
+from .rates import ContactModel, DegenerateStateError, RateModel, _crowded_birth
 
 __all__ = [
     "ChainEvent",
     "Trajectory",
-    "TargetPiece",
     "PredicateTarget",
     "NullTarget",
     "ExactPointTarget",
@@ -262,7 +262,11 @@ def _advance(
         index = min(bisect_right(partial, u), len(partial) - 1)
         return Configuration._wrap(points[:index] + points[index + 1:]), "death", points[index]
     location = model.sample_birth_location(state, rng)
+    tries = _REDRAWS
     while location in points:
+        tries -= 1
+        if not tries:
+            raise _crowded_birth(model)
         location = model.sample_birth_location(state, rng)
     slot = bisect(points, location)
     return Configuration._wrap(points[:slot] + (location,) + points[slot:]), "birth", location
@@ -334,6 +338,7 @@ def _contact_walk(
         else:
             # The component choice of ContactModel.sample_birth_location,
             # redrawn with the location while it lands on an occupied point.
+            tries = _REDRAWS
             while True:
                 v = random() * birth_mass
                 if v < imm or not n:
@@ -345,6 +350,9 @@ def _contact_walk(
                     point = sample_in_ball(points[index], radius, rng)
                 if point not in points:
                     break
+                tries -= 1
+                if not tries:
+                    raise _crowded_birth(model)
             slot = bisect(points, point)
             points = points[:slot] + (point,) + points[slot:]
             kind = "birth"
@@ -378,7 +386,8 @@ def step(
     A specific occupied point dies with probability ``death rate /
     total mass``; otherwise a birth location is drawn from the
     normalized birth density.  Raises :class:`DegenerateStateError`
-    when the state has zero total jump mass.
+    when the state has zero total jump mass, or when 1000 birth draws in
+    a row land on occupied points.
     """
     rng = np.random.default_rng(rng)
     new_state, kind, point = _advance(state, model, rng)

@@ -3,8 +3,8 @@
 Runs simulations and experiments described by a single JSON config.
 Every run is deterministic for a fixed config and seed, and CSV
 outputs are byte-identical across repeats.  Exit codes: 0 on success,
-1 when an experiment reports FAIL, 2 on malformed configs or
-non-conforming models.
+1 when an experiment reports FAIL, 2 on malformed configs,
+non-conforming models, or a model whose chain cannot move.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .measure import (
     sample_poisson_config,
 )
 from .paths import build_path, corridor_prob_lower_bound, path_length_cap
-from .rates import ContactModel, RateModel, validate_conditions
+from .rates import ContactModel, DegenerateStateError, RateModel, validate_conditions
 
 
 class ConfigError(Exception):
@@ -393,15 +393,34 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every command: its handler and its help.  Each handler but ``_cmd_metric`` runs on a config.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run one trajectory and write its events"),
+    "hitprob": (_cmd_hitprob, "estimate a hitting probability with a Wilson interval"),
+    "path": (_cmd_path, "build the constructive path to a goal configuration"),
+    "validate": (_cmd_validate, "probe the standing conditions on sampled states"),
+    "measure": (_cmd_measure, "evaluate reference-measure values for configured sets"),
+    "lab": (_cmd_lab, "run the default experiment suite"),
+    "metric": (_cmd_metric, "bottleneck distance between two configuration files"),
+}
+
+# Commands that run the chain, so refuse a model failing the standing conditions.
+_GATED = {_cmd_simulate, _cmd_hitprob, _cmd_lab}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdlab",
         description="Spatial birth-and-death jump chain toolbox.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config_command(name: str, help_text: str):
+    for name, (handler, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
+        if handler is _cmd_metric:
+            cmd.add_argument("first")
+            cmd.add_argument("second")
+            continue
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
@@ -413,36 +432,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "--skip-validation", action="store_true",
             help="skip the conformance gate on the model",
         )
-        return cmd
-
-    add_config_command("simulate", "run one trajectory and write its events")
-    add_config_command("hitprob", "estimate a hitting probability with a Wilson interval")
-    add_config_command("path", "build the constructive path to a goal configuration")
-    add_config_command("validate", "probe the standing conditions on sampled states")
-    add_config_command("measure", "evaluate reference-measure values for configured sets")
-    add_config_command("lab", "run the default experiment suite")
-
-    metric = sub.add_parser("metric", help="bottleneck distance between two configuration files")
-    metric.add_argument("first")
-    metric.add_argument("second")
     return parser
-
-
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "hitprob": _cmd_hitprob,
-    "path": _cmd_path,
-    "validate": _cmd_validate,
-    "measure": _cmd_measure,
-    "lab": _cmd_lab,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "metric":
+        if args.handler is _cmd_metric:
             return _cmd_metric(args)
         config = _read_json(args.config, "config")
         if not isinstance(config, dict):
@@ -456,7 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         outdir = settings.get("out", "out")
         if not isinstance(outdir, str) or not outdir:
             raise ConfigError(f"out must be a nonempty string, got {outdir!r}")
-        if args.command in {"simulate", "hitprob", "lab"} and not args.skip_validation:
+        if args.handler in _GATED and not args.skip_validation:
             report = _run_validation(model, config, seed)
             if not report.passed:
                 raise ConfigError("model fails the standing conditions:\n" + report.summary())
@@ -464,8 +461,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.makedirs(outdir, exist_ok=True)
         except OSError as err:
             raise ConfigError(f"out {outdir!r} cannot be made a directory: {err}") from err
-        return _HANDLERS[args.command](config, model, seed, outdir)
-    except ConfigError as err:
+        return args.handler(config, model, seed, outdir)
+    # A chain that cannot move is a property of the configured model.
+    except (ConfigError, DegenerateStateError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ import numpy as np
 Point = tuple[float, ...]
 
 __all__ = [
+    "EMPTY",
     "Point",
     "Configuration",
     "RhoBall",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from .chain import (
     HyperplaneTarget,
     NullTarget,
     PairDistanceTarget,
-    TargetPiece,
     TargetSet,
     Trajectory,
     _own_stream,
@@ -42,12 +41,13 @@ from .chain import (
     hitting_estimate,
     simulate,
 )
-from .configurations import EMPTY, Configuration, RhoBall, _real, _whole_number
+from .configurations import EMPTY, Configuration, Point, RhoBall, _real, _whole_number
 from .measure import (
     BallSet,
     BoxRegion,
     EmptySingleton,
     LayerSet,
+    TargetPiece,
     lp_measure,
     sample_poisson_config,
 )
@@ -66,24 +66,6 @@ __all__ = [
     "run_default_suite",
     "describe_configuration",
 ]
-
-_CSV_COLUMNS = [
-    "experiment",
-    "case",
-    "start",
-    "target",
-    "max_steps",
-    "replicas",
-    "hits",
-    "estimate",
-    "ci_low",
-    "ci_high",
-    "target_measure",
-    "certified_bound",
-    "verdict",
-    "case_seed",
-]
-
 
 def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
     """Write ``rows`` under a ``columns`` header with ``\\n`` line ends, making the directory."""
@@ -106,9 +88,9 @@ def describe_configuration(state: Configuration) -> str:
     return f"n={len(state)}[{coords}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CaseRow:
-    """One (start, target) cell of an experiment."""
+    """One (start, target) cell of an experiment; the fields are the CSV columns, in order."""
 
     experiment: str
     case: int
@@ -120,20 +102,16 @@ class CaseRow:
     estimate: float
     ci_low: float
     ci_high: float
-    verdict: str
-    case_seed: str
     target_measure: float | None = None
     certified_bound: float | None = None
+    verdict: str
+    case_seed: str
 
     def as_csv_dict(self) -> dict[str, str]:
-        def fmt(value: object) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
+        return {column: "" if value is None else str(value) for column, value in asdict(self).items()}
 
-        return {column: fmt(getattr(self, column)) for column in _CSV_COLUMNS}
+
+_CSV_COLUMNS = [column.name for column in fields(CaseRow)]
 
 
 @dataclass(frozen=True)
@@ -200,10 +178,8 @@ def _row(
     **extra: float,
 ) -> CaseRow:
     """A report row carrying the hit count and Wilson interval of ``counts``."""
-    return CaseRow(
-        experiment, case, start, target, counts.max_steps, counts.replicas, counts.hits,
-        counts.estimate, counts.ci_low, counts.ci_high, verdict, case_seed, **extra,
-    )
+    return CaseRow(experiment=experiment, case=case, start=start, target=target, verdict=verdict,
+                   case_seed=case_seed, **asdict(counts), **extra)
 
 
 def _report(experiment: str, model: RateModel, seed: int | None, rows: Sequence[CaseRow],
@@ -223,12 +199,15 @@ def _certify_positive(piece: TargetPiece, samples: int, seed: np.random.SeedSequ
     if not isinstance(piece, LayerSet):
         raise ExperimentSetupError(f"positive-measure targets must be layer sets, got {piece.label()}")
     measured = lp_measure(piece, samples, seed)
-    if not measured.value > 0.0:
+    if measured.value > 0.0:
+        return measured.value
+    if measured.hits:
+        cause = (f"is hit by {measured.hits} of {measured.samples} draws, but its measure underflows "
+                 "to 0.0 in doubles; refusing to test a target whose measure cannot be reported")
+    else:
         how = f"in {measured.samples} draws" if measured.samples else "exactly"
-        raise ExperimentSetupError(
-            f"target {piece.label()} shows no mass {how}; refusing to test an apparently null target"
-        )
-    return measured.value
+        cause = f"shows no mass {how}; refusing to test an apparently null target"
+    raise ExperimentSetupError(f"target {piece.label()} {cause}")
 
 
 def positive_measure_experiment(
@@ -478,31 +457,36 @@ def default_starts(
     return starts
 
 
+def _along_first_axis(model: RateModel, *offsets: float) -> list[Point]:
+    """The immigration center moved by each offset along the first axis (``c + 0.0`` on the others).
+
+    Points at different offsets must stay different doubles; an interaction radius that
+    vanishes next to the center makes them coincide, and the suite refuses the model.
+    """
+    center = model.immigration_region.center
+    points = [(center[0] + offset, *[c + 0.0 for c in center[1:]]) for offset in offsets]
+    if len(set(points)) < len(points):
+        raise ExperimentSetupError(
+            f"interaction_radius {model.interaction_radius!r} vanishes next to immigration_center "
+            f"{list(center)!r}: the suite's points along the first axis coincide"
+        )
+    return points
+
+
 def default_ball_targets(model: RateModel) -> list[LayerSet]:
     """The default positive-measure targets: the empty singleton plus
     three bottleneck balls of a quarter interaction radius."""
-    center = model.immigration_region.center
     radius = model.interaction_radius
-    quarter = radius / 4.0
-    shift = tuple(
-        c + (radius / 3.0 if k == 0 else 0.0) for k, c in enumerate(center)
-    )
-    left = tuple(c - (radius / 6.0 if k == 0 else 0.0) for k, c in enumerate(center))
-    right = tuple(c + (radius / 6.0 if k == 0 else 0.0) for k, c in enumerate(center))
-    balls = [RhoBall(Configuration(points), quarter) for points in ([center], [shift], [left, right])]
+    _, shift, left, right = _along_first_axis(model, 0.0, radius / 3.0, -radius / 6.0, radius / 6.0)
+    balls = [RhoBall(Configuration(points), radius / 4.0)
+             for points in ([model.immigration_region.center], [shift], [left, right])]
     return [LayerSet(0, EmptySingleton())] + [LayerSet(ball.layer, BallSet(ball)) for ball in balls]
 
 
 def default_extinction_start(model: RateModel) -> Configuration:
     """Five occupied points strung along the first axis near the anchor."""
-    center = model.immigration_region.center
     gap = model.interaction_radius / 3.0
-    return Configuration(
-        [
-            tuple(c + (k * gap if axis == 0 else 0.0) for axis, c in enumerate(center))
-            for k in range(-2, 3)
-        ]
-    )
+    return Configuration(_along_first_axis(model, *(k * gap for k in range(-2, 3))))
 
 
 def run_default_suite(
@@ -533,7 +517,7 @@ def run_default_suite(
     ]
 
     null_targets = [
-        ExactPointTarget(tuple(c + (1.0 if k == 0 else 0.0) for k, c in enumerate(center))),
+        ExactPointTarget(_along_first_axis(model, 1.0)[0]),
         HyperplaneTarget(0, center[0] + 0.25),
         PairDistanceTarget(1.0),
     ]
@@ -560,12 +544,7 @@ def run_default_suite(
     )
 
     gap = model.interaction_radius / 6.0
-    goal = Configuration(
-        [
-            tuple(c - (gap if k == 0 else 0.0) for k, c in enumerate(center)),
-            tuple(c + (gap if k == 0 else 0.0) for k, c in enumerate(center)),
-        ]
-    )
+    goal = Configuration(_along_first_axis(model, -gap, gap))
     reports.append(
         theorem_pipeline(
             model,

@@ -147,7 +147,7 @@ def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Genera
 
 
 class TargetPiece(abc.ABC):
-    """One membership test a target set is built from (re-exported by ``chain``)."""
+    """One membership test a target set is built from."""
 
     @abc.abstractmethod
     def contains(self, state: Configuration) -> bool: ...
@@ -355,7 +355,8 @@ def ball_window(ball: RhoBall) -> BoxRegion:
 # Samples sorted, checked and turned into Python points per pass, which
 # bounds the Python objects alive at once.
 _SAMPLE_BLOCK = 4096
-# Redraws of a sample with a repeated point before its window is refused.
+# Draws in a row that repeat a point (a sample's, or a newborn on an
+# occupied one) before the window or the model is refused.
 _REDRAWS = 1000
 
 

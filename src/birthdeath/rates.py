@@ -37,7 +37,7 @@ from .configurations import (
     euclidean,
     unit_ball_volume,
 )
-from .measure import BallRegion, BoxRegion, sample_in_ball
+from .measure import _REDRAWS, BallRegion, BoxRegion, sample_in_ball
 
 __all__ = [
     "DegenerateStateError",
@@ -50,7 +50,15 @@ __all__ = [
 
 
 class DegenerateStateError(RuntimeError):
-    """Raised when a state has zero total jump rate and the chain cannot move."""
+    """Raised when the chain cannot move: a state with zero total jump rate, or no free birth location."""
+
+
+def _crowded_birth(model: RateModel) -> DegenerateStateError:
+    """The error for a birth whose ``_REDRAWS`` draws in a row all landed on occupied points."""
+    return DegenerateStateError(
+        f"{_REDRAWS} birth draws in a row landed on occupied points under {model.describe()}: "
+        "its birth balls hold too few doubles for a new point"
+    )
 
 
 class RateModel(abc.ABC):

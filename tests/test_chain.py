@@ -19,6 +19,7 @@ from birthdeath import (
     BoxRegion,
     Configuration,
     ContactModel,
+    DegenerateStateError,
     EmptySingleton,
     ExactPointTarget,
     HyperplaneTarget,
@@ -37,6 +38,7 @@ from birthdeath import (
     step,
     wilson_interval,
 )
+from conftest import alarm
 
 
 class TestKernelNormalization:
@@ -546,6 +548,38 @@ class TestLockstepBackend:
             assert derived.spawn_key == child.spawn_key
             assert (derived.generate_state(4) == child.generate_state(4)).all()
         assert fresh.n_children_spawned == 0
+
+
+# The immigration ball holds two doubles and a neighbour's ball only the
+# neighbour, and deaths are all but impossible: once both doubles are
+# occupied, every birth draw lands on an occupied point.
+CROWDED = dict(immigration_center=[1.0], immigration_radius=1e-16, interaction_radius=1e-300,
+               baseline_death=1e-300)
+
+
+class TestBirthRedrawLimit:
+    """A birth that keeps landing on occupied points raises after 1000 draws instead of hanging."""
+
+    @pytest.mark.parametrize("model_type", [ContactModel, _ScalarContact], ids=["fused", "advance"])
+    def test_simulate_and_scalar_hitting_raise(self, model_type):
+        model = model_type(**CROWDED)
+        # A box target keeps the hitting estimate on the scalar kernel.
+        box = TargetSet((LayerSet(1, AllInRegion(BoxRegion((5.0,), (6.0,)))),))
+        assert chain._lockstep_target(EMPTY, model, box) is None
+        with alarm(5):
+            with pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
+                simulate(EMPTY, model, None, 50, 1)
+            with pytest.raises(DegenerateStateError, match=r"contact\(d=1, r=1e-300"):
+                hitting_estimate(EMPTY, box, model, 50, 4, 1)
+
+    def test_lockstep_hitting_raises(self, monkeypatch):
+        model = ContactModel(**CROWDED)
+        empty = TargetSet((LayerSet(0, EmptySingleton()),))
+        assert chain._lockstep_target(EMPTY, model, empty) is not None
+        # Every row stays in the lockstep block to the end.
+        monkeypatch.setattr(_lockstep, "_TAIL", 0)
+        with alarm(5), pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
+            hitting_estimate(EMPTY, empty, model, 50, 64, 1)
 
 
 class TestChunkedReads:

@@ -140,6 +140,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and "immigration_radius" in err and "immigration_center" in err
 
+    def test_birth_with_no_free_location_exits_2(self, tmp_path, capsys):
+        # The immigration ball holds two doubles and deaths all but never
+        # happen, so every birth collides once both are occupied; this hung.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"].update(immigration_center=[1.0], immigration_radius=1e-16,
+                               interaction_radius=1e-300, baseline_death=1e-300)
+        config["simulate"] = {"initial": [], "max_steps": 50}
+        path = write_config(tmp_path, config)
+        with alarm(5):
+            code = main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--skip-validation"])
+        err = capsys.readouterr().err
+        assert code == 2 and "config error" in err and "1000 birth draws in a row" in err
+
     def test_missing_section_exits_2(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         del config["hitprob"]
@@ -527,6 +540,23 @@ class TestLabCommand:
         assert len(names) == 5
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_underflowing_ball_measure_exits_2_naming_the_underflow(self, tmp_path, capsys):
+        # The two-point ball's reference window has volume about 1e-300, so
+        # vol**2 / 2 is 0.0 in doubles although draws land in the ball.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"]["interaction_radius"] = 1e-300
+        assert main(["lab", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "underflows to 0.0" in err and "apparently null" not in err
+
+    def test_coinciding_suite_points_exit_2_naming_the_fields(self, tmp_path, capsys):
+        # A sixth of 1e-300 vanishes next to 1.0, so the goal's two points coincide.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"].update(interaction_radius=1e-300, immigration_center=[1.0])
+        assert main(["lab", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "interaction_radius" in err and "immigration_center" in err
 
     def test_seed_override_changes_rows(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -34,3 +34,19 @@ def test_import_starts_no_process_pool_machinery():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+SUBMODULES = ["chain", "configurations", "lab", "measure", "paths", "rates"]
+
+
+def test_package_api_is_the_union_of_the_module_lists():
+    lists = [importlib.import_module(f"birthdeath.{name}").__all__ for name in SUBMODULES]
+    assert birthdeath.__all__ == sorted({name for names in lists for name in names})
+
+
+def test_no_name_is_exported_by_two_modules():
+    owners = {}
+    for module in SUBMODULES:
+        for name in importlib.import_module(f"birthdeath.{module}").__all__:
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

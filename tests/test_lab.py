@@ -40,6 +40,7 @@ from birthdeath import (
 from birthdeath import chain, lab
 from birthdeath.chain import HittingEstimate
 from birthdeath.lab import describe_configuration
+from birthdeath.measure import sample_in_ball
 
 SMALL = SuiteSizes(
     max_steps=120,
@@ -388,8 +389,43 @@ class TestTheoremPipeline:
         assert "radius=0.05" in report.rows[0].target
 
 
+class _ImmigrationOnlyModel(ContactModel):
+    """The contact model with neighbour births switched off: condition 4 broken.
+
+    Births land only in the immigration ball, so a point never spawns
+    another near itself.  As a subclass it steps through ``_advance``.
+    """
+
+    def birth_rate(self, location, state):
+        return self.immigration_intensity if self.immigration_region.contains(location) else 0.0
+
+    def total_birth_mass(self, state):
+        return self._immigration_mass
+
+    def sample_birth_location(self, state, rng):
+        return sample_in_ball(self.immigration_region.center, self.immigration_region.radius, rng)
+
+
 class TestNegativeControls:
     """A model outside the standing conditions must FAIL where the paper's conclusion fails."""
+
+    def test_no_neighbour_births_leave_a_far_ball_unreached(self):
+        # Condition 4 broken: births stay in [-0.5, 0.5], so the ball around
+        # 1.5 (of positive measure) is never reached, while a ball inside the
+        # immigration ball still is, and the contact model reaches both.
+        m = _ImmigrationOnlyModel()
+        states = [EMPTY, Configuration([[0.0]]), Configuration([[0.0], [0.3]])]
+        report = validate_conditions(m, 4, states, seed=3)
+        assert [c.index for c in report.checks if not c.passed] == [4]
+        near, far = (LayerSet(1, BallSet(RhoBall(Configuration([[x]]), 0.25))) for x in (0.0, 1.5))
+        verdicts = {}
+        for model in (m, ContactModel()):
+            rows = positive_measure_experiment(
+                model, [near, far], [EMPTY], max_steps=400, replicas=40, seed=6, measure_samples=500,
+            ).rows
+            assert [r.target for r in rows] == [near.label(), far.label()]
+            verdicts[type(model)] = [r.verdict for r in rows]
+        assert verdicts == {_ImmigrationOnlyModel: ["PASS", "FAIL"], ContactModel: ["PASS", "PASS"]}
 
     def test_zero_death_floor_certifies_nothing_and_fails(self):
         # Condition 3 broken: no point ever dies, so no positive corridor
@@ -428,6 +464,31 @@ class TestSuiteAndReports:
         assert csv_dict["target_measure"] == ""
         assert csv_dict["certified_bound"] == ""
         assert csv_dict["estimate"] == "0.5"
+
+    def test_csv_columns_are_the_case_row_fields_in_order(self, tmp_path):
+        row = lab._row("x", 0, "empty", "t", HittingEstimate.from_counts(1, 4, 9), "PASS", "0:0",
+                       certified_bound=0.125)
+        report = lab.ExperimentReport("x", "m", "0", (row,))
+        report.write_csv(tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_text().splitlines() == [
+            "experiment,case,start,target,max_steps,replicas,hits,estimate,ci_low,ci_high,"
+            "target_measure,certified_bound,verdict,case_seed",
+            f"x,0,empty,t,9,4,1,0.25,{row.ci_low!r},{row.ci_high!r},,0.125,PASS,0:0",
+        ]
+        with pytest.raises(TypeError):
+            CaseRow("x", 0, "empty", "t", 9, 4, 1, 0.25, 0.0, 1.0, "PASS", "0:0")
+
+    def test_suite_points_keep_distinct_offsets_apart(self):
+        # 1.0 + 1e-300 / 3 == 1.0, so the extinction start's points would coincide.
+        tiny = ContactModel(interaction_radius=1e-300, immigration_center=[1.0])
+        with pytest.raises(ExperimentSetupError, match="interaction_radius 1e-300 .*immigration_center"):
+            lab.default_extinction_start(tiny)
+        # One point never coincides with itself: the null target may sit on the center.
+        assert lab._along_first_axis(tiny, 1e-300) == [(1.0,)]
+        # Shifted points take c + 0.0 on the other axes, so a -0.0 coordinate
+        # prints as 0.0; the first ball keeps the center as given.
+        signed = ContactModel(dimension=2, immigration_center=[0.0, -0.0])
+        assert not any("-0.0" in target.label() for target in lab.default_ball_targets(signed)[2:])
 
     def test_default_suite_shape_and_determinism(self):
         m = ContactModel()
