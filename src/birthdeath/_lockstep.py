@@ -144,8 +144,9 @@ def count_hits(
         pick = pick * (imm + per * size)
         offset = 2.0 * offset - 1.0
         immigrant = (pick < imm) | (size == 0)
-        component = np.minimum(((pick - imm) / per).astype(np.intp), size - 1)
-        parent = pts[rows, np.maximum(component, 0)]
+        # Clipped before the cast, which an immigrant's quotient could overflow.
+        component = np.clip((pick - imm) / per, 0, size - 1).astype(np.intp)
+        parent = pts[rows, component]
         location = np.where(immigrant, anchor + imm_radius * offset, parent + radius * offset)
         # Rows are sorted, so the newborn collides with an occupied
         # point exactly when it equals the first point not below it.

@@ -245,8 +245,11 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     the sorted pairing is an optimal one, and ``math.dist`` on 1-tuples
     is ``abs(x - y)`` with monotone rounding, so the distance is the
     largest ``abs(x - y)`` over the sorted points.  In d >= 2 the
-    optimum is one of the pairwise Euclidean distances, found by a
-    threshold binary search with a perfect-matching feasibility test.
+    optimum is one of the pairwise Euclidean distances and at least the
+    floor, the largest distance from a point of either set to the
+    nearest point of the other.  The floor is tested first with a
+    perfect-matching feasibility test; if it fails, a threshold binary
+    search runs over the larger distances.
 
     Configurations of different sizes are at distance ``inf``; two empty
     configurations are at distance ``0.0``.
@@ -267,15 +270,16 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     rows = [[dist(x, y) for y in b] for x in a]
     if n == 2:
         return min(max(rows[0][0], rows[1][1]), max(rows[0][1], rows[1][0]))
-    candidates = sorted({v for row in rows for v in row})
-    lo, hi = 0, len(candidates) - 1
+    floor = max(max(map(min, rows)), max(map(min, zip(*rows))))
+    candidates = sorted({v for row in rows for v in row if v >= floor})
+    lo, hi, mid = 0, len(candidates) - 1, 0
     while lo < hi:
-        mid = (lo + hi) // 2
         threshold = candidates[mid]
         if _perfect_matching_exists([[j for j, v in enumerate(row) if v <= threshold] for row in rows]):
             hi = mid
         else:
             lo = mid + 1
+        mid = (lo + hi) // 2
     return candidates[lo]
 
 
@@ -283,15 +287,18 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     """Whether ``candidate`` lies in the closed bottleneck ball.
 
     Equivalent to ``distance_rho(candidate, ball.center) <= ball.radius``
-    and decided from the same ``math.dist(x, y) <= radius`` comparisons.
-    In d=1 it is one pass over the sorted points that stops at the first
-    gap above the radius.  In d >= 2 a two-point ball is decided from its
-    two pairings, the identity and the cross one.  Otherwise each
-    candidate point scans the center points and stops at the first one
-    within the radius; a point with none rejects at once.  A one-point
-    candidate that passes is a member, and a larger one is decided by a
-    perfect matching of its points to the centers within the radius of
-    each.  A candidate of a different cardinality is never a member.
+    and decided from the same ``math.dist(x, y) <= radius`` comparisons,
+    exact necessary conditions first.  The sorted points pair the sorted
+    first coordinates, an optimal pairing of the projections onto the
+    first axis, and ``math.dist(x, y) >= abs(x[0] - y[0])``, so one pass
+    rejects at the first gap above the radius; in d=1 it is the whole
+    test.  In d >= 2 a two-point ball is decided from its two pairings.
+    Otherwise each candidate point scans the centers and stops at the
+    first one within the radius, and a point with none rejects; a
+    one-point candidate that passes is a member.  For more points each
+    center then scans the candidate points the same way, and only then
+    does a perfect matching of the points to their near centers decide.
+    A candidate of a different cardinality is never a member.
     """
     a = candidate._points
     b = ball.center._points
@@ -302,10 +309,10 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     if len(a[0]) != d:
         _check_same_dimension(candidate, ball.center)
     radius = ball.radius
+    for x, y in zip(a, b):
+        if abs(x[0] - y[0]) > radius:
+            return False
     if d == 1:
-        for (x,), (y,) in zip(a, b):
-            if abs(x - y) > radius:
-                return False
         return True
     dist = math.dist
     if n == 2:
@@ -318,9 +325,17 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
                 break
         else:
             return False
-    # The scan stops at the first near center, which rejects most
+    if n == 1:
+        return True
+    for y in b:
+        for x in a:
+            if dist(x, y) <= radius:
+                break
+        else:
+            return False
+    # The scans stop at the first near partner, which rejects most
     # candidates early, so the near-center lists are built only here.
-    return n == 1 or _perfect_matching_exists(
+    return _perfect_matching_exists(
         [[j for j, y in enumerate(b) if dist(x, y) <= radius] for x in a]
     )
 

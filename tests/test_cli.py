@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -572,12 +574,31 @@ class TestLabCommand:
 class TestReadme:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
+    block = readme.split("A config that exercises every subcommand:")[1]
+    config = json.loads(block.split("```json")[1].split("```")[0])
+
     def test_config_block_runs(self, tmp_path, capsys):
-        block = self.readme.split("A config that exercises every subcommand:")[1]
         path = tmp_path / "readme.json"
-        path.write_text(block.split("```json")[1].split("```")[0])
+        path.write_text(json.dumps(self.config))
         for command in ("simulate", "hitprob", "path", "measure"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0, command
+
+    def test_hitprob_with_a_tiny_interaction_radius_prints_no_warning(self, tmp_path):
+        # The immigration mass is then more than 2**63 per-neighbour masses,
+        # so the lockstep kernel's discarded immigrant quotients exceed intp.
+        config = copy.deepcopy(self.config)
+        config["model"]["interaction_radius"] = 1e-300
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(config))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = f"import sys; sys.path.insert(0, {src!r}); from birthdeath.cli import main; sys.exit(main())"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "hitprob", "--config", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.startswith("hitprob:")
 
     # One piece of every kind, with the fields the README's kind list names.
     examples = {

@@ -24,6 +24,7 @@ from birthdeath import (
     RhoBall,
     SuiteSizes,
     build_path,
+    configurations,
     corridor_step_bound,
     death_probability,
     distance_rho,
@@ -51,6 +52,19 @@ def brute_force_rho(first, second):
         if worst < best:
             best = worst
     return best
+
+
+def count_matchings(monkeypatch):
+    """A list that gains one entry per ``_perfect_matching_exists`` call."""
+    calls = []
+    matching = configurations._perfect_matching_exists
+
+    def counted(adjacency):
+        calls.append(adjacency)
+        return matching(adjacency)
+
+    monkeypatch.setattr(configurations, "_perfect_matching_exists", counted)
+    return calls
 
 
 def random_config(rng, n, d, low=-2.0, high=2.0):
@@ -239,7 +253,9 @@ class TestInBall:
             max(math.dist(x, y) for x, y in zip(a.points, pairing))
             for pairing in itertools.permutations(b.points)
         )
-        for value in {math.dist(x, y) for x in a.points for y in b.points}:
+        # The first-axis gaps are probed too, where the gap test decides.
+        gaps = {abs(x[0] - y[0]) for x in a.points for y in b.points}
+        for value in {math.dist(x, y) for x in a.points for y in b.points} | gaps:
             for r in (math.nextafter(value, 0), value, math.nextafter(value, math.inf)):
                 if r > 0:
                     assert in_ball(a, RhoBall(b, r)) == (reference <= r), r
@@ -255,11 +271,69 @@ class TestInBall:
 
     def test_every_point_near_a_center_without_a_matching(self):
         # Both points near the origin have only that center within 0.5.
+        # Sorted, the second of them pairs with (10, 0), so the first-axis
+        # gap test rejects before any scan or matching.
         b = Configuration([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
         a = Configuration([[0.0, 0.1], [0.0, -0.1], [20.0, 0.1]])
         assert all(min(math.dist(x, y) for y in b.points) <= 0.5 for x in a.points)
         assert not in_ball(a, RhoBall(b, 0.5))
         assert in_ball(a, RhoBall(b, distance_rho(a, b)))
+
+    @settings(max_examples=500)
+    @given(data=st.data(), d=st.integers(2, 4))
+    def test_distance_is_never_below_an_axis_gap(self, data, d):
+        # The gap test is exact only because math.dist never rounds below
+        # a coordinate difference, which bounds the true distance below.
+        coord = (
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(-1e-300, 1e-300)
+            | st.floats(1e300, 1.7e308)
+            | st.floats(-1.7e308, -1e300)
+        )
+        x, y = (data.draw(st.tuples(*[coord] * d)) for _ in range(2))
+        for k in range(d):
+            assert math.dist(x, y) >= abs(x[k] - y[k])
+
+    def test_first_axis_gap_at_the_radius_is_inside(self):
+        ball = RhoBall(Configuration([[0.0, 0.0]]), 1.0)
+        assert in_ball(Configuration([[1.0, 0.0]]), ball)
+        assert not in_ball(Configuration([[math.nextafter(1.0, 2.0), 0.0]]), ball)
+
+    def test_only_the_matching_rejects(self, monkeypatch):
+        a = Configuration([[0.5, 1.25], [0.75, 1.25], [1.5, 0.0]])
+        b = Configuration([[0.25, 0.5], [0.75, 0.0], [2.0, 0.25]])
+        assert all(abs(x[0] - y[0]) <= 1.0 for x, y in zip(a.points, b.points))
+        rows = [[math.dist(x, y) for y in b.points] for x in a.points]
+        assert all(min(row) <= 1.0 for row in rows)
+        assert all(min(column) <= 1.0 for column in zip(*rows))
+        # (0.5, 1.25) and (0.75, 1.25) have only (0.25, 0.5) within 1.
+        assert [[v <= 1.0 for v in row] for row in rows] == [
+            [True, False, False], [True, False, False], [False, True, True]
+        ]
+        calls = count_matchings(monkeypatch)
+        assert not in_ball(a, RhoBall(b, 1.0))
+        assert len(calls) == 1
+        # The floor, the largest nearest-partner distance, is infeasible,
+        # so the search goes on above it.
+        floor = max(max(map(min, rows)), max(map(min, zip(*rows))))
+        assert 0.9 < floor < 1.0
+        assert distance_rho(a, b) == brute_force_rho(a, b) > floor
+
+    def test_matchings_run_only_for_members_of_far_apart_balls(self, monkeypatch):
+        # The centers are more than 2r apart, so a point is near at most
+        # one center, and once both scans pass the near centers already
+        # pair the points off: no non-member reaches the matching.
+        ball = RhoBall(Configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 0.45)
+        calls = count_matchings(monkeypatch)
+        members = 0
+        for points in np.random.default_rng(20).uniform(-0.5, 1.5, size=(4000, 4, 2)):
+            candidate = Configuration(points)
+            calls.clear()
+            member = in_ball(candidate, ball)
+            assert len(calls) == member
+            assert member == (brute_force_rho(candidate, ball.center) <= 0.45)
+            members += member
+        assert members >= 20
 
     def test_d2_point_exactly_at_the_radius(self):
         ball = RhoBall(Configuration([[0.0, 0.0]]), 5.0)
