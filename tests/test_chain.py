@@ -312,6 +312,43 @@ GOLDEN_D2 = (
     ("birth", (0.5486967637452896, -0.21311331764571756)),
     ("birth", (0.5250650331860021, -0.599910359116665)),
 )
+# The d=1 stream: a crowded and an uncrowded trajectory, and a lockstep
+# hit count; the d >= 2 ball draw never touches them.
+GOLDEN_D1 = {
+    "crowding": (
+        ("birth", (-0.1905479691183083,)),
+        ("birth", (-0.4155363694398964,)),
+        ("death", (-0.2,)),
+        ("death", (0.0,)),
+        ("birth", (0.08875931553973015,)),
+        ("birth", (0.06573105102583054,)),
+        ("death", (-0.4155363694398964,)),
+        ("birth", (0.8988568769029939,)),
+        ("birth", (-0.7778601463472476,)),
+        ("birth", (-0.027944466094799836,)),
+        ("death", (0.08875931553973015,)),
+        ("death", (0.8988568769029939,)),
+        ("birth", (-1.2417344072119891,)),
+        ("death", (-0.7778601463472476,)),
+        ("birth", (-0.46385033114900454,)),
+        ("death", (0.3,)),
+    ),
+    "plain": (
+        ("birth", (-0.28093446449271703,)),
+        ("birth", (-0.17168086786139541,)),
+        ("birth", (-0.33289682361127304,)),
+        ("birth", (-0.20658338617530703,)),
+        ("birth", (-0.6675652281611042,)),
+        ("birth", (0.004614745338774651,)),
+        ("birth", (-0.2013444041154393,)),
+        ("birth", (0.3428381603113149,)),
+        ("birth", (-0.06473685930919273,)),
+        ("birth", (-0.15362969761360676,)),
+        ("birth", (-0.24795430804844432,)),
+        ("death", (0.2,)),
+    ),
+    "lockstep_hits": (258, 500),
+}
 GOLDEN_D3 = (
     ("birth", (0.01774139698682003, 0.24101114953907904, -0.6170024532643117)),
     ("birth", (-0.31956810783791306, 0.5412136745565292, -0.3995388556469691)),
@@ -329,6 +366,25 @@ GOLDEN_D3 = (
 
 
 class TestGoldenMoves:
+    def test_d1_crowding_trajectory(self):
+        m = ContactModel(crowding_death=0.3, immigration_intensity=3.0,
+                         neighbor_intensity=1.5, baseline_death=0.4)
+        traj = simulate(Configuration([[0.0], [0.3], [-0.2]]), m, None, 16, 2024)
+        assert tuple((e.kind, e.point) for e in traj.events) == GOLDEN_D1["crowding"]
+
+    def test_d1_trajectory(self):
+        m = ContactModel(interaction_radius=0.8, immigration_intensity=3.0,
+                         neighbor_intensity=2.0, baseline_death=0.4)
+        traj = simulate(Configuration([[0.2], [-0.3]]), m, None, 12, 99)
+        assert tuple((e.kind, e.point) for e in traj.events) == GOLDEN_D1["plain"]
+
+    def test_d1_lockstep_hit_count(self):
+        start, model = Configuration([[0.1]]), ContactModel()
+        target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([[-1 / 6], [1 / 6]]), 0.25))),))
+        assert chain._lockstep_target(start, model, target) is not None
+        est = hitting_estimate(start, target, model, 6, 500, 77)
+        assert (est.hits, est.replicas) == GOLDEN_D1["lockstep_hits"]
+
     def test_d2_crowding_trajectory(self):
         m = ContactModel(dimension=2, crowding_death=0.3, immigration_intensity=3.0,
                          neighbor_intensity=1.5, baseline_death=0.4)
