@@ -11,10 +11,10 @@ so each replica's uniforms are drawn in fixed-size chunks.  All
 arithmetic repeats the scalar kernel's operations in the same order,
 which makes hit counts bit-identical to it.
 
-The same reading rule serves the scalar kernel: :class:`Reader` hands
-out a generator's uniforms one by one from chunks, and a block hands
-its last few live replicas back, with their unread uniforms, to be
-finished one at a time.
+The same reading rule serves the scalar kernel in every dimension:
+:class:`Reader` hands out a generator's uniforms one by one from
+chunks, and a block hands its last few live replicas back, with their
+unread uniforms, to be finished one at a time.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ class Reader:
     """Stand-in generator whose ``random()`` returns a generator's uniforms in order.
 
     It returns the doubles of ``head`` first and then those successive
-    ``rng.random()`` calls would, read ``_CHUNK`` at a time: about
-    0.12 us a draw against 0.4-0.9 us for ``Generator.random()`` (timeit,
-    2-core Xeon).  It reads ahead, so ``rng`` must belong to the reader
-    alone.
+    ``rng.random()`` calls would, read ``_CHUNK`` at a time (0.12 us a
+    draw against 0.4-0.9 us, timeit, 2-core Xeon), for the contact walk
+    in any dimension.  It reads ahead, so ``rng`` must be its alone.
     """
 
     __slots__ = ("random",)

@@ -365,13 +365,13 @@ def _own_stream(
 ) -> np.random.Generator | _lockstep.Reader:
     """``rng`` for a walk that owns it, behind a chunked reader where that gives the same moves.
 
-    Every draw the kernel makes for the d=1 contact model itself is
-    ``rng.random()`` (crowding changes only the death rates), so a
+    Every draw the kernel makes for the contact model itself, in any
+    dimension and with or without crowding, is ``rng.random()``, so a
     :class:`~birthdeath._lockstep.Reader` hands out the same doubles for
     less; a subclass may draw otherwise.  The reader reads ahead, so the
     caller must not read ``rng`` again.
     """
-    if type(model) is ContactModel and model.dimension == 1:
+    if type(model) is ContactModel:
         return _lockstep.Reader(rng)
     return rng
 

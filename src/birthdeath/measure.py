@@ -130,17 +130,31 @@ class BallRegion:
 
 
 def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Generator) -> Point:
-    """Draw a uniform point in the closed Euclidean ball."""
+    """Draw a uniform point in the closed Euclidean ball from ``rng.random()`` calls alone.
+
+    d=1: one offset.  d=2: an angle ``2 pi u``, then a distance
+    ``radius * sqrt(u')``.  d >= 3: Box-Muller pairs (magnitude
+    ``sqrt(-2 log(1-u))``, angle ``2 pi u'``) cut to d coordinates and
+    normalised, redrawn if all zero, then a distance ``radius * u'' ** (1/d)``.
+    """
     d = len(center)
+    random = rng.random
     if d == 1:
-        return (float(center[0] + radius * (2.0 * rng.random() - 1.0)),)
+        return (float(center[0] + radius * (2.0 * random() - 1.0)),)
+    if d == 2:
+        angle, scale = math.tau * random(), radius * math.sqrt(random())
+        return (center[0] + scale * math.cos(angle), center[1] + scale * math.sin(angle))
     while True:
-        direction = rng.standard_normal(d)
-        norm = math.sqrt(direction.dot(direction))
+        direction = []
+        for _ in range((d + 1) // 2):
+            magnitude, angle = math.sqrt(-2.0 * math.log(1.0 - random())), math.tau * random()
+            direction += (magnitude * math.cos(angle), magnitude * math.sin(angle))
+        del direction[d:]
+        norm = math.hypot(*direction)
         if norm > 0.0:
             break
-    scale = radius * rng.random() ** (1.0 / d) / norm
-    return tuple([c + scale * v for c, v in zip(center, direction.tolist())])
+    scale = radius * random() ** (1.0 / d) / norm
+    return tuple([c + scale * v for c, v in zip(center, direction)])
 
 
 # --- layer sets -------------------------------------------------------

@@ -291,26 +291,27 @@ class TestWilsonInterval:
             assert low <= hits / total <= high
 
 
-# Moves recorded with the ball draw's norm taken as ``direction @ direction``
-# and with every layer set testing its own size; any change to the draws,
-# the crowding rates or the step kernel shows here.
+# Moves recorded with the uniform-only ball draw (angle and radius in
+# d=2, Box-Muller pairs in d >= 3) and with every layer set testing its
+# own size; any change to the draws, the crowding rates or the step
+# kernel shows here.
 GOLDEN_D2 = (
-    ("birth", (0.5608397580136064, -0.2456972676814292)),
+    ("birth", (-0.5262864792420119, 1.2324681556904655)),
+    ("birth", (-0.1520227519420308, 1.4343356273751826)),
+    ("birth", (-1.1926574177724167, 0.816827341878966)),
+    ("death", (-0.1520227519420308, 1.4343356273751826)),
+    ("birth", (-0.48205456036474914, 0.10737294928743862)),
+    ("birth", (-0.40711430411254446, 0.8042865028881211)),
+    ("birth", (-0.1999090782914829, 0.9059177952822348)),
     ("death", (0.3, 0.1)),
-    ("death", (0.0, 0.0)),
-    ("birth", (0.397798509007626, 0.9093569047848842)),
-    ("death", (0.5608397580136064, -0.2456972676814292)),
-    ("birth", (0.22705170931446628, -0.3851034028806462)),
-    ("birth", (0.07457412343077713, -0.05016713616637497)),
-    ("birth", (-0.07671659513978814, -0.10315656416373176)),
-    ("birth", (-0.3986253619046763, 0.251661141923498)),
-    ("birth", (1.1389880300310562, -0.7502093535831327)),
-    ("birth", (0.4958686642749674, -0.0729237332168387)),
-    ("birth", (0.31801183199560573, -0.8283072525006685)),
-    ("death", (0.4958686642749674, -0.0729237332168387)),
-    ("death", (-0.3986253619046763, 0.251661141923498)),
-    ("birth", (0.5486967637452896, -0.21311331764571756)),
-    ("birth", (0.5250650331860021, -0.599910359116665)),
+    ("birth", (-0.5564374438824542, 1.4969916963468834)),
+    ("birth", (-0.1464220300887793, 1.153181177319009)),
+    ("birth", (-1.3696578307701563, 1.0003481451591298)),
+    ("birth", (-1.3567067917991436, 1.4300216831693269)),
+    ("birth", (-1.1140737760746566, 0.7665002070323961)),
+    ("birth", (-0.17904762678960043, 0.5530793493090683)),
+    ("birth", (-0.8433863275500264, 1.9368794163038974)),
+    ("death", (-0.2, 0.4)),
 )
 # The d=1 stream: a crowded and an uncrowded trajectory, and a lockstep
 # hit count; the d >= 2 ball draw never touches them.
@@ -350,18 +351,18 @@ GOLDEN_D1 = {
     "lockstep_hits": (258, 500),
 }
 GOLDEN_D3 = (
-    ("birth", (0.01774139698682003, 0.24101114953907904, -0.6170024532643117)),
-    ("birth", (-0.31956810783791306, 0.5412136745565292, -0.3995388556469691)),
-    ("birth", (0.14351629207388458, 0.4085705167980243, -0.38339397148863613)),
-    ("birth", (0.33129518422779863, -0.161667893036407, 0.3088613841156158)),
-    ("birth", (-0.19912649135396723, 0.9440908018454235, -0.3124650320092772)),
-    ("death", (0.2, -0.3, 0.1)),
-    ("death", (-0.19912649135396723, 0.9440908018454235, -0.3124650320092772)),
-    ("birth", (0.10182879166029501, 0.6896466836170569, -0.7373670896910792)),
-    ("birth", (0.17338813978116016, 0.41356491180536353, 0.01642295379225811)),
-    ("birth", (-0.09613559698050383, 0.8380461703739068, 0.13760273347855884)),
-    ("birth", (0.1845602967950851, 0.0019118489993820154, 0.4912637114100267)),
-    ("birth", (-0.4545953704423922, 0.42029199068701256, -0.8456776929427736)),
+    ("birth", (0.35849437667674094, -0.06329549685918723, -0.38183864476518176)),
+    ("birth", (0.7197767260732646, -0.5428255339001824, -0.014579317457994068)),
+    ("birth", (-0.11355359144513072, 0.002390197483396861, 0.41015594969551006)),
+    ("birth", (-0.3374126431876711, -0.06784169865901807, -0.23486293783601445)),
+    ("birth", (0.2533361645336467, 0.11720939452776387, 0.267928432146872)),
+    ("birth", (0.2502540309051157, -0.5842584367451548, -0.30159571947013764)),
+    ("birth", (-0.20743695761572623, -0.9976640551196347, -0.05440865750189508)),
+    ("birth", (0.2584630407356066, -1.1272600944191118, 0.014851145304729918)),
+    ("birth", (-0.39376287325475495, -1.2731947112049364, 0.004921580263389354)),
+    ("death", (0.7197767260732646, -0.5428255339001824, -0.014579317457994068)),
+    ("birth", (-0.6335633016741817, 0.395074646889231, 0.362644696229168)),
+    ("birth", (0.25122447241182266, -0.6781003138516769, -0.7048599184945061)),
 )
 
 
@@ -639,9 +640,9 @@ class TestBirthRedrawLimit:
 
 
 class TestChunkedReads:
-    # Contact walks take the fused kernel, and d=1 walks that own their
-    # generator read uniforms in chunks; _ScalarContact steps with
-    # _advance and reads draw by draw, the reference.
+    # Contact walks take the fused kernel, and walks that own their
+    # generator read uniforms in chunks in every dimension; _ScalarContact
+    # steps with _advance and reads draw by draw, the reference.
     @pytest.mark.parametrize("crowding", [0.0, 0.4])
     def test_simulate_equals_per_draw_reads(self, crowding):
         rng = np.random.default_rng(0)
@@ -653,7 +654,7 @@ class TestChunkedReads:
             center = Configuration([[-0.4] + pad, [0.6] + pad])
             target = TargetSet((LayerSet(len(center), BallSet(RhoBall(center, 0.2))),))
             reads_chunks = isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
-            assert reads_chunks == (dimension == 1)
+            assert reads_chunks
             assert chain._own_stream(rng, per_draw) is rng
             for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
                 for initial, goal in ((EMPTY, None), (start, target)):
@@ -678,25 +679,30 @@ class TestChunkedReads:
         assert moves[0][1:] == ("birth", (159.5,))
 
     def test_collision_redraws_across_a_chunk_boundary(self):
-        model = ContactModel(immigration_intensity=2.0, neighbor_intensity=0.5)
-        start = Configuration([[0.0], [0.5]])
-        straddled = 0
-        for seed in range(20):
-            rng, state, moves = _Lattice(seed), start, []
-            for _ in range(200):
-                before = rng.used
-                state, kind, point = chain._advance(state, model, rng)
-                moves.append((state, kind, point))
-                # A redrawn birth that reads on both sides of a chunk
-                # edge straddles it.
-                edges = range(_lockstep._CHUNK, rng.used, _lockstep._CHUNK)
-                straddled += kind == "birth" and rng.used - before > 3 and any(
-                    before < edge < rng.used for edge in edges
-                )
-            reader = chain._own_stream(_Lattice(seed), model)
-            assert isinstance(reader, _lockstep.Reader)
-            assert list(chain._walk(start, model, reader, 200)) == moves, seed
-        assert straddled >= 10
+        # A birth without a redraw reads the move, the component and the
+        # ball draw: one uniform in d=1, an angle and a radius in d=2.
+        # In d=2 a radius uniform of 0 puts the newborn on its parent.
+        for dimension in (1, 2):
+            model = ContactModel(dimension=dimension, immigration_intensity=2.0, neighbor_intensity=0.5)
+            start = Configuration([[0.0] * dimension, [0.5] * dimension])
+            birth_reads = 2 + dimension
+            straddled = 0
+            for seed in range(20):
+                rng, state, moves = _Lattice(seed), start, []
+                for _ in range(200):
+                    before = rng.used
+                    state, kind, point = chain._advance(state, model, rng)
+                    moves.append((state, kind, point))
+                    # A redrawn birth that reads on both sides of a chunk
+                    # edge straddles it.
+                    edges = range(_lockstep._CHUNK, rng.used, _lockstep._CHUNK)
+                    straddled += kind == "birth" and rng.used - before > birth_reads and any(
+                        before < edge < rng.used for edge in edges
+                    )
+                reader = chain._own_stream(_Lattice(seed), model)
+                assert isinstance(reader, _lockstep.Reader)
+                assert list(chain._walk(start, model, reader, 200)) == moves, (dimension, seed)
+            assert straddled >= 10, dimension
 
     def test_a_callers_generator_is_read_draw_by_draw(self):
         d1 = (ContactModel(), _ScalarContact(), Configuration([[0.0], [0.3]]))

@@ -8,11 +8,13 @@ boxes weighs the product of volumes, and the empty singleton weighs 1.
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from birthdeath import measure
 from birthdeath import (
@@ -77,51 +79,85 @@ class TestRegions:
         sigma = math.sqrt(1.0 / 18.0 / draws)  # Var(R) = 1/18 for d=2
         assert abs(mean - 2.0 / 3.0) <= 4 * sigma
 
-    @pytest.mark.parametrize("dimension", [2, 3])
-    def test_ball_draw_in_python_floats_equals_numpy_scalars(self, dimension):
-        # The point is built from direction.tolist(); the reference
-        # repeats the draws on a twin generator and builds it from NumPy
-        # scalars, as the ball draw once did.
-        mine, twin = np.random.default_rng(dimension), np.random.default_rng(dimension)
-        center, radius = (0.3, -1.7, 2.9)[:dimension], 0.6
-        for _ in range(100_000):
-            point = sample_in_ball(center, radius, mine)
-            while True:
-                direction = twin.standard_normal(dimension)
-                norm = math.sqrt(float(direction @ direction))
-                if norm > 0.0:
-                    break
-            scale = radius * twin.random() ** (1.0 / dimension) / norm
-            assert point == tuple(float(c + scale * v) for c, v in zip(center, direction))
-        assert all(type(c) is float for c in point)
-
     @settings(max_examples=150)
     @given(
-        dimension=st.integers(2, 5),
+        dimension=st.integers(1, 5),
         coords=st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5),
         radius=st.floats(1e-6, 1e3),
         seed=st.integers(0, 2**63),
         draws=st.integers(1, 20),
     )
-    def test_ball_draw_equals_its_matmul_form(self, dimension, coords, radius, seed, draws):
-        # The norm is taken with ndarray.dot; the reference is the draw
-        # as it was written with ``@`` and a generator expression.
-        def matmul_draw(center, radius, rng):
+    def test_ball_draw_equals_its_uniform_form(self, dimension, coords, radius, seed, draws):
+        # The reference writes the draw out from a twin generator's
+        # uniforms: an offset in d=1, an angle and a radius in d=2, and
+        # Box-Muller pairs cut to d coordinates, then a radius, in d >= 3.
+        def uniform_draw(center, radius, rng):
             d = len(center)
+            if d == 1:
+                return (center[0] + radius * (2.0 * rng.random() - 1.0),)
+            if d == 2:
+                angle, length = 2.0 * math.pi * rng.random(), radius * math.sqrt(rng.random())
+                return (center[0] + length * math.cos(angle), center[1] + length * math.sin(angle))
             while True:
-                direction = rng.standard_normal(d)
-                norm = math.sqrt(float(direction @ direction))
+                normals = []
+                for _ in range((d + 1) // 2):
+                    magnitude = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                    angle = 2.0 * math.pi * rng.random()
+                    normals += [magnitude * math.cos(angle), magnitude * math.sin(angle)]
+                norm = math.hypot(*normals[:d])
                 if norm > 0.0:
                     break
             scale = radius * rng.random() ** (1.0 / d) / norm
-            return tuple(c + scale * v for c, v in zip(center, direction.tolist()))
+            return tuple(c + scale * v for c, v in zip(center, normals[:d]))
 
         center = tuple(coords[:dimension])
         mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(draws):
-            got, want = sample_in_ball(center, radius, mine), matmul_draw(center, radius, twin)
+            got, want = sample_in_ball(center, radius, mine), uniform_draw(center, radius, twin)
             assert [c.hex() for c in got] == [c.hex() for c in want]
             assert mine.bit_generator.state == twin.bit_generator.state
+        assert all(type(c) is float for c in got)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+    def test_ball_draw_reads_only_uniforms(self, dimension):
+        # Chunked readers stand in for the generator on this property: an
+        # object with nothing but ``random`` must give the same points.
+        mine, twin = np.random.default_rng(dimension), np.random.default_rng(dimension)
+        bare = SimpleNamespace(random=twin.random)
+        center = (0.3, -1.7, 2.9, 0.5, -0.8)[:dimension]
+        for _ in range(2000):
+            assert sample_in_ball(center, 0.6, mine) == sample_in_ball(center, 0.6, bare)
+        assert mine.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 5])
+    def test_ball_draw_is_uniform_in_radius_and_direction(self, dimension):
+        # Chi-square over equal-volume shells, radii r (k/K)^(1/d), and
+        # over directions: angular sectors in d=2, and in d >= 3 the last
+        # direction coordinate t, for which (t + 1) / 2 is
+        # Beta((d-1)/2, (d-1)/2) (uniform on [-1, 1] in d=3).  In odd d
+        # the last coordinate comes from a cut Box-Muller pair.
+        rng = np.random.default_rng(100 + dimension)
+        center, radius = (0.3, -1.7, 2.9, 0.5, -0.8)[:dimension], 0.7
+        draws, bins, alpha = 20_000, 20, 1e-3
+        shells, sectors = np.zeros(bins), []
+        for _ in range(draws):
+            point = sample_in_ball(center, radius, rng)
+            offset = [p - c for p, c in zip(point, center)]
+            length = math.hypot(*offset)
+            shells[min(int(bins * (length / radius) ** dimension), bins - 1)] += 1
+            if dimension == 2:
+                sectors.append(math.atan2(offset[1], offset[0]) / math.pi)
+            else:
+                sectors.append(offset[-1] / length)
+        assert stats.chisquare(shells).pvalue >= alpha
+        edges = np.linspace(-1.0, 1.0, bins + 1)
+        observed = np.histogram(sectors, edges)[0]
+        if dimension == 2:
+            expected = np.full(bins, draws / bins)
+        else:
+            half = (dimension - 1) / 2
+            expected = draws * np.diff(stats.beta.cdf((edges + 1.0) / 2.0, half, half))
+        assert stats.chisquare(observed, expected).pvalue >= alpha
 
     def test_ball_sampling_d1_covers_both_sides(self):
         rng = np.random.default_rng(5)
