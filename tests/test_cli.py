@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -582,6 +583,31 @@ class TestReadme:
         path.write_text(json.dumps(self.config))
         for command in ("simulate", "hitprob", "path", "measure"):
             assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0, command
+
+    # SHA-256 of every file the README config writes, the lab at --seed 1.  Any
+    # change to these bytes changes what the README documents, so it must be deliberate.
+    digests = {
+        "lab/lab_extinction.csv": "1d9c98220253ec24f04c6b120e62442d3a5fbae856e9602575109c15d0c34b3e",
+        "lab/lab_null_set.csv": "9d4cc4a04a3c6a2668684ae0697a41b20ae21a2171c0cb1474040d211465f895",
+        "lab/lab_one_step_null_preservation.csv": "a00e876c1c3f8020f1b98524a51430b26f81a954fe2ffbfbe1d0cba15198feb8",
+        "lab/lab_positive_measure.csv": "7928db21ddc1148ac742836a5a32510085bbe784e7e3d201cc57c99ba22adb90",
+        "lab/lab_theorem_pipeline.csv": "7991e96339f67e9290319a298102f3e51de9888baaa675077f1c3fb15b60d073",
+        "simulate/trajectory.csv": "a712e41b38a51a87c49152f6f984b4718c2ca249bc20cdb68e477a7bc680388a",
+        "hitprob/hitprob.csv": "10c45be97ad236a215b84c4dd69426384586ecfe9688dfad7dbd01a97b9ed3ea",
+        "path/path.jsonl": "f5926338bff60a034d532400099a51a4e53cf88ec2e761a21fb6203a8e6f2f71",
+        "validate/conditions.csv": "d659a3d429c9722a847c3d70e08a431326c53d18cecc58fe9460e3e4c41847be",
+    }
+
+    def test_outputs_match_their_recorded_digests(self, tmp_path, capsys):
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(self.config))
+        for command in ("lab", "simulate", "hitprob", "path", "validate"):
+            seed = ["--seed", "1"] if command == "lab" else []
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)] + seed) == 0, command
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*"))
+        assert written == sorted(self.digests)
+        for name, digest in self.digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_hitprob_with_a_tiny_interaction_radius_prints_no_warning(self, tmp_path):
         # The immigration mass is then more than 2**63 per-neighbour masses,
