@@ -49,7 +49,6 @@ __all__ = [
     "PairDistanceTarget",
     "TargetSet",
     "HittingEstimate",
-    "RegionProbability",
     "step",
     "simulate",
     "death_probability",
@@ -376,6 +375,12 @@ def _own_stream(
     return rng
 
 
+def _check_start(state: Configuration, model: RateModel) -> None:
+    """Refuse a start whose points have another dimension than the model's."""
+    if state.dimension not in (None, model.dimension):
+        raise ValueError(f"the start has {state.dimension}-D points, the model is {model.dimension}-D")
+
+
 def step(
     state: Configuration,
     model: RateModel,
@@ -387,8 +392,10 @@ def step(
     total mass``; otherwise a birth location is drawn from the
     normalized birth density.  Raises :class:`DegenerateStateError`
     when the state has zero total jump mass, or when 1000 birth draws in
-    a row land on occupied points.
+    a row land on occupied points; a state of another dimension than the
+    model raises ``ValueError``.
     """
+    _check_start(state, model)
     rng = np.random.default_rng(rng)
     new_state, kind, point = _advance(state, model, rng)
     return new_state, ChainEvent(kind, point, 0)
@@ -408,8 +415,9 @@ def simulate(
     bit for bit.  Membership is checked after each step, so a start
     inside the target still requires a return at step one or later.  A
     caller's generator is read draw by draw and left where the last
-    draw took it.
+    draw took it.  A start of another dimension raises ``ValueError``.
     """
+    _check_start(initial, model)
     max_steps = _whole_number(max_steps, "max_steps", 0)
     rng = np.random.default_rng(seed)
     if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
@@ -443,33 +451,19 @@ def death_probability(state: Configuration, point: Sequence[float], model: RateM
     return model.death_rate(pt, state) / total
 
 
-@dataclass(frozen=True)
-class RegionProbability:
-    """A probability with the numerical error of its estimation (0 when exact)."""
+def birth_probability_region(state: Configuration, region: BoxRegion | BallRegion | None,
+                             model: RateModel) -> float:
+    """Exact probability that the next move is a birth landing in ``region``.
 
-    value: float
-    std_error: float
-
-
-def birth_probability_region(
-    state: Configuration,
-    region: BoxRegion | BallRegion | None,
-    model: RateModel,
-    samples: int = 20_000,
-    seed: int | np.random.SeedSequence | None = None,
-) -> RegionProbability:
-    """Probability that the next move is a birth landing in ``region``.
-
-    ``None`` means a birth anywhere and is exact.  Geometries the model
-    resolves in closed form are exact as well; otherwise the birth mass
-    over the region is integrated by Monte Carlo and the estimate
-    carries its standard error.
+    ``None`` means a birth anywhere.  The birth mass comes from
+    :meth:`~birthdeath.rates.RateModel.birth_mass_in_region`, which
+    raises :class:`~birthdeath.measure.UnsupportedExactEvaluation` where
+    the model has no closed form for the region.
     """
     total = model.jump_rate(state)
     if not total > 0.0:
         raise DegenerateStateError("state has zero total jump rate")
-    mass, error = model.birth_mass_in_region(state, region, samples=samples, seed=seed)
-    return RegionProbability(mass / total, error / total)
+    return model.birth_mass_in_region(state, region) / total
 
 
 # --- hitting estimates ------------------------------------------------
@@ -639,13 +633,11 @@ def _lockstep_target(
     """The target as lockstep data, or None when the input needs the scalar kernel.
 
     The lockstep backend covers the plain d=1 contact model (no
-    crowding) from a d=1 start, with targets built from the empty
-    singleton and d=1 balls as layer sets; everything else, box shapes
-    included, runs on the scalar kernel.
+    crowding), with targets built from the empty singleton and d=1 balls
+    as layer sets; everything else, box shapes included, runs on the
+    scalar kernel.  :func:`hitting_estimate` has checked the start's dimension.
     """
     if type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0:
-        return None
-    if initial.dimension not in (None, 1):
         return None
     empty = False
     balls = []
@@ -708,7 +700,8 @@ def hitting_estimate(
     are derived in one batch, bit-identical to ``_replica_seed`` and
     self-checked against it.  Truncation at ``max_steps`` makes this a
     lower-bound proxy for the untruncated hitting probability.
-    ``max_steps`` and ``replicas`` must be integers of at least 1.
+    ``max_steps`` and ``replicas`` must be integers of at least 1, and
+    a start of another dimension than the model's raises ``ValueError``.
 
     Replicas run in blocks of at most 512, one after another in this
     process.  For a :class:`~birthdeath.rates.ContactModel` in d=1
@@ -719,6 +712,7 @@ def hitting_estimate(
     so both backends give bit-identical hit counts, which do not depend
     on where the blocks split.
     """
+    _check_start(initial, model)
     max_steps = _whole_number(max_steps, "max_steps", 1)
     replicas = _whole_number(replicas, "replicas", 1)
     root = _root_seed(seed)

@@ -200,15 +200,17 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
     return TargetSet(tuple(pieces))
 
 
-def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet, BoxRegion | None]:
-    """A measure set: its id, the layer set of its ``layer`` and ``shape``, and its optional window."""
+def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet]:
+    """A measure set: its id and the layer set of its ``layer`` and ``shape``; a ``window`` key is refused."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
+    if "window" in raw:
+        raise ConfigError(f"{context}.window is not a setting: a ball is estimated over its own "
+                          "bounding box, and every other shape is exact")
     set_id = str(raw.get("id", "set"))
     layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
     shape = _section(raw, "shape", context)
-    window = _parse_box(raw["window"], f"{context}.window", dimension) if "window" in raw else None
-    return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension), window
+    return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension)
 
 
 # Poisson draws allowed per requested validation trial state.
@@ -338,9 +340,9 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
         raise ConfigError("measure.sets must be a nonempty list")
     rows = []
     for index, raw in enumerate(raw_sets):
-        set_id, layer_set, window = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
-        with _config_error(f"measure.sets[{index}]."):
-            result = lp_measure(layer_set, samples, np.random.SeedSequence(seed, spawn_key=(5, index)), window)
+        set_id, layer_set = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
+        with _config_error(f"measure.sets[{index}]: "):
+            result = lp_measure(layer_set, samples, np.random.SeedSequence(seed, spawn_key=(5, index)))
         rows.append(
             {
                 "set_id": set_id,

@@ -34,6 +34,7 @@ from .chain import (
     PairDistanceTarget,
     TargetSet,
     Trajectory,
+    _check_start,
     _own_stream,
     _replica_rngs,
     _replica_seed,
@@ -264,7 +265,8 @@ def null_set_experiment(
     and each visited state is checked against every predicate, so each
     predicate is audited on the full trajectory budget.  Any hit fails
     the row and the offending trajectory is replayed from its replica
-    seed and attached to the report.
+    seed and attached to the report.  A start of another dimension than
+    the model raises ``ValueError`` before any replica runs.
 
     The predicates are monotone under adding points, so a death never
     enters a set and a birth enters it only through the newborn point.
@@ -280,6 +282,8 @@ def null_set_experiment(
             )
     if not null_targets or not starts:
         raise ExperimentSetupError("need at least one null target and one start")
+    for start in starts:
+        _check_start(start, model)
     max_steps = _whole_number(max_steps, "max_steps", 1)
     replicas = _whole_number(replicas, "replicas", 1)
     hit_counts = [[0] * len(null_targets) for _ in starts]

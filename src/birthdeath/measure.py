@@ -99,13 +99,10 @@ class BoxRegion:
                 return False
         return True
 
-    def sample(self, rng: np.random.Generator) -> Point:
-        return tuple(float(c) for c in rng.uniform(self.lower, self.upper))
-
 
 @dataclass(frozen=True)
 class BallRegion:
-    """Closed Euclidean ball used as an integration or sampling region."""
+    """Closed Euclidean ball used as an integration region."""
 
     center: Point
     radius: float
@@ -124,9 +121,6 @@ class BallRegion:
 
     def contains(self, point: Sequence[float]) -> bool:
         return euclidean(self.center, point) <= self.radius
-
-    def sample(self, rng: np.random.Generator) -> Point:
-        return sample_in_ball(self.center, self.radius, rng)
 
 
 def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Generator) -> Point:
@@ -181,8 +175,8 @@ class Shape(abc.ABC):
     fixed_layer: int | None
 
     @abc.abstractmethod
-    def contains(self, config: Configuration, layer: int) -> bool:
-        """Membership of ``config``, which :class:`LayerSet` passes only when it has ``layer`` points."""
+    def contains(self, config: Configuration) -> bool:
+        """Membership of ``config``, which :class:`LayerSet` passes only when it is on the set's layer."""
 
     @abc.abstractmethod
     def label(self, layer: int) -> str: ...
@@ -198,7 +192,7 @@ class EmptySingleton(Shape):
 
     fixed_layer = 0
 
-    def contains(self, config: Configuration, layer: int) -> bool:
+    def contains(self, config: Configuration) -> bool:
         return True
 
     def label(self, layer: int) -> str:
@@ -215,7 +209,7 @@ class AllInRegion(Shape):
     region: BoxRegion
     fixed_layer = None
 
-    def contains(self, config: Configuration, layer: int) -> bool:
+    def contains(self, config: Configuration) -> bool:
         return all(map(self.region.contains, config.points))
 
     def label(self, layer: int) -> str:
@@ -262,7 +256,7 @@ class ProductOfDisjointBoxes(Shape):
     def fixed_layer(self) -> int:
         return len(self.boxes)
 
-    def contains(self, config: Configuration, layer: int) -> bool:
+    def contains(self, config: Configuration) -> bool:
         # A point on a face two boxes share lies in both, so a perfect
         # matching of points to the boxes that hold them decides.
         return _perfect_matching_exists(
@@ -294,7 +288,7 @@ class BallSet(Shape):
     def fixed_layer(self) -> int:
         return self.ball.layer
 
-    def contains(self, config: Configuration, layer: int) -> bool:
+    def contains(self, config: Configuration) -> bool:
         return in_ball(config, self.ball)
 
     def label(self, layer: int) -> str:
@@ -328,7 +322,7 @@ class LayerSet(TargetPiece):
 
     def contains(self, config: Configuration) -> bool:
         """Set membership for a concrete configuration; only one on the layer reaches the shape."""
-        return len(config.points) == self.layer and self.shape.contains(config, self.layer)
+        return len(config.points) == self.layer and self.shape.contains(config)
 
     def label(self) -> str:
         return self.shape.label(self.layer)
@@ -447,29 +441,19 @@ def lp_measure_estimate(
     return MeasureEstimate(scale * frac if hits else 0.0, std_error, samples, hits)
 
 
-def lp_measure(layer_set: LayerSet, samples: int, seed: int | np.random.SeedSequence | None = None,
-               window: BoxRegion | None = None) -> MeasureEstimate:
+def lp_measure(layer_set: LayerSet, samples: int,
+               seed: int | np.random.SeedSequence | None = None) -> MeasureEstimate:
     """The measure of a layer set: its closed form where one exists, else an estimate.
 
     A closed form comes back with 0 samples and a 0.0 error.  A ball is
     estimated by :func:`lp_measure_estimate` from ``samples`` draws over
-    ``window``, which defaults to :func:`ball_window` of the ball and
-    must hold that box, or the estimate would miss part of the set.
-    Only a ball takes a window: one given with a closed-form shape
-    raises ``ValueError``.
+    its :func:`ball_window`, the tightest box that holds the whole set.
     """
     samples = _whole_number(samples, "samples", 1)
     try:
-        exact = lp_measure_exact(layer_set)
+        return MeasureEstimate(lp_measure_exact(layer_set), 0.0, 0, 0)
     except UnsupportedExactEvaluation:
-        needed = ball_window(layer_set.shape.ball)
-    else:
-        if window is not None:
-            raise ValueError(f"window is taken only by a ball, and {layer_set.label()} has a closed form")
-        return MeasureEstimate(exact, 0.0, 0, 0)
-    window = window or needed
-    if not (window.contains(needed.lower) and window.contains(needed.upper)):
-        raise ValueError(f"window must hold the ball's bounding box {needed}")
+        window = ball_window(layer_set.shape.ball)
     return lp_measure_estimate(layer_set.layer, window, layer_set.contains, samples, seed)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import HittingEstimate, _replica_rngs, _root_seed, _walk
+from .chain import HittingEstimate, _check_start, _replica_rngs, _root_seed, _walk
 from .configurations import (
     EMPTY,
     Configuration,
@@ -279,9 +279,11 @@ def corridor_event_frequency(
     stay inside the per-step bottleneck balls the whole way; the count
     is wrapped in a Wilson 95% interval.  Lower bounds certified by
     :func:`corridor_prob_lower_bound` should land at or below this
-    frequency up to Monte Carlo error.
+    frequency up to Monte Carlo error.  A path of another dimension than
+    the model raises ``ValueError``.
     """
     _require_valid(path)
+    _check_start(path.start, model)
     replicas = _whole_number(replicas, "replicas", 1)
     cells = [
         LayerSet(len(vertex), BallSet(RhoBall(vertex, ball_radius)) if len(vertex) else EmptySingleton())

@@ -37,7 +37,7 @@ from .configurations import (
     euclidean,
     unit_ball_volume,
 )
-from .measure import _REDRAWS, BallRegion, BoxRegion, sample_in_ball
+from .measure import _REDRAWS, BallRegion, BoxRegion, UnsupportedExactEvaluation, sample_in_ball
 
 __all__ = [
     "DegenerateStateError",
@@ -128,40 +128,28 @@ class RateModel(abc.ABC):
             + m * self.death_rate_sup(m)
         )
 
-    def birth_mass_in_region(
-        self,
-        state: Configuration,
-        region: BoxRegion | BallRegion | None,
-        samples: int = 20_000,
-        seed: int | np.random.SeedSequence | None = None,
-    ) -> tuple[float, float]:
-        """Integral of the birth rate over ``region`` with a standard error.
+    def birth_mass_in_region(self, state: Configuration, region: BoxRegion | BallRegion | None) -> float:
+        """Integral of the birth rate over ``region``, exactly.
 
-        ``None`` means the whole space and is exact.  Subclasses may
-        resolve specific geometries in closed form via
-        :meth:`_exact_birth_mass_in_region`; anything else falls back to
-        Monte Carlo over the region.
+        ``None`` means the whole space.  A region gets the closed form of
+        :meth:`_exact_birth_mass_in_region`; where the model has none,
+        :class:`~birthdeath.measure.UnsupportedExactEvaluation` is raised.
+        A region of another dimension than the model raises ``ValueError``.
         """
         if region is None:
-            return self.total_birth_mass(state), 0.0
+            return self.total_birth_mass(state)
+        if region.dimension != self.dimension:
+            raise ValueError(f"region and model live in different spaces "
+                             f"(dimensions {region.dimension} and {self.dimension})")
         exact = self._exact_birth_mass_in_region(state, region)
-        if exact is not None:
-            return exact, 0.0
-        rng = np.random.default_rng(seed)
-        volume = region.volume
-        total = 0.0
-        total_sq = 0.0
-        for _ in range(samples):
-            value = self.birth_rate(region.sample(rng), state)
-            total += value
-            total_sq += value * value
-        mean = total / samples
-        variance = max(0.0, total_sq / samples - mean * mean)
-        return volume * mean, volume * math.sqrt(variance / samples)
+        if exact is None:
+            raise UnsupportedExactEvaluation(f"no closed-form birth mass over {region} under {self.describe()}")
+        return exact
 
     def _exact_birth_mass_in_region(
         self, state: Configuration, region: BoxRegion | BallRegion
     ) -> float | None:
+        """The birth mass over ``region`` in closed form, or None where the model has none."""
         return None
 
     @abc.abstractmethod
@@ -196,15 +184,9 @@ def _ball_region_relation(component: BallRegion, region: BoxRegion | BallRegion)
             inside = False
         else:
             inside = inside and (lo + component.radius <= x <= up - component.radius)
-    if not inside and math.sqrt(nearest_sq) > component.radius:
-        return "disjoint"
     if inside:
         return "inside"
-    return "partial"
-
-
-def _interval_overlap(lo_a: float, up_a: float, lo_b: float, up_b: float) -> float:
-    return max(0.0, min(up_a, up_b) - max(lo_a, lo_b))
+    return "disjoint" if math.sqrt(nearest_sq) > component.radius else "partial"
 
 
 class ContactModel(RateModel):
@@ -339,10 +321,8 @@ class ContactModel(RateModel):
                     lo, up = region.center[0] - region.radius, region.center[0] + region.radius
                 else:
                     lo, up = region.lower[0], region.upper[0]
-                overlap = _interval_overlap(
-                    ball.center[0] - ball.radius, ball.center[0] + ball.radius, lo, up
-                )
-                total += intensity * overlap
+                ball_lo, ball_up = ball.center[0] - ball.radius, ball.center[0] + ball.radius
+                total += intensity * max(0.0, min(ball_up, up) - max(ball_lo, lo))
         return total
 
     def describe(self) -> str:
@@ -457,13 +437,11 @@ def validate_conditions(
     ]
 
     # 2. bounded death rates on bounded populations
-    max_rate = 0.0
-    finite = True
+    # Checks 2 and 3 read this one list; each fold starts from a number, so a NaN never wins.
+    rates = [value for state in trial_states for value in model.death_rates(state)]
+    max_rate = max([0.0, *rates])
+    finite = all(map(math.isfinite, rates))
     declared_sup = model.death_rate_sup(max_size)
-    for state in trial_states:
-        for value in model.death_rates(state):
-            finite = finite and math.isfinite(value)
-            max_rate = max(max_rate, value)
     sup_ok = finite and max_rate <= declared_sup * (1 + 1e-12) + 1e-12
     checks.append(
         ConditionCheck(
@@ -476,11 +454,8 @@ def validate_conditions(
     )
 
     # 3. positive death-rate floor
-    min_rate = math.inf
+    min_rate = min([math.inf, *rates])
     declared_inf = model.death_rate_inf()
-    for state in trial_states:
-        for value in model.death_rates(state):
-            min_rate = min(min_rate, value)
     observed = min_rate if min_rate < math.inf else declared_inf
     floor_ok = declared_inf > 0 and observed > 0 and observed >= declared_inf * (1 - 1e-12)
     checks.append(

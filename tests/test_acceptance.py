@@ -253,7 +253,7 @@ def test_acceptance_04_kernel_normalization():
                 continue
             state = Configuration(pts)
         death_sum = sum(death_probability(state, p, model) for p in state)
-        birth = birth_probability_region(state, None, model).value
+        birth = birth_probability_region(state, None, model)
         worst = max(worst, abs(death_sum + birth - 1.0))
         checked += 1
     ok = worst <= 1e-9

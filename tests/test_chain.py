@@ -29,6 +29,7 @@ from birthdeath import (
     ProductOfDisjointBoxes,
     RhoBall,
     TargetSet,
+    UnsupportedExactEvaluation,
     birth_probability_region,
     death_probability,
     hitting_estimate,
@@ -54,13 +55,13 @@ class TestKernelNormalization:
             state = Configuration(pts)
             death_sum = sum(death_probability(state, p, m) for p in state)
             birth = birth_probability_region(state, None, m)
-            assert birth.std_error == 0.0
-            assert death_sum + birth.value == pytest.approx(1.0, abs=1e-9)
+            assert type(birth) is float
+            assert death_sum + birth == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_state_is_pure_birth(self):
         m = ContactModel()
         birth = birth_probability_region(EMPTY, None, m)
-        assert birth.value == pytest.approx(1.0, abs=1e-12)
+        assert birth == pytest.approx(1.0, abs=1e-12)
 
     def test_death_probability_requires_membership(self):
         m = ContactModel()
@@ -75,19 +76,41 @@ class TestBirthProbabilityRegion:
         region = BoxRegion((-2.0,), (2.0,))  # contains every birth component
         p = birth_probability_region(state, region, m)
         expected = m.total_birth_mass(state) / m.jump_rate(state)
-        assert p.std_error == 0.0
-        assert p.value == pytest.approx(expected, rel=1e-12)
+        assert p == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_region_is_zero(self):
         m = ContactModel()
         p = birth_probability_region(Configuration([[0.0]]), BallRegion((9.0,), 0.3), m)
-        assert p.value == 0.0 and p.std_error == 0.0
+        assert p == 0.0
 
     def test_empty_state_immigration_ball_is_certain(self):
         m = ContactModel()
         p = birth_probability_region(EMPTY, BallRegion((0.0,), 0.5), m)
-        assert p.value == pytest.approx(1.0, rel=1e-12)
-        assert p.std_error == 0.0
+        assert p == pytest.approx(1.0, rel=1e-12)
+
+    def test_a_region_without_a_closed_form_raises(self):
+        # The box cuts the d=2 immigration disc.
+        with pytest.raises(UnsupportedExactEvaluation):
+            birth_probability_region(EMPTY, BoxRegion((0.0, 0.0), (1.0, 1.0)), ContactModel(dimension=2))
+
+
+class TestStartDimension:
+    """Every chain entry point refuses a start whose points have another dimension than the model."""
+
+    start = Configuration([[0.3, 0.0]])
+    target = TargetSet((LayerSet(0, EmptySingleton()),))
+
+    @pytest.mark.parametrize("run", [
+        lambda m, s, t: step(s, m, 1),
+        lambda m, s, t: simulate(s, m, None, 5, 1),
+        lambda m, s, t: hitting_estimate(s, t, m, 5, 10, 1),
+    ], ids=["step", "simulate", "hitting_estimate"])
+    def test_a_start_of_another_dimension_raises(self, run):
+        # Run on, the chain would put 1-D newborns beside the 2-D point.
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            run(ContactModel(), self.start, self.target)
+        # The empty start fits every model.
+        run(ContactModel(), EMPTY, self.target)
 
 
 class TestStepAndSimulate:
@@ -516,7 +539,6 @@ class TestLockstepBackend:
         assert chain._lockstep_target(EMPTY, _ScalarContact(), empty) is None
         assert chain._lockstep_target(EMPTY, ContactModel(dimension=2), empty) is None
         assert chain._lockstep_target(EMPTY, ContactModel(crowding_death=0.3), empty) is None
-        assert chain._lockstep_target(Configuration([[0.0, 1.0]]), ContactModel(), empty) is None
         mixed = TargetSet((LayerSet(0, EmptySingleton()), ExactPointTarget((0.0,))))
         assert chain._lockstep_target(EMPTY, ContactModel(), mixed) is None
 

@@ -53,7 +53,6 @@ BASE_CONFIG = {
                 "id": "singleton-ball",
                 "layer": 1,
                 "shape": {"kind": "ball", "center": [[0.0]], "radius": 0.1},
-                "window": {"lower": [-0.5], "upper": [0.5]},
             },
         ],
     },
@@ -225,10 +224,6 @@ class TestConfigErrors:
             pytest.param("path", ("path", "goal"), [[True], [0.45]], "path.goal", id="goal-boolean"),
             pytest.param("hitprob", ("hitprob", "target"), [{"kind": "exact_point", "point": [False]}],
                          "hitprob.target", id="exact-point-boolean"),
-            pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [5.0], "upper": [6.0]},
-                         "measure.sets[1].window", id="window-misses-ball"),
-            pytest.param("measure", ("measure", "sets", 1, "window"), {"lower": [0.0], "upper": [0.5]},
-                         "measure.sets[1].window", id="window-cuts-ball"),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, monkeypatch, capsys, command, keys, value, field):
@@ -283,20 +278,23 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "shape",
         [
+            {"kind": "ball", "center": [[0.0]], "radius": 0.1},
             {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]},
             {"kind": "product_boxes", "boxes": [{"lower": [0.0], "upper": [1.0]}]},
         ],
-        ids=["all_in_region", "product_boxes"],
+        ids=["ball", "all_in_region", "product_boxes"],
     )
-    def test_window_on_a_closed_form_set_exits_2(self, tmp_path, capsys, shape):
-        # A window that does not even meet the set used to be ignored (exit 0, exact value 1.0).
+    def test_a_window_exits_2_naming_the_key(self, tmp_path, capsys, shape):
+        # A ball is estimated over its own bounding box, so a stale window
+        # that holds it, and one on a closed form, are refused alike.
         config = json.loads(json.dumps(BASE_CONFIG))
-        config["measure"]["sets"] = [
-            {"id": "boxed", "layer": 1, "shape": shape, "window": {"lower": [5.0], "upper": [6.0]}}
-        ]
+        config["measure"]["sets"].append(
+            {"id": "windowed", "layer": 1, "shape": shape, "window": {"lower": [-0.5], "upper": [0.5]}}
+        )
         path = write_config(tmp_path, config)
         assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "measure.sets[0].window is taken only by a ball" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: measure.sets[2].window is not a setting" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "measure.csv").exists()
 
     def test_unreachable_validation_size_exits_2(self, tmp_path, capsys):
@@ -326,8 +324,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "measure_set",
         [
-            {"layer": 1, "shape": {"kind": "ball", "center": [[0.0, 0.0]], "radius": 0.1},
-             "window": {"lower": [-0.5], "upper": [0.5]}},
             {"layer": 2, "shape": {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]}},
             {"layer": 2, "shape": {"kind": "product_boxes",
                                    "boxes": [{"lower": [0.0, 0.0], "upper": [0.5, 0.5]},
@@ -486,8 +482,10 @@ class TestRunCommands:
         rows = {row["set_id"]: row for row in csv.DictReader(open(out / "measure.csv"))}
         assert rows["pairs-in-unit-box"]["method"] == "exact"
         assert float(rows["pairs-in-unit-box"]["value"]) == 0.5
+        # The ball's bounding box is the ball itself, so every sample hits.
         assert rows["singleton-ball"]["method"] == "estimate"
-        assert float(rows["singleton-ball"]["std_error"]) > 0.0
+        assert float(rows["singleton-ball"]["value"]) == 0.2
+        assert float(rows["singleton-ball"]["std_error"]) == 0.0
 
     def test_measure_of_a_layer_past_the_float_range(self, tmp_path, capsys):
         # (unit volume)**200 / 200! underflows; 200! alone overflows a float.
@@ -647,7 +645,7 @@ class TestReadme:
             if isinstance(piece, LayerSet):
                 shape = {"kind": kind, **self.examples[kind]}
                 shape.pop("layer", None)
-                _, layer_set, _ = _parse_measure_set({"layer": piece.layer, "shape": shape}, "set", 1)
+                _, layer_set = _parse_measure_set({"layer": piece.layer, "shape": shape}, "set", 1)
                 assert layer_set == piece
                 layer_sets += 1
         assert layer_sets == 4
@@ -677,8 +675,7 @@ FUZZ_BASE = {
         "samples": 20,
         "sets": [
             {"id": "box", "layer": 2, "shape": {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]}},
-            {"id": "ball", "layer": 1, "shape": {"kind": "ball", "center": [[0.0]], "radius": 0.1},
-             "window": {"lower": [-0.5], "upper": [0.5]}},
+            {"id": "ball", "layer": 1, "shape": {"kind": "ball", "center": [[0.0]], "radius": 0.1}},
         ],
     },
     "lab": {"max_steps": 5, "replicas": 2, "null_max_steps": 2, "null_replicas": 2, "preservation_draws": 2,

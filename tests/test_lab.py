@@ -265,6 +265,11 @@ class TestNullSetExperiment:
             with pytest.raises(ValueError, match=field):
                 null_set_experiment(m, null, [EMPTY], seed=1, **counts)
 
+    def test_a_start_of_another_dimension_raises(self):
+        starts = [EMPTY, Configuration([[0.3, 0.0]])]
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            null_set_experiment(ContactModel(), [ExactPointTarget((1.0,))], starts, max_steps=5, replicas=5, seed=1)
+
     def test_birth_entry_check_counts_what_a_full_check_counts(self):
         # Newborns on a quarter grid visit the null sets often; the audit
         # must count every visit a membership test after each step finds.

@@ -219,6 +219,12 @@ class TestCorridorFrequency:
         sigma = math.sqrt(expected * (1 - expected) / 3_000)
         assert abs(freq.estimate - expected) <= 4.5 * sigma
 
+    def test_a_start_of_another_dimension_raises(self):
+        path = Path((Configuration([[0.0, 0.0]]), EMPTY), 1.0, (0.0, 0.0))
+        assert is_valid_path(path).valid
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            corridor_event_frequency(path, 0.1, ContactModel(), replicas=10, seed=1)
+
     def test_replica_validation(self):
         m = ContactModel()
         path = Path((EMPTY, Configuration([[0.0]])), 1.0, (0.0,))

@@ -21,6 +21,7 @@ from birthdeath import (
     ContactModel,
     DegenerateStateError,
     RateModel,
+    UnsupportedExactEvaluation,
     sample_poisson_config,
     step,
     unit_ball_volume,
@@ -121,7 +122,7 @@ class TestContactModelRates:
         total = 0.0
         total_sq = 0.0
         for _ in range(draws):
-            v = m.birth_rate(window.sample(rng), state)
+            v = m.birth_rate(tuple(float(c) for c in rng.uniform(window.lower, window.upper)), state)
             total += v
             total_sq += v * v
         mean = total / draws
@@ -172,47 +173,92 @@ class TestContactModelRates:
         assert ContactModel().describe() != ContactModel(neighbor_intensity=0.2).describe()
 
 
+# Coordinates and radii, some on a quarter grid so that interval ends coincide.
+_COORD = st.floats(-3.0, 3.0) | st.integers(-12, 12).map(lambda k: k / 4.0)
+_RADIUS = st.floats(0.01, 2.0) | st.integers(1, 8).map(lambda k: k / 4.0)
+
+
+def _piecewise_birth_mass(model, state, lo, up):
+    """The d=1 birth mass over [lo, up] as a sum of gap times the rate at the gap's midpoint.
+
+    The rate is constant between consecutive ends of the birth balls, so
+    the sum over the sorted ends and the region's ends is exact up to rounding.
+    """
+    balls = [model.immigration_region] + [BallRegion(p, model.interaction_radius) for p in state]
+    ends = sorted({lo, up} | {c for b in balls for c in (b.center[0] - b.radius, b.center[0] + b.radius)
+                             if lo < c < up})
+    return sum((b - a) * model.birth_rate(((a + b) / 2,), state) for a, b in zip(ends, ends[1:]))
+
+
 class TestBirthMassInRegion:
     def test_none_region_is_exact_total(self):
         m = ContactModel()
         state = Configuration([[0.0]])
-        value, err = m.birth_mass_in_region(state, None)
-        assert value == m.total_birth_mass(state) and err == 0.0
+        assert m.birth_mass_in_region(state, None) == m.total_birth_mass(state)
 
     def test_inside_and_disjoint_are_exact(self):
         m = ContactModel()
         state = EMPTY
         inside = BallRegion((0.0,), 0.6)  # contains the whole immigration ball
-        value, err = m.birth_mass_in_region(state, inside)
-        assert err == 0.0
-        assert value == pytest.approx(0.8 * 2 * 0.5)
+        assert m.birth_mass_in_region(state, inside) == pytest.approx(0.8 * 2 * 0.5)
         faraway = BallRegion((10.0,), 0.5)
-        value, err = m.birth_mass_in_region(state, faraway)
-        assert value == 0.0 and err == 0.0
+        assert m.birth_mass_in_region(state, faraway) == 0.0
 
     def test_partial_overlap_exact_in_d1(self):
         m = ContactModel()
         region = BoxRegion((0.25,), (2.0,))
-        value, err = m.birth_mass_in_region(EMPTY, region)
         # immigration ball is [-0.5, 0.5]; overlap [0.25, 0.5] has length 0.25
-        assert err == 0.0
-        assert value == pytest.approx(0.8 * 0.25)
+        assert m.birth_mass_in_region(EMPTY, region) == pytest.approx(0.8 * 0.25)
 
-    def test_partial_overlap_falls_back_to_mc_in_d2(self):
-        m = ContactModel(dimension=2)
-        region = BoxRegion((0.0, 0.0), (1.0, 1.0))  # cuts the immigration ball
-        value, err = m.birth_mass_in_region(EMPTY, region, samples=40_000, seed=9)
-        assert err > 0.0
-        # exact quarter-disc mass: 0.8 * (pi * 0.25) / 4
-        expected = 0.8 * math.pi * 0.25 / 4.0
-        assert abs(value - expected) <= 4 * err
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_partial_overlap_raises_in_higher_dimensions(self, d):
+        m = ContactModel(dimension=d)
+        state = Configuration([[0.5] * d, [4.0] + [0.0] * (d - 1)])
+        around = BoxRegion((-2.0,) * d, (5.5,) + (2.0,) * (d - 1))  # holds every birth ball
+        assert m.birth_mass_in_region(state, around) == pytest.approx(m.total_birth_mass(state), rel=1e-12)
+        assert m.birth_mass_in_region(state, BallRegion((20.0,) * d, 1.0)) == 0.0
+        # The ball around the far point alone: exactly one neighbour ball inside, the rest disjoint.
+        one = BallRegion((4.0,) + (0.0,) * (d - 1), 1.5)
+        assert m.birth_mass_in_region(state, one) == m.neighbor_intensity * BallRegion((0.0,) * d, 1.0).volume
+        for cut in (BoxRegion((0.0,) * d, (1.0,) * d), BallRegion((0.5,) * d, 0.25)):
+            with pytest.raises(UnsupportedExactEvaluation):
+                m.birth_mass_in_region(state, cut)
 
     def test_region_mass_never_exceeds_total(self):
         m = ContactModel()
         state = Configuration([[0.2], [-0.1]])
         region = BoxRegion((-2.0,), (2.0,))
-        value, err = m.birth_mass_in_region(state, region)
-        assert value <= m.total_birth_mass(state) + 1e-12 + 4 * err
+        assert m.birth_mass_in_region(state, region) <= m.total_birth_mass(state) + 1e-12
+
+    @pytest.mark.parametrize("model_d, region", [
+        (2, BoxRegion((-5.0,), (5.0,))),
+        (1, BoxRegion((-5.0, 0.0), (5.0, 0.1))),
+        (1, BallRegion((0.0, 0.0), 1.0)),
+    ], ids=["1-D box, 2-D model", "2-D box, 1-D model", "2-D ball, 1-D model"])
+    def test_a_region_of_another_dimension_raises(self, model_d, region):
+        # Zipped axis by axis, the 1-D box would give the 2-D model its whole immigration mass.
+        with pytest.raises(ValueError, match=f"dimensions {region.dimension} and {model_d}"):
+            ContactModel(dimension=model_d).birth_mass_in_region(EMPTY, region)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), points=st.lists(_COORD, max_size=5, unique=True),
+           radius=_RADIUS, immigration_radius=_RADIUS, center=_COORD,
+           intensities=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)), ball=st.booleans())
+    def test_d1_mass_equals_a_piecewise_sum(self, data, points, radius, immigration_radius, center,
+                                            intensities, ball):
+        m = ContactModel(interaction_radius=radius, immigration_intensity=intensities[0],
+                         neighbor_intensity=intensities[1], immigration_center=[center],
+                         immigration_radius=immigration_radius)
+        state = Configuration([[x] for x in points])
+        if ball:
+            region = BallRegion((data.draw(_COORD),), data.draw(_RADIUS))
+            lo, up = region.center[0] - region.radius, region.center[0] + region.radius
+        else:
+            lo = data.draw(_COORD)
+            up = lo + data.draw(_RADIUS)
+            region = BoxRegion((lo,), (up,))
+        want = _piecewise_birth_mass(m, state, lo, up)
+        assert m.birth_mass_in_region(state, region) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBirthSampler:
