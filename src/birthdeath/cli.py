@@ -17,8 +17,6 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from .chain import (
     ExactPointTarget,
     HyperplaneTarget,
@@ -29,7 +27,7 @@ from .chain import (
     simulate,
 )
 from .configurations import Configuration, RhoBall, _real, _whole_number, distance_rho
-from .lab import SuiteSizes, _write_csv, default_window, run_default_suite
+from .lab import SuiteSizes, _write_csv, run_default_suite
 from .measure import (
     AllInRegion,
     BallSet,
@@ -38,10 +36,9 @@ from .measure import (
     LayerSet,
     ProductOfDisjointBoxes,
     lp_measure,
-    sample_poisson_config,
 )
 from .paths import build_path, corridor_prob_lower_bound, path_length_cap
-from .rates import ContactModel, DegenerateStateError, RateModel, validate_conditions
+from .rates import ConditionReport, ContactModel, DegenerateStateError, RateModel
 
 
 class ConfigError(Exception):
@@ -116,7 +113,7 @@ def _number(section: dict, key: str, default: Any, context: str | None,
         return _real(_json_number(value), name, minimum, strict=True)
 
 
-def build_model(config: dict) -> RateModel:
+def build_model(config: dict) -> ContactModel:
     _require(config, "model")
     section = _section(config, "model")
     name = section.get("name", "contact")
@@ -214,40 +211,15 @@ def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, Lay
     return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension)
 
 
-# Poisson draws allowed per requested validation trial state.
-_DRAWS_PER_TRIAL = 20
-
-
-def _run_validation(model: RateModel, config: dict, seed: int):
+def _conditions(model: ContactModel, config: dict) -> ConditionReport:
+    """The standing conditions, proved on states of at most ``validate.max_size`` points."""
     section = _section(config, "validate")
-    # The anchor singleton is always a trial state, so max_size is at least 1.
-    max_size = _number(section, "max_size", 12, "validate", minimum=1)
-    trials = _number(section, "trial_states", 40, "validate", minimum=0)
-    probes = _number(section, "probe_points", 16, "validate", minimum=1)
-    intensity = _number(section, "intensity", 1.0, "validate", float, minimum=0.0)
-    if "window" in section:
-        window = _parse_box(section["window"], "validate.window", model.dimension)
-    else:
-        window = default_window(model)
-    rng = np.random.default_rng(_replica_seed(seed, 1))
-    states = [Configuration(), Configuration([model.immigration_region.center])]
-    draws = 0
-    with _config_error(f"validate: no trial state can be drawn on {window}: "):
-        while len(states) < trials:
-            if draws == _DRAWS_PER_TRIAL * trials:
-                raise ConfigError(
-                    f"validation found only {len(states)} of {trials} trial states with at most "
-                    f"{max_size} points in {draws} Poisson draws; "
-                    "lower validate.intensity or raise validate.max_size"
-                )
-            draws += 1
-            state = sample_poisson_config(intensity, window, rng)
-            if len(state) <= max_size:
-                states.append(state)
-    return validate_conditions(
-        model, max_size, states, probe_points=probes,
-        seed=_replica_seed(seed, 2),
-    )
+    for key in ("trial_states", "probe_points", "intensity", "window"):
+        if key in section:
+            raise ConfigError(f"validate.{key} is not a setting: the standing conditions are proved "
+                              "from the model's parameters, and no state is drawn")
+    # Every chain leaves the empty state by a birth, so a cap below 1 would cover no move.
+    return model.conditions(_number(section, "max_size", 12, "validate", minimum=1))
 
 
 # --- subcommands ------------------------------------------------------
@@ -322,8 +294,8 @@ def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     return 0
 
 
-def _cmd_validate(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    report = _run_validation(model, config, seed)
+def _cmd_validate(config: dict, model: ContactModel, seed: int, outdir: str) -> int:
+    report = _conditions(model, config)
     out = os.path.join(outdir, "conditions.csv")
     _write_csv(out, ["condition", "name", "verdict", "witness", "detail"], report.to_csv_rows())
     print(report.summary())
@@ -399,7 +371,7 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "run one trajectory and write its events"),
     "hitprob": (_cmd_hitprob, "estimate a hitting probability with a Wilson interval"),
     "path": (_cmd_path, "build the constructive path to a goal configuration"),
-    "validate": (_cmd_validate, "probe the standing conditions on sampled states"),
+    "validate": (_cmd_validate, "prove the standing conditions for the model"),
     "measure": (_cmd_measure, "evaluate reference-measure values for configured sets"),
     "lab": (_cmd_lab, "run the default experiment suite"),
     "metric": (_cmd_metric, "bottleneck distance between two configuration files"),
@@ -455,7 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(outdir, str) or not outdir:
             raise ConfigError(f"out must be a nonempty string, got {outdir!r}")
         if args.handler in _GATED and not args.skip_validation:
-            report = _run_validation(model, config, seed)
+            report = _conditions(model, config)
             if not report.passed:
                 raise ConfigError("model fails the standing conditions:\n" + report.summary())
         try:

@@ -247,6 +247,17 @@ def positive_measure_experiment(
     return _report("positive_measure", model, seed, rows)
 
 
+def _check_null_target(piece: object, model: RateModel) -> None:
+    """Refuse anything but a curated null predicate, and one that states of the model's dimension cannot meet."""
+    if not isinstance(piece, NullTarget):
+        raise ExperimentSetupError(f"null-set experiments take curated null predicates, got {piece!r}")
+    if isinstance(piece, ExactPointTarget) and len(piece.point) != model.dimension:
+        raise ExperimentSetupError(f"{piece.label()} is {len(piece.point)}-D, the model is {model.dimension}-D")
+    if isinstance(piece, HyperplaneTarget) and piece.axis >= model.dimension:
+        raise ExperimentSetupError(f"{piece.label()} needs {piece.axis + 1} or more dimensions, "
+                                   f"the model is {model.dimension}-D")
+
+
 def null_set_experiment(
     model: RateModel,
     null_targets: Sequence[NullTarget],
@@ -261,8 +272,8 @@ def null_set_experiment(
     and each visited state is checked against every predicate, so each
     predicate is audited on the full trajectory budget.  Any hit fails
     the row and the offending trajectory is replayed from its replica
-    seed and attached to the report.  A start of another dimension than
-    the model raises ``ValueError`` before any replica runs.
+    seed and attached to the report.  A start or null predicate of another
+    dimension than the model raises ``ValueError`` before any replica runs.
 
     The predicates are monotone under adding points, so a death never
     enters a set and a birth enters it only through the newborn point.
@@ -272,10 +283,7 @@ def null_set_experiment(
     hit.
     """
     for piece in null_targets:
-        if not isinstance(piece, NullTarget):
-            raise ExperimentSetupError(
-                f"null-set experiments take curated null predicates, got {piece!r}"
-            )
+        _check_null_target(piece, model)
     if not null_targets or not starts:
         raise ExperimentSetupError("need at least one null target and one start")
     for start in starts:
@@ -342,11 +350,7 @@ def one_step_null_preservation(
     set.  A pass means zero flagged states, the sampled counterpart of
     the set being preserved as null by one step of the chain.
     """
-    if not isinstance(null_target, NullTarget):
-        raise ExperimentSetupError(
-            "one_step_null_preservation takes a curated null predicate; "
-            "positive-measure targets are outside its domain"
-        )
+    _check_null_target(null_target, model)
     if not states:
         raise ExperimentSetupError("need at least one sampled state")
     flagged = sum(1 for state in states if null_target.one_step_positive(state))

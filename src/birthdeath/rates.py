@@ -5,7 +5,7 @@ locations and a death rate per occupied point.  The jump chain picks
 its next move by normalizing those masses, so a model must expose the
 exact total birth mass, a sampler for the normalized birth density,
 and per-point death rates.  Models also declare the constants behind
-the four standing assumptions checked by :func:`validate_conditions`:
+the four standing assumptions:
 
 1. the total birth mass grows at most linearly in the population,
 2. death rates stay bounded on bounded populations,
@@ -14,8 +14,9 @@ the four standing assumptions checked by :func:`validate_conditions`:
    the interaction radius of an occupied point, and on a fixed
    immigration ball when the configuration is empty.
 
-Validation probes these on sampled states, so a passing report is
-evidence of conformance, not a proof.
+:meth:`ContactModel.conditions` proves them from its parameters.
+:func:`validate_conditions` probes them on sampled states of any model,
+so its pass is evidence of conformance, not a proof.
 """
 
 from __future__ import annotations
@@ -300,6 +301,27 @@ class ContactModel(RateModel):
         m = _whole_number(max_size, "max_size", 0)
         return self.baseline_death + self.crowding_death * max(0, m - 1)
 
+    def conditions(self, max_size: int) -> ConditionReport:
+        """The four standing assumptions on states of at most ``max_size`` points, proved from the parameters.
+
+        The witnesses are the proved extremes: margin, death cap, death floor, least birth rate near mass."""
+        m = _whole_number(max_size, "max_size", 0)
+        bound, cap = self.birth_mass_slope * m + self.birth_mass_offset, self.death_rate_sup(m)
+        floor, least_birth = self.baseline_death, min(self.immigration_intensity, self.neighbor_intensity)
+        return ConditionReport(self.describe(), m, None, (
+            ConditionCheck(1, "linear bound on total birth mass", math.isfinite(bound), 0.0,
+                           f"total birth mass = immigration + per-neighbor mass * n, the declared bound "
+                           f"exactly ({bound:.6g} at size {m})"),
+            ConditionCheck(2, "bounded death rates", math.isfinite(cap), cap,
+                           f"a point has at most n - 1 neighbors, so baseline_death + crowding_death * (n - 1) "
+                           f"caps every death rate ({cap:.6g} at size {m})"),
+            ConditionCheck(3, "positive death-rate floor", floor > 0, floor,
+                           f"every death rate is at least baseline_death {floor:.6g}"),
+            ConditionCheck(4, "birth rates above the floor near mass", True, least_birth,
+                           f"near mass the birth rate is at least neighbor_intensity or immigration_intensity, "
+                           f"and the constructor holds birth_floor {self.birth_floor:.6g} below both"),
+        ))
+
     def _exact_birth_mass_in_region(
         self, state: Configuration, region: BoxRegion | BallRegion
     ) -> float | None:
@@ -341,7 +363,7 @@ class ContactModel(RateModel):
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Outcome of probing one standing assumption."""
+    """Outcome of proving or probing one standing assumption."""
 
     index: int
     name: str
@@ -352,15 +374,16 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Evidence-based conformance report over sampled states.
+    """Conformance report on states of at most ``max_size`` points.
 
-    A passing report says every probe landed on the right side of the
-    declared constants; it is sampled evidence, not a proof.
+    ``states_checked`` is None for a proof (:meth:`ContactModel.conditions`).
+    Otherwise it counts the states :func:`validate_conditions` sampled, and a
+    pass is evidence that every probe landed on the right side, not a proof.
     """
 
     model: str
     max_size: int
-    states_checked: int
+    states_checked: int | None
     checks: tuple[ConditionCheck, ...]
 
     @property
@@ -368,8 +391,8 @@ class ConditionReport:
         return all(c.passed for c in self.checks)
 
     def summary(self) -> str:
-        lines = [f"condition report for {self.model}"]
-        lines.append(f"  states checked: {self.states_checked} (size <= {self.max_size})")
+        basis = "proved for all states" if self.states_checked is None else f"states checked: {self.states_checked}"
+        lines = [f"condition report for {self.model}", f"  {basis} (size <= {self.max_size})"]
         for c in self.checks:
             verdict = "PASS" if c.passed else "FAIL"
             lines.append(f"  [{verdict}] {c.index}. {c.name}: {c.detail}")

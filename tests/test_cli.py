@@ -67,7 +67,7 @@ BASE_CONFIG = {
         "extinction_max_steps": 200,
         "measure_samples": 1000,
     },
-    "validate": {"max_size": 10, "trial_states": 20, "probe_points": 8},
+    "validate": {"max_size": 10},
 }
 
 
@@ -170,7 +170,6 @@ class TestConfigErrors:
             ("lab", "pipeline_extra_steps", "x"),
             ("lab", "poisson_intensity", [1.0]),
             ("measure", "samples", None),
-            ("validate", "trial_states", "many"),
             ("hitprob", "replicas", 2.5),
             ("lab", "replicas", 40.7),
             ("lab", "replicas", 0),
@@ -182,10 +181,6 @@ class TestConfigErrors:
             ("lab", "poisson_intensity", 0),
             ("lab", "poisson_intensity", math.nan),
             ("lab", "poisson_intensity", math.inf),
-            ("validate", "intensity", 0),
-            ("validate", "intensity", math.nan),
-            ("validate", "intensity", math.inf),
-            ("validate", "probe_points", 0),
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, command, key, value):
@@ -201,8 +196,7 @@ class TestConfigErrors:
             pytest.param("lab", ("lab",), [1], "lab", id="lab-list"),
             pytest.param("simulate", ("simulate",), 5, "simulate", id="simulate-number"),
             pytest.param("validate", ("validate",), [1], "validate", id="validate-list"),
-            # The whole section, so the default 40 trial states apply; the anchor
-            # singleton is always one of them and never fits in max_size 0.
+            # Every chain leaves the empty state by a birth, so a size cap of 0 covers no move.
             pytest.param("validate", ("validate",), {"max_size": 0}, "validate.max_size", id="max-size-0"),
             pytest.param("measure", ("measure", "sets", 1, "shape"), ["kind"], "measure.sets[1].shape",
                          id="shape-list"),
@@ -297,12 +291,19 @@ class TestConfigErrors:
         assert "config error: measure.sets[2].window is not a setting" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "measure.csv").exists()
 
-    def test_unreachable_validation_size_exits_2(self, tmp_path, capsys):
-        # Every Poisson draw at this intensity exceeds max_size; the
-        # validator must give up instead of drawing forever.
-        path = write_config(tmp_path, {"validate": {"intensity": 200, "trial_states": 5}})
-        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "trial states" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trial_states", 40), ("probe_points", 16), ("intensity", 1.0),
+         ("window", {"lower": [-1.5], "upper": [1.5]})],
+    )
+    def test_a_sampling_key_exits_2_naming_it(self, tmp_path, capsys, command, key, value):
+        # The conditions are proved from the model, so the sampler's settings are refused, not ignored.
+        path = write_config(tmp_path, {"validate": {"max_size": 10, key: value}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: validate.{key} is not a setting" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize(
         "command, section, key, value",
@@ -337,11 +338,6 @@ class TestConfigErrors:
         path = write_config(tmp_path, config)
         assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "1-D box, the model is 2-D" in capsys.readouterr().err
-
-    def test_validation_window_of_another_dimension_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"validate": {"window": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}})
-        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "validate.window is a 2-D box, the model is 1-D" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", [1, -1])
     def test_hyperplane_axis_outside_the_model_exits_2(self, tmp_path, capsys, axis):
@@ -424,6 +420,37 @@ class TestValidateCommand:
             main(["simulate", "--config", path, "--out", str(out), "--skip-validation"])
             == 0
         )
+
+    @pytest.mark.parametrize("model", [{"dimension": 3}, {"dimension": 2, "interaction_radius": 2.0}],
+                             ids=["default-d3", "d2-radius-2"])
+    def test_a_sound_model_in_higher_dimension_passes_the_gate(self, tmp_path, capsys, model):
+        # Poisson windows in d >= 2 rarely hold a state of at most 12 points; the proof needs none.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"] = {"name": "contact", **model}
+        config["validate"] = {}
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model, failed",
+        [({"neighbor_intensity": 8e307}, 1), ({"crowding_death": 1e308}, 2)],
+        ids=["birth-mass-overflow", "death-cap-overflow"],
+    )
+    def test_an_overflowing_bound_fails_the_gate(self, tmp_path, capsys, model, failed):
+        # Each bound is inf at size 12; from two points, 8e307 per neighbour also overflows the walk itself.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"].update(model)
+        config["simulate"]["initial"] = [[0.1], [0.2]]
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert "model fails the standing conditions" in err and f"[FAIL] {failed}." in err
+        assert "Traceback" not in err and not (tmp_path / "sim").exists()
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        rows = list(csv.DictReader(open(tmp_path / "out" / "conditions.csv")))
+        assert [row["verdict"] for row in rows] == ["FAIL" if i == failed else "PASS" for i in (1, 2, 3, 4)]
+        assert rows[failed - 1]["witness"] == ("0.0" if failed == 1 else "inf")
 
 
 class TestRunCommands:
@@ -593,7 +620,7 @@ class TestReadme:
         "simulate/trajectory.csv": "a712e41b38a51a87c49152f6f984b4718c2ca249bc20cdb68e477a7bc680388a",
         "hitprob/hitprob.csv": "10c45be97ad236a215b84c4dd69426384586ecfe9688dfad7dbd01a97b9ed3ea",
         "path/path.jsonl": "f5926338bff60a034d532400099a51a4e53cf88ec2e761a21fb6203a8e6f2f71",
-        "validate/conditions.csv": "d659a3d429c9722a847c3d70e08a431326c53d18cecc58fe9460e3e4c41847be",
+        "validate/conditions.csv": "233488adbbfa16437047683eb746ed058ca2cd46e8db4101caf3fb2f5d9d6479",
     }
 
     def test_outputs_match_their_recorded_digests(self, tmp_path, capsys):
@@ -681,8 +708,7 @@ FUZZ_BASE = {
     "lab": {"max_steps": 5, "replicas": 2, "null_max_steps": 2, "null_replicas": 2, "preservation_draws": 2,
             "pipeline_replicas": 2, "pipeline_extra_steps": 2, "extinction_replicas": 2,
             "extinction_max_steps": 5, "measure_samples": 20, "poisson_intensity": 1.0},
-    "validate": {"max_size": 10, "trial_states": 4, "probe_points": 2, "intensity": 1.0,
-                 "window": {"lower": [-1.5], "upper": [1.5]}},
+    "validate": {"max_size": 10},
 }
 
 
@@ -695,10 +721,9 @@ def _fuzz_paths(node, prefix=()):
 
 
 # Budgets take small or malformed values only: a huge budget is a long run, not a defect.
-_BUDGETS = {"seed", "workers", "dimension", "max_steps", "replicas", "samples", "layer", "trial_states",
-            "probe_points", "max_size", "null_max_steps", "null_replicas", "preservation_draws",
-            "pipeline_replicas", "pipeline_extra_steps", "extinction_replicas", "extinction_max_steps",
-            "measure_samples"}
+_BUDGETS = {"seed", "workers", "dimension", "max_steps", "replicas", "samples", "layer", "max_size",
+            "null_max_steps", "null_replicas", "preservation_draws", "pipeline_replicas", "pipeline_extra_steps",
+            "extinction_replicas", "extinction_max_steps", "measure_samples"}
 _MALFORMED = [True, False, None, math.nan, math.inf, -math.inf, "x", "nan", [], {}, [1.0], {"kind": "mystery"}]
 _BUDGET_VALUES = st.sampled_from(_MALFORMED + [-1, 0.5, 2.5, "2"]) | st.integers(0, 3)
 # Sub-ulp and huge radii, coordinates and intensities.

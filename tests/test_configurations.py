@@ -418,6 +418,7 @@ _COUNTS = [
     ("ContactModel-dimension", lambda v: ContactModel(dimension=v), "dimension"),
     ("jump_rate_sup", _MODEL.jump_rate_sup, "max_size"),
     ("death_rate_sup", _MODEL.death_rate_sup, "max_size"),
+    ("conditions", _MODEL.conditions, "max_size"),
     ("validate_conditions-max_size", lambda v: validate_conditions(_MODEL, v, [EMPTY]), "max_size"),
     ("validate_conditions-probe_points",
      lambda v: validate_conditions(_MODEL, 2, [EMPTY], probe_points=v), "probe_points"),

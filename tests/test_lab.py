@@ -54,6 +54,11 @@ SMALL = SuiteSizes(
     measure_samples=2_000,
 )
 
+# Null predicates that no state of the default 1-D model can meet, and the refusal naming both dimensions.
+_MISFIT_NULLS = [(HyperplaneTarget(3, 0.0), "needs 4 or more dimensions, the model is 1-D"),
+                 (ExactPointTarget((0.1, 0.2)), "is 2-D, the model is 1-D")]
+_MISFIT_IDS = ["hyperplane-axis-3", "2-d-exact-point"]
+
 
 def poisson_states(model, count, seed):
     center = model.immigration_region.center
@@ -249,6 +254,13 @@ class TestNullSetExperiment:
             assert traj.terminal_reason == "hit_target"
             assert predicate.contains(traj.final_state())
 
+    @pytest.mark.parametrize("piece, message", _MISFIT_NULLS, ids=_MISFIT_IDS)
+    def test_a_predicate_of_another_dimension_is_refused_before_any_replica(self, monkeypatch, piece, message):
+        # A walk would index past the model's axes, or audit a point no newborn can equal and pass vacuously.
+        monkeypatch.setattr(lab, "_walk", lambda *args: pytest.fail("a replica ran"))
+        with pytest.raises(ValueError, match=message):
+            null_set_experiment(ContactModel(), [PairDistanceTarget(0.5), piece], [EMPTY], 5, 3, 1)
+
     def test_non_null_pieces_are_rejected(self):
         m = ContactModel()
         with pytest.raises(ExperimentSetupError):
@@ -349,6 +361,11 @@ class TestOneStepNullPreservation:
         report = one_step_null_preservation(m, ExactPointTarget((1.0,)), states, seed=17)
         assert not report.passed
         assert report.rows[0].hits == 1
+
+    @pytest.mark.parametrize("piece, message", _MISFIT_NULLS, ids=_MISFIT_IDS)
+    def test_a_predicate_of_another_dimension_is_refused(self, piece, message):
+        with pytest.raises(ValueError, match=message):
+            one_step_null_preservation(ContactModel(), piece, [Configuration([[0.1]])])
 
     def test_rejects_non_null_predicates_and_empty_input(self):
         m = ContactModel()

@@ -1,4 +1,4 @@
-"""Rate model and condition-validation tests.
+"""Rate model and condition tests: the proof, and the sampled check against it.
 
 The contact model's closed-form masses are cross-checked against
 Monte Carlo integrals of its pointwise birth rate, and the birth
@@ -367,6 +367,55 @@ class TestValidateConditions:
         rows = report.to_csv_rows()
         assert [row["condition"] for row in rows] == [1, 2, 3, 4]
         assert all(row["verdict"] == "PASS" for row in rows)
+
+
+class TestProvedConditions:
+    def test_readme_model_witnesses_are_the_proved_extremes(self):
+        report = ContactModel().conditions(12)
+        assert report.passed and report.states_checked is None
+        # The birth-mass margin, the death cap and floor, and neighbor_intensity.
+        assert [c.witness for c in report.checks] == [0.0, 1.0, 1.0, 0.1]
+        assert "proved for all states (size <= 12)" in report.summary()
+
+    @pytest.mark.parametrize(
+        "params, failed",
+        [({"baseline_death": 0.0}, {3}), ({"neighbor_intensity": 8e307}, {1}), ({"crowding_death": 1e308}, {2})],
+        ids=["zero-death-floor", "birth-mass-overflow", "death-cap-overflow"],
+    )
+    def test_each_broken_parameter_fails_its_own_condition(self, params, failed):
+        report = ContactModel(**params).conditions(12)
+        assert {c.index for c in report.checks if not c.passed} == failed
+
+    def test_a_crowded_cap_grows_with_the_size(self):
+        report = ContactModel(crowding_death=0.5).conditions(5)
+        assert report.checks[1].witness == 1.0 + 0.5 * 4
+        assert ContactModel(crowding_death=0.5).conditions(0).checks[1].witness == 1.0
+
+    @settings(max_examples=150, derandomize=True, database=None)
+    @given(
+        dimension=st.integers(1, 3),
+        radius=st.floats(0.2, 2.0),
+        immigration=st.floats(0.05, 5.0),
+        neighbor=st.floats(0.05, 5.0),
+        baseline=st.sampled_from([0.0, 0.5, 1.0]),
+        crowding=st.sampled_from([0.0, 0.3, 2.0]),
+        max_size=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_validation_agrees_with_the_proof(
+        self, dimension, radius, immigration, neighbor, baseline, crowding, max_size, seed
+    ):
+        model = ContactModel(dimension=dimension, interaction_radius=radius, immigration_intensity=immigration,
+                             neighbor_intensity=neighbor, baseline_death=baseline, crowding_death=crowding)
+        proof = model.conditions(max_size)
+        # About three points per window, so states of at most max_size points are common.
+        reach = model.immigration_region.radius + radius
+        states = make_states(model, 12, intensity=3.0 / (2.0 * reach) ** dimension, seed=seed, max_size=max_size)
+        sampled = validate_conditions(model, max_size, states, seed=seed)
+        assert [c.passed for c in sampled.checks] == [c.passed for c in proof.checks]
+        margin, max_rate, min_rate, min_birth = (c.witness for c in sampled.checks)
+        _, cap, floor, least_birth = (c.witness for c in proof.checks)
+        assert margin >= 0.0 and max_rate <= cap and min_rate >= floor and min_birth >= least_birth
 
 
 class _FrozenModel(RateModel):
