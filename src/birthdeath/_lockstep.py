@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import _REDRAWS
-from .rates import ContactModel, _crowded_birth
+from .rates import ContactModel, _crowded_birth, _stuck_state
 
 # Uniforms drawn per replica and refill; a step reads at most three
 # unless a newborn lands exactly on an occupied point.
@@ -157,18 +157,26 @@ def count_hits(
     pts = np.tile(np.asarray(initial, dtype=float), (live, 1))
     width = pts.shape[1]
     n = np.full(live, width, dtype=np.intp)
-    hits = steps = 0
+    hits = steps = room = 0
     while steps < max_steps and live and live >= _TAIL:
         # Room for a birth plus one inf column that deaths shift in.
         need = int(n.max()) + 2
-        if need > width:
-            grow = max(need, 2 * width, 8) - width
-            pts = np.hstack([pts, np.full((live, grow), np.inf)])
-            width += grow
-            # partial[k] is the death mass of k points, summed left to
-            # right like the scalar kernel's running sum of death_rates.
-            partial = np.array([0.0, *accumulate(repeat(model.baseline_death, width))])
-            cols = np.arange(width)
+        if need > room:
+            if need > width:
+                grow = max(need, 2 * width, 8) - width
+                pts = np.hstack([pts, np.full((live, grow), np.inf)])
+                width += grow
+                # partial[k] is the death mass of k points, summed left to
+                # right like the scalar kernel's running sum of death_rates.
+                partial = np.array([0.0, *accumulate(repeat(model.baseline_death, width))])
+                cols = np.arange(width)
+            # The scalar kernel refuses a state whose total jump rate (in Python floats,
+            # which overflow without a warning) is not finite.  The rate grows with the
+            # size, so ``room`` stops short of the first such size, and reaching it raises.
+            totals = [death + (imm + per * k) for k, death in enumerate(partial.tolist())]
+            room = min(width, sum(total < np.inf for total in totals) + 1)
+            if need > room:
+                raise _stuck_state(model, need - 2, totals[need - 2])
         rows = np.arange(live)
         draws.reserve(3, rows)
         u = draws.take(rows)

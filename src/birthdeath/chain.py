@@ -21,7 +21,7 @@ from bisect import bisect, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import dist
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,12 +37,11 @@ from .measure import (
     _REDRAWS,
     sample_in_ball,
 )
-from .rates import ContactModel, DegenerateStateError, RateModel, _crowded_birth
+from .rates import ContactModel, RateModel, _crowded_birth, _stuck_state
 
 __all__ = [
     "ChainEvent",
     "Trajectory",
-    "PredicateTarget",
     "NullTarget",
     "ExactPointTarget",
     "HyperplaneTarget",
@@ -104,24 +103,6 @@ class Trajectory:
 # --- target sets ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredicateTarget(TargetPiece):
-    """Arbitrary predicate target, an escape hatch for tests and tooling.
-
-    Not accepted by the null-set experiments, which insist on the
-    curated null predicates below.
-    """
-
-    predicate: Callable[[Configuration], bool]
-    name: str = "predicate"
-
-    def contains(self, state: Configuration) -> bool:
-        return bool(self.predicate(state))
-
-    def label(self) -> str:
-        return self.name
-
-
 class NullTarget(TargetPiece):
     """A curated predicate whose set carries zero reference measure.
 
@@ -164,6 +145,10 @@ class ExactPointTarget(NullTarget):
     def __post_init__(self) -> None:
         object.__setattr__(self, "point", as_point(self.point))
 
+    @property
+    def dimensions(self) -> tuple[int, int]:
+        return len(self.point), len(self.point)
+
     def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
         return newborn == self.point
 
@@ -182,6 +167,10 @@ class HyperplaneTarget(NullTarget):
         object.__setattr__(self, "axis", _whole_number(self.axis, "axis", 0))
         object.__setattr__(self, "value", _real(self.value, "value"))
 
+    @property
+    def dimensions(self) -> tuple[int, None]:
+        return self.axis + 1, None
+
     def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
         return newborn[self.axis] == self.value
 
@@ -194,6 +183,7 @@ class PairDistanceTarget(NullTarget):
     """States with two points at exactly the given distance."""
 
     distance: float
+    dimensions = (1, None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distance", _real(self.distance, "distance", 0.0, strict=True))
@@ -245,10 +235,8 @@ def _advance(
     partial = list(accumulate(model.death_rates(state)))
     death_mass = partial[-1] if partial else 0.0
     total = death_mass + model.total_birth_mass(state)
-    if not total > 0.0:
-        raise DegenerateStateError(
-            f"state of size {len(state)} has zero total jump rate"
-        )
+    if not 0.0 < total < math.inf:
+        raise _stuck_state(model, len(state), total)
     u = rng.random() * total
     points = state.points
     if u < death_mass:
@@ -306,7 +294,7 @@ def _contact_walk(
     the birth mass is ``total_birth_mass``'s sum, and the operations
     and draws are ``_advance``'s in the same order, so the moves are
     bit-identical.  Both birth masses are positive, so every state can
-    move.
+    move unless its total jump rate leaves the float range.
     """
     death_rates = model.death_rates
     random = rng.random
@@ -314,13 +302,17 @@ def _contact_walk(
     imm_center, imm_radius = model.immigration_region.center, model.immigration_region.radius
     radius = model.interaction_radius
     wrap = Configuration._wrap
+    inf = math.inf
     points = state.points
     for _ in range(max_steps):
         partial = list(accumulate(death_rates(state)))
         n = len(points)
         death_mass = partial[-1] if n else 0.0
         birth_mass = imm + per * n
-        u = random() * (death_mass + birth_mass)
+        total = death_mass + birth_mass
+        if not total < inf:
+            raise _stuck_state(model, n, total)
+        u = random() * total
         if u < death_mass:
             index = bisect_right(partial, u)
             if index >= n:
@@ -375,6 +367,16 @@ def _check_start(state: Configuration, model: RateModel) -> None:
         raise ValueError(f"the start has {state.dimension}-D points, the model is {model.dimension}-D")
 
 
+def _check_target(pieces: Iterable[TargetPiece], model: RateModel) -> None:
+    """Refuse a target piece that does not fit the model's dimension, by the dimensions it states."""
+    d = model.dimension
+    for piece in pieces:
+        low, high = piece.dimensions
+        if not low <= d <= (d if high is None else high):
+            fits = f"is {low}-D" if low == high else f"needs {low} or more dimensions"
+            raise ValueError(f"{piece.label()} {fits}, the model is {d}-D")
+
+
 def step(
     state: Configuration,
     model: RateModel,
@@ -385,9 +387,9 @@ def step(
     A specific occupied point dies with probability ``death rate /
     total mass``; otherwise a birth location is drawn from the
     normalized birth density.  Raises :class:`DegenerateStateError`
-    when the state has zero total jump mass, or when 1000 birth draws in
-    a row land on occupied points; a state of another dimension than the
-    model raises ``ValueError``.
+    when the state's total jump mass is zero or not finite, or when 1000
+    birth draws in a row land on occupied points; a state of another
+    dimension than the model raises ``ValueError``.
     """
     _check_start(state, model)
     rng = np.random.default_rng(rng)
@@ -409,9 +411,12 @@ def simulate(
     bit for bit.  Membership is checked after each step, so a start
     inside the target still requires a return at step one or later.  A
     caller's generator is read draw by draw and left where the last
-    draw took it.  A start of another dimension raises ``ValueError``.
+    draw took it.  A start or target piece of another dimension raises
+    ``ValueError``.
     """
     _check_start(initial, model)
+    if target is not None:
+        _check_target(target.pieces, model)
     max_steps = _whole_number(max_steps, "max_steps", 0)
     rng = np.random.default_rng(seed)
     if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
@@ -436,12 +441,13 @@ def simulate(
 
 def death_probability(state: Configuration, point: Sequence[float], model: RateModel) -> float:
     """Exact probability that the next move removes ``point``."""
+    _check_start(state, model)
     pt = as_point(point)
     if pt not in state:
         raise ValueError(f"point {pt!r} is not in the state")
     total = model.jump_rate(state)
-    if not total > 0.0:
-        raise DegenerateStateError("state has zero total jump rate")
+    if not 0.0 < total < math.inf:
+        raise _stuck_state(model, len(state), total)
     return model.death_rate(pt, state) / total
 
 
@@ -452,11 +458,15 @@ def birth_probability_region(state: Configuration, region: BoxRegion | BallRegio
     ``None`` means a birth anywhere.  The birth mass comes from
     :meth:`~birthdeath.rates.RateModel.birth_mass_in_region`, which
     raises :class:`~birthdeath.measure.UnsupportedExactEvaluation` where
-    the model has no closed form for the region.
+    the model has no closed form for the region.  Both one-step
+    probabilities raise :class:`DegenerateStateError` where the state's
+    total jump rate is zero or not finite, and ``ValueError`` for a
+    state of another dimension than the model.
     """
+    _check_start(state, model)
     total = model.jump_rate(state)
-    if not total > 0.0:
-        raise DegenerateStateError("state has zero total jump rate")
+    if not 0.0 < total < math.inf:
+        raise _stuck_state(model, len(state), total)
     return model.birth_mass_in_region(state, region) / total
 
 
@@ -629,9 +639,10 @@ def _lockstep_target(model: RateModel, target: TargetSet) -> tuple[bool, list[tu
     """The target as lockstep data, or None when the input needs the scalar kernel.
 
     The lockstep backend covers the plain d=1 contact model (no
-    crowding), with targets built from the empty singleton and d=1 balls
-    as layer sets; everything else, box shapes included, runs on the
-    scalar kernel.
+    crowding), with targets built from the empty singleton and balls as
+    layer sets (``hitting_estimate`` has refused balls of another
+    dimension); everything else, box shapes included, runs on the scalar
+    kernel.
     """
     if type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0:
         return None
@@ -641,7 +652,7 @@ def _lockstep_target(model: RateModel, target: TargetSet) -> tuple[bool, list[tu
         shape = piece.shape if type(piece) is LayerSet else None
         if type(shape) is EmptySingleton:
             empty = True
-        elif type(shape) is BallSet and shape.ball.center.dimension == 1:
+        elif type(shape) is BallSet:
             center = np.array([p[0] for p in shape.ball.center.points])
             balls.append((center, shape.ball.radius))
         else:
@@ -697,7 +708,8 @@ def hitting_estimate(
     self-checked against it.  Truncation at ``max_steps`` makes this a
     lower-bound proxy for the untruncated hitting probability.
     ``max_steps`` and ``replicas`` must be integers of at least 1, and
-    a start of another dimension than the model's raises ``ValueError``.
+    a start or target piece of another dimension than the model's raises
+    ``ValueError`` before any replica runs.
 
     Replicas run in blocks of at most 512, one after another in this
     process.  For a :class:`~birthdeath.rates.ContactModel` in d=1
@@ -709,6 +721,7 @@ def hitting_estimate(
     on where the blocks split.
     """
     _check_start(initial, model)
+    _check_target(target.pieces, model)
     max_steps = _whole_number(max_steps, "max_steps", 1)
     replicas = _whole_number(replicas, "replicas", 1)
     root = _root_seed(seed)

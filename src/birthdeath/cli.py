@@ -22,6 +22,7 @@ from .chain import (
     HyperplaneTarget,
     PairDistanceTarget,
     TargetSet,
+    _check_target,
     _replica_seed,
     hitting_estimate,
     simulate,
@@ -170,8 +171,8 @@ def _parse_layer_set(raw: dict, context: str, layer: int | None, dimension: int)
         return LayerSet(shape.fixed_layer if layer is None else layer, shape)
 
 
-def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
-    """A union of pieces: layer sets, with an optional ``layer``, and null predicates."""
+def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
+    """A union of pieces that fit the model: layer sets, with an optional ``layer``, and null predicates."""
     if isinstance(raw, dict):
         raw = raw.get("pieces", [raw])
     if not isinstance(raw, list) or not raw:
@@ -183,18 +184,18 @@ def _parse_target(raw: Any, context: str, dimension: int) -> TargetSet:
         kind = _require(item, "kind", context)
         with _config_error(f"bad piece in {context}: "):
             if kind == "exact_point":
-                point = _parse_configuration([_require(item, "point", context)], context, dimension)
-                pieces.append(ExactPointTarget(point.points[0]))
+                point = _parse_configuration([_require(item, "point", context)], context, model.dimension)
+                piece = ExactPointTarget(point.points[0])
             elif kind == "hyperplane":
                 axis = _number(item, "axis", _REQUIRED, context, minimum=0)
-                if axis >= dimension:
-                    raise ConfigError(f"{context} hyperplane axis {axis} is not an axis of the {dimension}-D model")
-                pieces.append(HyperplaneTarget(axis, _number(item, "value", _REQUIRED, context, float)))
+                piece = HyperplaneTarget(axis, _number(item, "value", _REQUIRED, context, float))
             elif kind == "pair_distance":
-                pieces.append(PairDistanceTarget(_number(item, "distance", _REQUIRED, context, float)))
+                piece = PairDistanceTarget(_number(item, "distance", _REQUIRED, context, float))
             else:
                 layer = _number(item, "layer", None, context, minimum=0)
-                pieces.append(_parse_layer_set(item, context, layer, dimension))
+                piece = _parse_layer_set(item, context, layer, model.dimension)
+            _check_target([piece], model)
+        pieces.append(piece)
     return TargetSet(tuple(pieces))
 
 
@@ -229,7 +230,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int
     section = _section(config, "simulate")
     initial = _parse_configuration(section.get("initial"), "simulate.initial", model.dimension)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
-    target = _parse_target(section["target"], "simulate.target", model.dimension) if section.get("target") else None
+    target = _parse_target(section["target"], "simulate.target", model) if section.get("target") else None
     trajectory = simulate(initial, model, target, max_steps, _replica_seed(seed, 3))
     dimension = model.dimension
     columns = ["step", "kind"] + [f"x{k}" for k in range(dimension)]
@@ -250,7 +251,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int
 def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "hitprob")
     initial = _parse_configuration(section.get("initial"), "hitprob.initial", model.dimension)
-    target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model.dimension)
+    target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
     replicas = _number(section, "replicas", 2_000, "hitprob", minimum=1)
     estimate = hitting_estimate(initial, target, model, max_steps, replicas, _replica_seed(seed, 4))

@@ -35,6 +35,7 @@ from .chain import (
     TargetSet,
     Trajectory,
     _check_start,
+    _check_target,
     _own_stream,
     _replica_rngs,
     _replica_seed,
@@ -223,10 +224,15 @@ def positive_measure_experiment(
     form exists, Monte Carlo for balls).  A case
     passes when its Wilson 95% lower confidence bound on the hitting
     probability within ``max_steps`` steps is strictly positive.
-    Starts sitting inside their target still need a first return.
+    Starts sitting inside their target still need a first return.  A
+    start or target of another dimension than the model raises
+    ``ValueError`` before any measure sample is drawn.
     """
     if not targets or not starts:
         raise ExperimentSetupError("need at least one target and one start")
+    _check_target(targets, model)
+    for start in starts:
+        _check_start(start, model)
     rows: list[CaseRow] = []
     case = 0
     measures: list[float] = []
@@ -247,15 +253,12 @@ def positive_measure_experiment(
     return _report("positive_measure", model, seed, rows)
 
 
-def _check_null_target(piece: object, model: RateModel) -> None:
-    """Refuse anything but a curated null predicate, and one that states of the model's dimension cannot meet."""
-    if not isinstance(piece, NullTarget):
-        raise ExperimentSetupError(f"null-set experiments take curated null predicates, got {piece!r}")
-    if isinstance(piece, ExactPointTarget) and len(piece.point) != model.dimension:
-        raise ExperimentSetupError(f"{piece.label()} is {len(piece.point)}-D, the model is {model.dimension}-D")
-    if isinstance(piece, HyperplaneTarget) and piece.axis >= model.dimension:
-        raise ExperimentSetupError(f"{piece.label()} needs {piece.axis + 1} or more dimensions, "
-                                   f"the model is {model.dimension}-D")
+def _check_null_targets(pieces: Sequence[object], model: RateModel) -> None:
+    """Refuse anything but curated null predicates that fit the model."""
+    for piece in pieces:
+        if not isinstance(piece, NullTarget):
+            raise ExperimentSetupError(f"null-set experiments take curated null predicates, got {piece!r}")
+    _check_target(pieces, model)
 
 
 def null_set_experiment(
@@ -282,8 +285,7 @@ def null_set_experiment(
     births are checked, with ``entered_by_birth`` on the sets not yet
     hit.
     """
-    for piece in null_targets:
-        _check_null_target(piece, model)
+    _check_null_targets(null_targets, model)
     if not null_targets or not starts:
         raise ExperimentSetupError("need at least one null target and one start")
     for start in starts:
@@ -348,9 +350,13 @@ def one_step_null_preservation(
     Lebesgue null set), and a death lands inside only from a state that
     was inside already; a state is flagged exactly when it is in the
     set.  A pass means zero flagged states, the sampled counterpart of
-    the set being preserved as null by one step of the chain.
+    the set being preserved as null by one step of the chain.  A
+    predicate or state of another dimension than the model raises
+    ``ValueError``.
     """
-    _check_null_target(null_target, model)
+    _check_null_targets([null_target], model)
+    for state in states:
+        _check_start(state, model)
     if not states:
         raise ExperimentSetupError("need at least one sampled state")
     flagged = sum(1 for state in states if null_target.one_step_positive(state))

@@ -156,6 +156,9 @@ def sample_in_ball(center: Sequence[float], radius: float, rng: np.random.Genera
 class TargetPiece(abc.ABC):
     """One membership test a target set is built from."""
 
+    # The least and greatest dimension the piece fits; a greatest of None fits every one above.
+    dimensions: tuple[int, int | None]
+
     @abc.abstractmethod
     def contains(self, state: Configuration) -> bool: ...
 
@@ -172,6 +175,8 @@ class Shape(abc.ABC):
 
     # The one layer the shape fits, or None when it fits every layer.
     fixed_layer: int | None
+    # The dimension of the shape's points, or None when it has none and fits every dimension.
+    dimension: int | None
 
     @abc.abstractmethod
     def contains(self, config: Configuration) -> bool:
@@ -190,6 +195,7 @@ class EmptySingleton(Shape):
     """The one-member set holding only the empty configuration."""
 
     fixed_layer = 0
+    dimension = None
 
     def contains(self, config: Configuration) -> bool:
         return True
@@ -207,6 +213,10 @@ class AllInRegion(Shape):
 
     region: BoxRegion
     fixed_layer = None
+
+    @property
+    def dimension(self) -> int:
+        return self.region.dimension
 
     def contains(self, config: Configuration) -> bool:
         return all(map(self.region.contains, config.points))
@@ -255,6 +265,10 @@ class ProductOfDisjointBoxes(Shape):
     def fixed_layer(self) -> int:
         return len(self.boxes)
 
+    @property
+    def dimension(self) -> int:
+        return self.boxes[0].dimension
+
     def contains(self, config: Configuration) -> bool:
         # A point on a face two boxes share lies in both, so a perfect
         # matching of points to the boxes that hold them decides.
@@ -286,6 +300,10 @@ class BallSet(Shape):
     @property
     def fixed_layer(self) -> int:
         return self.ball.layer
+
+    @property
+    def dimension(self) -> int:
+        return self.ball.center.dimension
 
     def contains(self, config: Configuration) -> bool:
         return in_ball(config, self.ball)
@@ -322,6 +340,11 @@ class LayerSet(TargetPiece):
     def contains(self, config: Configuration) -> bool:
         """Set membership for a concrete configuration; only one on the layer reaches the shape."""
         return len(config.points) == self.layer and self.shape.contains(config)
+
+    @property
+    def dimensions(self) -> tuple[int, int | None]:
+        d = self.shape.dimension
+        return (1, None) if d is None else (d, d)
 
     def label(self) -> str:
         return self.shape.label(self.layer)

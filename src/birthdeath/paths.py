@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import HittingEstimate, _check_start, _replica_rngs, _root_seed, _walk
+from .chain import HittingEstimate, _check_start, _check_target, _replica_rngs, _root_seed, _walk
 from .configurations import (
     EMPTY,
     Configuration,
@@ -247,9 +247,12 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
     bound is the per-step bound raised to the path length, with the
     population cap set to one more than the largest vertex size.  A
     bound that is not positive (a zero death floor, or underflow)
-    certifies nothing and raises ``ValueError``.
+    certifies nothing and raises ``ValueError``, and so does a path of
+    another dimension than the model.
     """
     _require_valid(path)
+    for vertex in path.vertices:
+        _check_start(vertex, model)
     exits_empty = any(
         len(path.vertices[k]) == 0 for k in range(len(path.vertices) - 1)
     )
@@ -279,7 +282,7 @@ def corridor_event_frequency(
     is wrapped in a Wilson 95% interval.  Lower bounds certified by
     :func:`corridor_prob_lower_bound` should land at or below this
     frequency up to Monte Carlo error.  A path of another dimension than
-    the model raises ``ValueError``.
+    the model raises ``ValueError`` before any replica runs.
     """
     _require_valid(path)
     _check_start(path.start, model)
@@ -288,6 +291,7 @@ def corridor_event_frequency(
         LayerSet(len(vertex), BallSet(RhoBall(vertex, ball_radius)) if len(vertex) else EmptySingleton())
         for vertex in path.vertices[1:]
     ]
+    _check_target(cells, model)
     hits = 0
     for rng in _replica_rngs(_root_seed(seed), range(replicas)):
         for cell, (state, _, _) in zip(cells, _walk(path.start, model, rng, len(cells))):

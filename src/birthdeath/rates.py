@@ -50,7 +50,12 @@ __all__ = [
 
 
 class DegenerateStateError(RuntimeError):
-    """Raised when the chain cannot move: a state with zero total jump rate, or no free birth location."""
+    """Raised when the chain cannot move: a total jump rate of 0 or not finite, or no free birth location."""
+
+
+def _stuck_state(model: RateModel, size: int, total: float) -> DegenerateStateError:
+    """The error for a state of ``size`` points whose total jump rate ``total`` is 0 or not finite."""
+    return DegenerateStateError(f"a state of {size} points has total jump rate {total!r} under {model.describe()}")
 
 
 def _crowded_birth(model: RateModel) -> DegenerateStateError:

@@ -25,9 +25,9 @@ from birthdeath import (
     HyperplaneTarget,
     LayerSet,
     PairDistanceTarget,
-    PredicateTarget,
     ProductOfDisjointBoxes,
     RhoBall,
+    TargetPiece,
     TargetSet,
     UnsupportedExactEvaluation,
     birth_probability_region,
@@ -39,7 +39,7 @@ from birthdeath import (
     step,
     wilson_interval,
 )
-from conftest import alarm
+from conftest import MISFITS, TARGET_KINDS, alarm, points
 
 
 class TestKernelNormalization:
@@ -111,6 +111,46 @@ class TestStartDimension:
             run(ContactModel(), self.start, self.target)
         # The empty start fits every model.
         run(ContactModel(), EMPTY, self.target)
+
+    def test_the_one_step_probabilities_refuse_a_state_of_another_dimension(self):
+        # Each read 0.5, for a state no chain of the model holds.
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            death_probability(self.start, (0.3, 0.0), ContactModel())
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            birth_probability_region(self.start, None, ContactModel())
+
+
+class TestTargetDimension:
+    """Every chain entry point refuses a target piece that the model's states cannot meet, before any walk."""
+
+    @pytest.mark.parametrize("kind", MISFITS)
+    @pytest.mark.parametrize("run", [
+        lambda t: simulate(EMPTY, ContactModel(), t, 20, 1),
+        lambda t: hitting_estimate(EMPTY, t, ContactModel(), 20, 10, 1),
+    ], ids=["simulate", "hitting_estimate"])
+    def test_a_piece_of_another_dimension_is_refused_before_any_walk(self, monkeypatch, run, kind):
+        # Run on, a walk would index past the model's axes, or miss the piece and report no hit.
+        piece, message = MISFITS[kind]
+        for name in ("_walk", "_replica_rngs"):
+            monkeypatch.setattr(chain, name, lambda *args: pytest.fail("a walk started"))
+        with pytest.raises(ValueError, match=message):
+            run(TargetSet((LayerSet(0, EmptySingleton()), piece)))
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_the_rule_accepts_exactly_the_pieces_that_fit(self, data):
+        kind = data.draw(st.sampled_from(list(TARGET_KINDS)))
+        piece, fits = data.draw(TARGET_KINDS[kind](data.draw(st.integers(1, 3))))
+        d = data.draw(st.integers(1, 3))
+        model = ContactModel(dimension=d)
+        if not fits(d):
+            with pytest.raises(ValueError, match=f"the model is {d}-D"):
+                chain._check_target([piece], model)
+            return
+        chain._check_target([piece], model)
+        # An accepted piece decides membership of every state of the model's dimension.
+        for coords in data.draw(st.lists(points(d), min_size=1, max_size=4)):
+            assert piece.contains(Configuration(coords)) in (True, False)
 
 
 class TestStepAndSimulate:
@@ -227,8 +267,17 @@ class TestTargets:
             TargetSet(())
 
     def test_predicate_target_always_true_hits_immediately(self):
+        class Anything(TargetPiece):
+            dimensions = (1, None)
+
+            def contains(self, state):
+                return True
+
+            def label(self):
+                return "anything"
+
         m = ContactModel()
-        target = TargetSet((PredicateTarget(lambda s: True, name="anything"),))
+        target = TargetSet((Anything(),))
         est = hitting_estimate(EMPTY, target, m, 10, 50, seed=3)
         assert est.hits == 50 and est.estimate == 1.0 and est.ci_high == 1.0
         traj = simulate(EMPTY, m, target, 10, seed=3)
@@ -699,6 +748,51 @@ class TestBirthRedrawLimit:
         monkeypatch.setattr(_lockstep, "_TAIL", 0)
         with alarm(5), pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
             hitting_estimate(EMPTY, empty, model, 50, 64, 1)
+
+
+class TestJumpMassOverflow:
+    """A total jump rate past the float range raises DegenerateStateError naming the model, in every kernel."""
+
+    # Per neighbour, 1.6e308 in d=1 and 1.57e308 in d=2: two points' birth mass is inf.
+    @pytest.mark.parametrize("d, intensity", [(1, 8e307), (2, 5e307)])
+    @pytest.mark.parametrize("model_type", [ContactModel, _ScalarContact], ids=["fused", "advance"])
+    def test_step_and_simulate_raise(self, model_type, d, intensity):
+        model = model_type(dimension=d, neighbor_intensity=intensity)
+        start = Configuration([(0.1,) + (0.0,) * (d - 1), (0.2,) + (0.0,) * (d - 1)])
+        message = rf"a state of 2 points has total jump rate inf under contact\(d={d}"
+        with pytest.raises(DegenerateStateError, match=message):
+            step(start, model, 1)
+        with pytest.raises(DegenerateStateError, match=message):
+            simulate(start, model, None, 5, 1)
+
+    def test_one_step_probabilities_raise(self):
+        # They read 0.0 and nan, not probabilities of a chain that cannot move.
+        model, start = ContactModel(neighbor_intensity=8e307), Configuration([[0.1], [0.2]])
+        for probability in (lambda: death_probability(start, (0.1,), model),
+                            lambda: birth_probability_region(start, None, model)):
+            with pytest.raises(DegenerateStateError, match="2 points has total jump rate inf"):
+                probability()
+
+    def test_lockstep_hitting_raises(self):
+        model = ContactModel(neighbor_intensity=8e307)
+        empty = TargetSet((LayerSet(0, EmptySingleton()),))
+        assert chain._lockstep_target(model, empty) is not None
+        with pytest.raises(DegenerateStateError, match=r"2 points has total jump rate inf under contact"):
+            hitting_estimate(Configuration([[0.1], [0.2]]), empty, model, 20, 600, 1)
+
+    @pytest.mark.parametrize("max_steps", [1, 4, 5, 12])
+    def test_lockstep_raises_exactly_where_the_scalar_kernel_does(self, max_steps):
+        # 4e307 per neighbour: the total jump rate is finite up to 4 points and inf at 5, and
+        # deaths are all but impossible, so every replica from one point steps from 5 at step 5.
+        start, empty = Configuration([[0.1]]), TargetSet((LayerSet(0, EmptySingleton()),))
+        results = []
+        for model in (ContactModel(neighbor_intensity=2e307), _ScalarContact(neighbor_intensity=2e307)):
+            try:
+                results.append(hitting_estimate(start, empty, model, max_steps, 64, 3))
+            except DegenerateStateError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+        assert isinstance(results[0], str) == (max_steps >= 5)
 
 
 class TestChunkedReads:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birthdeath import LayerSet
+from birthdeath import ContactModel, LayerSet
 from birthdeath.cli import _parse_measure_set, _parse_target, main
 from conftest import alarm
 
@@ -347,6 +347,16 @@ class TestConfigErrors:
         assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "axis" in capsys.readouterr().err
 
+    def test_a_simulate_target_of_another_dimension_exits_2(self, tmp_path, capsys):
+        # The library's rule refuses the piece, and the message names the section.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["simulate"]["target"] = [{"kind": "hyperplane", "axis": 1, "value": 0.1}]
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "simulate.target: null:hyperplane(axis=1, value=0.1) needs 2 or more dimensions, " \
+               "the model is 1-D" in err and "Traceback" not in err
+
     def test_metric_dimension_mismatch_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -451,6 +461,18 @@ class TestValidateCommand:
         rows = list(csv.DictReader(open(tmp_path / "out" / "conditions.csv")))
         assert [row["verdict"] for row in rows] == ["FAIL" if i == failed else "PASS" for i in (1, 2, 3, 4)]
         assert rows[failed - 1]["witness"] == ("0.0" if failed == 1 else "inf")
+
+    @pytest.mark.parametrize("command", ["simulate", "hitprob"])
+    def test_a_walk_past_the_float_range_exits_2_without_the_gate(self, tmp_path, capsys, command):
+        # From two points the total jump rate is inf; the kernels refuse it, in d=1 hitprob the lockstep one.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["model"]["neighbor_intensity"] = 8e307
+        config[command]["initial"] = [[0.1], [0.2]]
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--skip-validation"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: a state of 2 points has total jump rate inf under contact(d=1" in err
+        assert "Traceback" not in err
 
 
 class TestRunCommands:
@@ -668,7 +690,7 @@ class TestReadme:
         assert sorted(listed) == sorted(self.examples)
         layer_sets = 0
         for kind in listed:
-            (piece,) = _parse_target([{"kind": kind, **self.examples[kind]}], "target", 1).pieces
+            (piece,) = _parse_target([{"kind": kind, **self.examples[kind]}], "target", ContactModel()).pieces
             if isinstance(piece, LayerSet):
                 shape = {"kind": kind, **self.examples[kind]}
                 shape.pop("layer", None)

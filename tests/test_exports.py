@@ -1,7 +1,11 @@
-"""Every name a module lists in ``__all__`` must resolve, importing stays light, and each rule lives once."""
+"""Every name a module lists in ``__all__`` must resolve, importing stays light, and each rule lives once.
+
+The dimension rule's property test must draw every kind of target piece the package defines.
+"""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -10,6 +14,8 @@ import sys
 import pytest
 
 import birthdeath
+from birthdeath import LayerSet, Shape, TargetPiece
+from conftest import TARGET_KINDS
 
 # The directory that holds the package, for a fresh interpreter's path.
 SRC = os.path.dirname(os.path.dirname(birthdeath.__file__))
@@ -67,3 +73,19 @@ def test_only_chain_builds_seed_sequences():
                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SeedSequence"
             ]
     assert callers == []
+
+
+def _concrete_subclasses(base: type) -> set[type]:
+    found, stack = set(), [base]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("birthdeath.") and not inspect.isabstract(sub):
+                found.add(sub)
+    return found
+
+
+def test_the_dimension_rule_property_test_draws_every_target_kind():
+    # A layer set is drawn through its shapes; every other piece is a kind of its own.
+    kinds = (_concrete_subclasses(TargetPiece) - {LayerSet}) | _concrete_subclasses(Shape)
+    assert kinds == set(TARGET_KINDS)

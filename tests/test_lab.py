@@ -20,7 +20,6 @@ from birthdeath import (
     HyperplaneTarget,
     LayerSet,
     PairDistanceTarget,
-    PredicateTarget,
     ProductOfDisjointBoxes,
     RhoBall,
     SuiteSizes,
@@ -41,6 +40,7 @@ from birthdeath import chain, lab
 from birthdeath.chain import HittingEstimate
 from birthdeath.lab import describe_configuration
 from birthdeath.measure import sample_in_ball
+from conftest import MISFITS
 
 SMALL = SuiteSizes(
     max_steps=120,
@@ -110,11 +110,25 @@ class TestPositiveMeasureExperiment:
                 m, [tiny], [EMPTY], max_steps=10, replicas=5, seed=1, measure_samples=3_000
             )
 
+    @pytest.mark.parametrize("kind", ["all-in-region", "product-boxes", "ball"])
+    def test_a_target_of_another_dimension_is_refused_before_any_sample(self, monkeypatch, kind):
+        # Run on, a 2-D box's exact measure certified a target no 1-D state can meet, and its row read FAIL.
+        piece, message = MISFITS[kind]
+        monkeypatch.setattr(lab, "_certify_positive", lambda *args: pytest.fail("a measure was taken"))
+        with pytest.raises(ValueError, match=message):
+            positive_measure_experiment(ContactModel(), [LayerSet(0, EmptySingleton()), piece], [EMPTY], 1, 50, 1)
+
+    def test_a_start_of_another_dimension_is_refused_before_any_sample(self, monkeypatch):
+        monkeypatch.setattr(lab, "_certify_positive", lambda *args: pytest.fail("a measure was taken"))
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            positive_measure_experiment(ContactModel(), [LayerSet(0, EmptySingleton())],
+                                        [EMPTY, Configuration([[0.3, 0.0]])], 5, 5, 1)
+
     def test_predicate_targets_are_rejected(self):
         m = ContactModel()
         with pytest.raises(ExperimentSetupError):
             positive_measure_experiment(
-                m, [PredicateTarget(lambda s: True)], [EMPTY],
+                m, [PairDistanceTarget(1.0)], [EMPTY],
                 max_steps=10, replicas=5, seed=1,
             )
 
@@ -265,10 +279,6 @@ class TestNullSetExperiment:
         m = ContactModel()
         with pytest.raises(ExperimentSetupError):
             null_set_experiment(m, [LayerSet(0, EmptySingleton())], [EMPTY], max_steps=5, replicas=5, seed=1)
-        with pytest.raises(ExperimentSetupError):
-            null_set_experiment(
-                m, [PredicateTarget(lambda s: False)], [EMPTY], max_steps=5, replicas=5, seed=1
-            )
         # A run that audits no step, or a count that is no integer, is refused.
         null = [ExactPointTarget((1.0,))]
         for field, bad in [("max_steps", 0), ("max_steps", 2.5), ("max_steps", True),
@@ -366,6 +376,12 @@ class TestOneStepNullPreservation:
     def test_a_predicate_of_another_dimension_is_refused(self, piece, message):
         with pytest.raises(ValueError, match=message):
             one_step_null_preservation(ContactModel(), piece, [Configuration([[0.1]])])
+
+    def test_a_state_of_another_dimension_is_refused(self):
+        # A 2-D state never holds the 1-D point, so the check passed whatever the states were.
+        states = [Configuration([[0.1]]), Configuration([[1.0, 0.0]])]
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            one_step_null_preservation(ContactModel(), ExactPointTarget((1.0,)), states)
 
     def test_rejects_non_null_predicates_and_empty_input(self):
         m = ContactModel()

@@ -18,6 +18,7 @@ from birthdeath import (
     path_length_cap,
     theorem_pipeline,
 )
+from birthdeath import paths
 
 
 def random_goal(rng, n, d, spread=1.5):
@@ -121,6 +122,13 @@ class TestBuildPath:
 
 
 class TestCorridorBound:
+    def test_a_path_of_another_dimension_raises(self):
+        # It certified 0.00227 for a 2-D path that no state of the 1-D model follows.
+        path = Path((Configuration([[0.0, 0.0]]), Configuration([[0.0, 0.0], [0.1, 0.0]])), 1.0, (0.0, 0.0))
+        assert is_valid_path(path).valid
+        with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            corridor_prob_lower_bound(path, 0.1, ContactModel())
+
     def test_step_bound_closed_form(self):
         m = ContactModel()
         a = 0.125
@@ -224,6 +232,13 @@ class TestCorridorFrequency:
         path = Path((Configuration([[0.0, 0.0]]), EMPTY), 1.0, (0.0, 0.0))
         assert is_valid_path(path).valid
         with pytest.raises(ValueError, match="the start has 2-D points, the model is 1-D"):
+            corridor_event_frequency(path, 0.1, ContactModel(), replicas=10, seed=1)
+
+    def test_a_path_of_another_dimension_is_refused_before_any_replica(self, monkeypatch):
+        # The path starts empty, so only its corridor cells show the 2-D points.
+        path = build_path(Configuration([[0.1, 0.1], [0.2, 0.1]]), 1.0, (0.0, 0.0))
+        monkeypatch.setattr(paths, "_replica_rngs", lambda *args: pytest.fail("a replica ran"))
+        with pytest.raises(ValueError, match="is 2-D, the model is 1-D"):
             corridor_event_frequency(path, 0.1, ContactModel(), replicas=10, seed=1)
 
     def test_replica_validation(self):
