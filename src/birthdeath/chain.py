@@ -537,9 +537,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Replica indices whose seed words are hashed in one NumPy pass; the
-# size bounds the temporary arrays whatever the replica count.
-_SEED_BATCH = 1024
+# Replicas per block.  A lockstep block keeps a generator and rows of
+# uniforms and points alive for each of its replicas, and
+# :func:`_replica_rngs` hashes the seed words of one block in one NumPy
+# pass, so the size bounds the memory of both whatever the replica count.
+_BLOCK = 512
 
 
 @functools.cache
@@ -608,15 +610,15 @@ def _replica_rngs(
 ) -> Iterator[np.random.Generator]:
     """One generator per replica index, each on its ``_replica_seed`` stream.
 
-    Seed words are derived in batches by :func:`_replica_words` and each
+    Seed words are derived a block at a time by :func:`_replica_words` and each
     generator is built only when the loop asks for it.  The first index
     is checked against ``_replica_seed`` itself, and a mismatch raises
     ``RuntimeError``; an index outside ``0 <= i < 2**32`` raises
     ``ValueError``, since it would take more than one spawn-key word.
     """
     seeded = _words_seed_type()
-    for k in range(0, len(indices), _SEED_BATCH):
-        batch = np.asarray(indices[k:k + _SEED_BATCH], dtype=np.int64)
+    for k in range(0, len(indices), _BLOCK):
+        batch = np.asarray(indices[k:k + _BLOCK], dtype=np.int64)
         if batch.min() < 0 or batch.max() > _MASK32:
             raise ValueError("replica indices must lie in [0, 2**32)")
         words = _replica_words(root, batch)
@@ -627,12 +629,6 @@ def _replica_rngs(
                                    "its SeedSequence's")
         for row in words:
             yield np.random.Generator(np.random.PCG64(seeded(row)))
-
-
-# Replicas per block.  A lockstep block keeps a generator and rows of
-# uniforms and points alive for each of its replicas, so the size
-# bounds the backend's memory.
-_BLOCK = 512
 
 
 def _lockstep_target(model: RateModel, target: TargetSet) -> tuple[bool, list[tuple[np.ndarray, float]]] | None:

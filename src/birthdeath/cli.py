@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -22,6 +21,7 @@ from .chain import (
     HyperplaneTarget,
     PairDistanceTarget,
     TargetSet,
+    _check_start,
     _check_target,
     _replica_seed,
     hitting_estimate,
@@ -120,49 +120,47 @@ def build_model(config: dict) -> ContactModel:
     name = section.get("name", "contact")
     if name != "contact":
         raise ConfigError(f"unknown model '{name}' (only 'contact' is built in)")
+    if "dimension" in config:
+        raise ConfigError("dimension is not a top-level setting: set model.dimension")
     kwargs = {k: v for k, v in section.items() if k != "name"}
-    kwargs.setdefault("dimension", config.get("dimension", 1))
     with _config_error("bad model parameters: "):
         return ContactModel(**kwargs)
 
 
-def _parse_configuration(raw: Any, context: str, dimension: int | None) -> Configuration:
-    """A configuration whose points have ``dimension`` coordinates (any when None)."""
+def _parse_configuration(raw: Any, context: str, model: RateModel | None = None) -> Configuration:
+    """A configuration; given a model, the library's start rule refuses one of another dimension."""
     if raw is None:
         raw = []
     if not isinstance(raw, list):
         raise ConfigError(f"{context} must be a list of points")
     with _config_error(f"bad {context}: "):
         config = Configuration(raw)
-    if dimension is not None and config.dimension not in (None, dimension):
-        raise ConfigError(f"{context} has {config.dimension}-D points, the model is {dimension}-D")
+        if model is not None:
+            _check_start(config, model)
     return config
 
 
-def _parse_box(raw: Any, context: str, dimension: int) -> BoxRegion:
-    """A box in the model's ``dimension``."""
+def _parse_box(raw: Any, context: str) -> BoxRegion:
+    """A box from ``raw['lower']`` and ``raw['upper']``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object with 'lower' and 'upper'")
     with _config_error(f"bad {context}: "):
-        box = BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
-    if box.dimension != dimension:
-        raise ConfigError(f"{context} is a {box.dimension}-D box, the model is {dimension}-D")
-    return box
+        return BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
 
 
-def _parse_layer_set(raw: dict, context: str, layer: int | None, dimension: int) -> LayerSet:
+def _parse_layer_set(raw: dict, context: str, layer: int | None) -> LayerSet:
     """The layer set of ``raw['kind']`` on ``layer``; None takes the layer the shape fixes."""
     kind = _require(raw, "kind", context)
     with _config_error(f"bad {context}: "):
         if kind == "empty":
             shape = EmptySingleton()
         elif kind == "all_in_region":
-            shape = AllInRegion(_parse_box(raw, context, dimension))
+            shape = AllInRegion(_parse_box(raw, context))
         elif kind == "product_boxes":
             boxes = _require(raw, "boxes", context)
-            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{context}.boxes", dimension) for b in boxes))
+            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{context}.boxes") for b in boxes))
         elif kind == "ball":
-            center = _parse_configuration(_require(raw, "center", context), context, dimension)
+            center = _parse_configuration(_require(raw, "center", context), context)
             shape = BallSet(RhoBall(center, _number(raw, "radius", _REQUIRED, context, float)))
         else:
             raise ConfigError(f"unknown kind '{kind}' in {context}")
@@ -184,7 +182,7 @@ def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
         kind = _require(item, "kind", context)
         with _config_error(f"bad piece in {context}: "):
             if kind == "exact_point":
-                point = _parse_configuration([_require(item, "point", context)], context, model.dimension)
+                point = _parse_configuration([_require(item, "point", context)], context)
                 piece = ExactPointTarget(point.points[0])
             elif kind == "hyperplane":
                 axis = _number(item, "axis", _REQUIRED, context, minimum=0)
@@ -193,14 +191,14 @@ def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
                 piece = PairDistanceTarget(_number(item, "distance", _REQUIRED, context, float))
             else:
                 layer = _number(item, "layer", None, context, minimum=0)
-                piece = _parse_layer_set(item, context, layer, model.dimension)
+                piece = _parse_layer_set(item, context, layer)
             _check_target([piece], model)
         pieces.append(piece)
     return TargetSet(tuple(pieces))
 
 
-def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, LayerSet]:
-    """A measure set: its id and the layer set of its ``layer`` and ``shape``; a ``window`` key is refused."""
+def _parse_measure_set(raw: Any, context: str, model: RateModel) -> tuple[str, LayerSet]:
+    """A measure set that fits the model: its id and its layer set; a ``window`` key is refused."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
     if "window" in raw:
@@ -209,7 +207,10 @@ def _parse_measure_set(raw: Any, context: str, dimension: int) -> tuple[str, Lay
     set_id = str(raw.get("id", "set"))
     layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
     shape = _section(raw, "shape", context)
-    return set_id, _parse_layer_set(shape, f"{context}.shape", layer, dimension)
+    layer_set = _parse_layer_set(shape, f"{context}.shape", layer)
+    with _config_error(f"bad {context}: "):
+        _check_target([layer_set], model)
+    return set_id, layer_set
 
 
 def _conditions(model: ContactModel, config: dict) -> ConditionReport:
@@ -228,7 +229,7 @@ def _conditions(model: ContactModel, config: dict) -> ConditionReport:
 
 def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "simulate")
-    initial = _parse_configuration(section.get("initial"), "simulate.initial", model.dimension)
+    initial = _parse_configuration(section.get("initial"), "simulate.initial", model)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
     target = _parse_target(section["target"], "simulate.target", model) if section.get("target") else None
     trajectory = simulate(initial, model, target, max_steps, _replica_seed(seed, 3))
@@ -250,7 +251,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int
 
 def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "hitprob")
-    initial = _parse_configuration(section.get("initial"), "hitprob.initial", model.dimension)
+    initial = _parse_configuration(section.get("initial"), "hitprob.initial", model)
     target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
     replicas = _number(section, "replicas", 2_000, "hitprob", minimum=1)
@@ -277,7 +278,7 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "path")
-    goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model.dimension)
+    goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model)
     radius = model.interaction_radius
     ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
     with _config_error("path: "):
@@ -312,7 +313,7 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
         raise ConfigError("measure.sets must be a nonempty list")
     rows = []
     for index, raw in enumerate(raw_sets):
-        set_id, layer_set = _parse_measure_set(raw, f"measure.sets[{index}]", model.dimension)
+        set_id, layer_set = _parse_measure_set(raw, f"measure.sets[{index}]", model)
         with _config_error(f"measure.sets[{index}]: "):
             result = lp_measure(layer_set, samples, _replica_seed(seed, 5, index))
         rows.append(
@@ -338,12 +339,9 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str) -> int:
     section = _section(config, "lab")
-    # SuiteSizes names the field first in each of its errors.
+    # SuiteSizes declares the budgets; it names the field first in each of its errors.
     with _config_error("lab."):
-        sizes = SuiteSizes(**{
-            name: _json_number(section.get(name, default))
-            for name, default in dataclasses.asdict(SuiteSizes()).items()
-        })
+        sizes = SuiteSizes(**{name: _json_number(value) for name, value in section.items()})
     # A start, target or goal that the suite builds from the model and the library refuses.
     with _config_error("lab: "):
         reports = run_default_suite(model, seed, sizes)
@@ -361,9 +359,10 @@ def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 
 def _cmd_metric(args: argparse.Namespace) -> int:
-    first = _parse_configuration(_read_json(args.first, args.first), args.first, None)
-    second = _parse_configuration(_read_json(args.second, args.second), args.second, first.dimension)
-    print(repr(distance_rho(first, second)))
+    first = _parse_configuration(_read_json(args.first, args.first), args.first)
+    second = _parse_configuration(_read_json(args.second, args.second), args.second)
+    with _config_error("metric: "):
+        print(repr(distance_rho(first, second)))
     return 0
 
 

@@ -242,14 +242,16 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     search runs over the larger distances.
 
     Configurations of different sizes are at distance ``inf``; two empty
-    configurations are at distance ``0.0``.
+    configurations are at distance ``0.0``.  Two nonempty configurations
+    from different spaces raise ``ValueError``, whatever their sizes.
     """
     n = len(first)
+    if n and len(second):
+        _check_same_dimension(first, second)
     if n != len(second):
         return math.inf
     if n == 0:
         return 0.0
-    _check_same_dimension(first, second)
     a = first.points
     b = second.points
     if len(a[0]) == 1:

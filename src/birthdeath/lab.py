@@ -50,6 +50,7 @@ from .measure import (
     EmptySingleton,
     LayerSet,
     TargetPiece,
+    ball_window,
     lp_measure,
     sample_poisson_config,
 )
@@ -448,9 +449,8 @@ class SuiteSizes:
 
 def default_window(model: RateModel) -> BoxRegion:
     """The box around the immigration ball, widened by the interaction radius."""
-    center = model.immigration_region.center
     reach = model.immigration_region.radius + model.interaction_radius
-    return BoxRegion(tuple(c - reach for c in center), tuple(c + reach for c in center))
+    return ball_window(RhoBall(Configuration([model.immigration_region.center]), reach))
 
 
 def default_starts(

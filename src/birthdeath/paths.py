@@ -178,12 +178,10 @@ def build_path(
     vertices = [EMPTY]
     current: list[Point] = []
     present: set[Point] = set()
-    insertion_order: list[Point] = []
 
     def insert(point: Point) -> None:
         current.append(point)
         present.add(point)
-        insertion_order.append(point)
         vertices.append(Configuration(current))
 
     insert(anchor_pt)
@@ -205,10 +203,10 @@ def build_path(
             insert(waypoint)
 
     goal_set = set(goal.points)
-    scaffold = [p for p in insertion_order if p not in goal_set]
+    # ``current`` is in insertion order, so the scaffold leaves in reverse.
+    scaffold = [p for p in current if p not in goal_set]
     for point in reversed(scaffold):
         current.remove(point)
-        present.discard(point)
         vertices.append(Configuration(current))
     return Path(tuple(vertices), radius, anchor_pt)
 

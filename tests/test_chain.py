@@ -899,7 +899,7 @@ class TestBatchSeeding:
 
     def test_streams_cross_batch_boundaries_unchanged(self):
         root = np.random.SeedSequence(31, spawn_key=(2,))
-        indices = range(5, 5 + 2 * chain._SEED_BATCH + 3)
+        indices = range(5, 5 + 2 * chain._BLOCK + 3)
         for index, rng in zip(indices, chain._replica_rngs(root, indices), strict=True):
             assert rng.random() == np.random.default_rng(chain._replica_seed(root, index)).random()
 

@@ -207,6 +207,8 @@ class TestConfigErrors:
             pytest.param("hitprob", ("--seed",), "-1", "seed", id="seed-flag-negative"),
             pytest.param("hitprob", ("seed",), 1.9, "seed", id="seed-fraction"),
             pytest.param("hitprob", ("workers",), 1.5, "workers", id="workers-fraction"),
+            # model.dimension is the only dimension setting.
+            pytest.param("simulate", ("dimension",), 2, "model.dimension", id="top-level-dimension"),
             pytest.param("measure", ("measure", "sets", 1, "layer"), 1.5, "measure.sets[1].layer",
                          id="layer-fraction"),
             pytest.param("measure", ("measure", "sets", 1, "layer"), True, "measure.sets[1].layer",
@@ -291,6 +293,14 @@ class TestConfigErrors:
         assert "config error: measure.sets[2].window is not a setting" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "measure.csv").exists()
 
+    def test_a_lab_key_that_is_no_budget_exits_2_naming_it(self, tmp_path, capsys):
+        # SuiteSizes declares the budgets, so a misspelt one is refused, not ignored.
+        path = write_config(tmp_path, {"lab": {"replica": 5}})
+        assert main(["lab", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'replica'" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["validate", "simulate"])
     @pytest.mark.parametrize(
         "key, value",
@@ -316,11 +326,14 @@ class TestConfigErrors:
         ],
     )
     def test_wrong_dimension_exits_2(self, tmp_path, capsys, command, section, key, value):
+        # The library's rule refuses the start or piece, and the message names the section.
+        refusal = "is 2-D, the model is 1-D" if key == "target" else "2-D points, the model is 1-D"
         config = json.loads(json.dumps(BASE_CONFIG))
         config[section][key] = value
         path = write_config(tmp_path, config)
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "2-D points, the model is 1-D" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and refusal in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "measure_set",
@@ -332,12 +345,16 @@ class TestConfigErrors:
         ],
     )
     def test_measure_box_of_another_dimension_exits_2(self, tmp_path, capsys, measure_set):
+        # The library refuses the set: the model's rule a 1-D box, the shape's own rule mixed boxes.
+        mixed = measure_set["shape"]["kind"] == "product_boxes"
+        refusal = "all boxes must share one dimension" if mixed else "is 1-D, the model is 2-D"
         config = json.loads(json.dumps(BASE_CONFIG))
         config["model"]["dimension"] = 2
         config["measure"]["sets"] = [measure_set]
         path = write_config(tmp_path, config)
         assert main(["measure", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "1-D box, the model is 2-D" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "measure.sets[0]" in err and refusal in err and "Traceback" not in err
 
     @pytest.mark.parametrize("axis", [1, -1])
     def test_hyperplane_axis_outside_the_model_exits_2(self, tmp_path, capsys, axis):
@@ -378,10 +395,10 @@ class TestConfigErrors:
             pytest.param({"kind": "all_in_region", "lower": [0.0], "upper": [1.0]},
                          "hitprob.target.layer", id="all-in-region-without-layer"),
             pytest.param({"kind": "all_in_region", "layer": 1, "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-                         "hitprob.target is a 2-D box", id="all-in-region-box-of-another-dimension"),
+                         "is 2-D, the model is 1-D", id="all-in-region-box-of-another-dimension"),
             pytest.param({"kind": "product_boxes", "boxes": [{"lower": [0.0], "upper": [0.5]},
                                                              {"lower": [0.6, 0.0], "upper": [1.0, 1.0]}]},
-                         "hitprob.target.boxes is a 2-D box", id="product-box-of-another-dimension"),
+                         "all boxes must share one dimension", id="product-box-of-another-dimension"),
             pytest.param({"kind": "product_boxes", "layer": 3, "boxes": [{"lower": [0.0], "upper": [0.5]}]},
                          "layer 3", id="product-layer-contradicts-boxes"),
             pytest.param({"kind": "ball", "layer": 2, "center": [[0.0]], "radius": 0.2},
@@ -694,7 +711,7 @@ class TestReadme:
             if isinstance(piece, LayerSet):
                 shape = {"kind": kind, **self.examples[kind]}
                 shape.pop("layer", None)
-                _, layer_set = _parse_measure_set({"layer": piece.layer, "shape": shape}, "set", 1)
+                _, layer_set = _parse_measure_set({"layer": piece.layer, "shape": shape}, "set", ContactModel())
                 assert layer_set == piece
                 layer_sets += 1
         assert layer_sets == 4

@@ -137,6 +137,9 @@ class TestDistanceRho:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             distance_rho(Configuration([[0.0]]), Configuration([[0.0, 0.0]]))
+        # Of different sizes too: the pair has no distance, not an infinite one.
+        with pytest.raises(ValueError):
+            distance_rho(Configuration([[0.0]]), Configuration([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_matches_brute_force_oracle_small(self):
         rng = np.random.default_rng(20240811)

@@ -59,20 +59,35 @@ def test_no_name_is_exported_by_two_modules():
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
 
 
-def test_only_chain_builds_seed_sequences():
-    # Every stream comes from chain._replica_seed, the one derivation rule.
+def _nodes_outside_chain():
+    """Every AST node of every package module but ``chain.py``, with its module's file name."""
     package = os.path.dirname(birthdeath.__file__)
-    callers = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py") and name != "chain.py":
             with open(os.path.join(package, name)) as handle:
                 tree = ast.parse(handle.read())
-            callers += [
-                f"{name}:{node.lineno}" for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SeedSequence"
-            ]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_only_chain_builds_seed_sequences():
+    # Every stream comes from chain._replica_seed, the one derivation rule.
+    callers = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "SeedSequence"
+    ]
     assert callers == []
+
+
+def test_only_chain_words_a_dimension_refusal():
+    # chain._check_start and chain._check_target are the one dimension rule; an f-string's
+    # literal parts are string constants too.
+    wordings = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "the model is" in node.value
+    ]
+    assert wordings == []
 
 
 def _concrete_subclasses(base: type) -> set[type]:
