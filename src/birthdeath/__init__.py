@@ -7,8 +7,8 @@ The package is organized around five pieces:
 - ``measure``: the layered reference measure on configuration space
   (exact on boxes and products, Monte Carlo elsewhere) and Poisson
   point process sampling.
-- ``rates``: birth/death rate models, the built-in contact model, and
-  evidence-based validation of the standing conditions.
+- ``rates``: birth/death rate models and the standing conditions,
+  proved for the built-in contact model and probed for any other.
 - ``chain``: the embedded jump chain, one-step probabilities, target
   sets, and replica-based hitting estimates with Wilson intervals.
 - ``paths``: constructive one-point-change paths between

@@ -118,13 +118,6 @@ class NullTarget(TargetPiece):
         """Whether some point of ``state`` completes a witness (see :meth:`entered_by_birth`)."""
         return any(self.entered_by_birth(state, p) for p in state.points)
 
-    def one_step_positive(self, state: Configuration) -> bool:
-        """Whether one chain step from ``state`` hits the set with positive probability.
-
-        By monotonicity this is membership of ``state`` itself.
-        """
-        return self.contains(state)
-
     @abc.abstractmethod
     def entered_by_birth(self, state: Configuration, newborn: Point) -> bool:
         """Whether ``state`` is inside through a witness that involves ``newborn``.
@@ -409,18 +402,16 @@ def simulate(
     The trajectory records the seed and every event, and identical
     ``(initial, model, seed, max_steps)`` inputs reproduce it
     bit for bit.  Membership is checked after each step, so a start
-    inside the target still requires a return at step one or later.  A
-    caller's generator is read draw by draw and left where the last
-    draw took it.  A start or target piece of another dimension raises
-    ``ValueError``.
+    inside the target still requires a return at step one or later.
+    The generator is read draw by draw, so a caller's is left where the
+    last draw took it.  A start or target piece of another dimension
+    raises ``ValueError``.
     """
     _check_start(initial, model)
     if target is not None:
         _check_target(target.pieces, model)
     max_steps = _whole_number(max_steps, "max_steps", 0)
     rng = np.random.default_rng(seed)
-    if not isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        rng = _own_stream(rng, model)
     events: list[ChainEvent] = []
     hit_step: int | None = None
     member = target.membership if target is not None else None
@@ -475,17 +466,17 @@ def birth_probability_region(state: Configuration, region: BoxRegion | BallRegio
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(hits: int, total: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(hits: int, total: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     total = _whole_number(total, "total", 1)
     hits = _whole_number(hits, "hits", 0)
     if hits > total:
         raise ValueError(f"hits must be at most total, got {hits} of {total}")
     p = hits / total
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
     # The low end is 0 exactly when no hit was seen (and the high end 1
     # when every trial hit); rounding noise must not fake a positive
     # lower bound, since downstream verdicts test ci_low > 0.
@@ -631,16 +622,21 @@ def _replica_rngs(
             yield np.random.Generator(np.random.PCG64(seeded(row)))
 
 
-def _lockstep_target(model: RateModel, target: TargetSet) -> tuple[bool, list[tuple[np.ndarray, float]]] | None:
+def _lockstep_target(
+    model: RateModel, target: TargetSet, max_size: int
+) -> tuple[bool, list[tuple[np.ndarray, float]]] | None:
     """The target as lockstep data, or None when the input needs the scalar kernel.
 
     The lockstep backend covers the plain d=1 contact model (no
     crowding), with targets built from the empty singleton and balls as
     layer sets (``hitting_estimate`` has refused balls of another
     dimension); everything else, box shapes included, runs on the scalar
-    kernel.
+    kernel.  So does a model whose total jump rate may overflow at up to
+    ``max_size`` (at most ``2**53``) points, so that kernel alone refuses:
+    the block's total at k points is at most ``(1 + k * 2**-53) * jump_rate_sup(k)``.
     """
-    if type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0:
+    if (type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0
+            or not 2.0 * model.jump_rate_sup(max_size) < math.inf):
         return None
     empty = False
     balls = []
@@ -670,7 +666,7 @@ def _count_hits(
     """
     walks = ((initial, _own_stream(rng, model), max_steps) for rng in rngs)
     hits = 0
-    spec = _lockstep_target(model, target)
+    spec = _lockstep_target(model, target, min(len(initial) + max_steps, 2**53))
     if spec is not None:
         initial_xs = [p[0] for p in initial.points]
         hits, steps, tail = _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))

@@ -172,7 +172,7 @@ def _parse_layer_set(raw: dict, context: str, layer: int | None) -> LayerSet:
 def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
     """A union of pieces that fit the model: layer sets, with an optional ``layer``, and null predicates."""
     if isinstance(raw, dict):
-        raw = raw.get("pieces", [raw])
+        raw = [raw]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context} must be a piece object or nonempty list of pieces")
     pieces = []

@@ -360,7 +360,7 @@ def one_step_null_preservation(
         _check_start(state, model)
     if not states:
         raise ExperimentSetupError("need at least one sampled state")
-    flagged = sum(1 for state in states if null_target.one_step_positive(state))
+    flagged = sum(1 for state in states if null_target.contains(state))
     total = len(states)
     row = _row(
         "one_step_null_preservation", 0, f"{total} sampled states", null_target.label(),
@@ -453,15 +453,13 @@ def default_window(model: RateModel) -> BoxRegion:
     return ball_window(RhoBall(Configuration([model.immigration_region.center]), reach))
 
 
-def default_starts(
-    model: RateModel, seed: int, count: int = 3, intensity: float = 1.0
-) -> list[Configuration]:
+def default_starts(model: RateModel, seed: int, intensity: float = 1.0) -> list[Configuration]:
     """The default spread of starting states: empty, the anchor singleton,
-    and ``count`` Poisson draws from :func:`default_window`."""
+    and three Poisson draws from :func:`default_window`."""
     center = model.immigration_region.center
     window = default_window(model)
     starts = [EMPTY, Configuration([center])]
-    for index in range(count):
+    for index in range(3):
         rng = np.random.default_rng(_replica_seed(seed, 20_000 + index))
         starts.append(sample_poisson_config(intensity, window, rng))
     return starts

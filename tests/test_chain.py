@@ -321,10 +321,10 @@ class TestTargets:
         p0 = (1.0,)
         t = ExactPointTarget(p0)
         witness = Configuration([p0, (3.0,)])
-        assert t.one_step_positive(witness)
-        assert t.one_step_positive(Configuration([p0]))
-        assert not t.one_step_positive(Configuration([[0.9], [3.0]]))
-        assert not t.one_step_positive(EMPTY)
+        assert t.contains(witness)
+        assert t.contains(Configuration([p0]))
+        assert not t.contains(Configuration([[0.9], [3.0]]))
+        assert not t.contains(EMPTY)
 
     @settings(max_examples=300)
     @given(
@@ -342,7 +342,7 @@ class TestTargets:
             brute = target.contains(state) or any(
                 target.contains(state.without_index(i)) for i in range(len(state))
             )
-            assert target.one_step_positive(state) == brute
+            assert target.contains(state) == brute
 
     @settings(max_examples=300)
     @given(
@@ -494,7 +494,7 @@ class TestGoldenMoves:
     def test_d1_lockstep_hit_count(self):
         start, model = Configuration([[0.1]]), ContactModel()
         target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([[-1 / 6], [1 / 6]]), 0.25))),))
-        assert chain._lockstep_target(model, target) is not None
+        assert chain._lockstep_target(model, target, 1 + 6) is not None
         est = hitting_estimate(start, target, model, 6, 500, 77)
         assert (est.hits, est.replicas) == GOLDEN_D1["lockstep_hits"]
 
@@ -596,7 +596,7 @@ class _Lattice:
 
 
 def _spec(target):
-    return chain._lockstep_target(ContactModel(), target)
+    return chain._lockstep_target(ContactModel(), target, 2**53)
 
 
 class TestLockstepBackend:
@@ -625,11 +625,11 @@ class TestLockstepBackend:
         assert all(_spec(t) is not None for t in self.targets)
         assert all(_spec(t) is None for t in self.box_targets)
         empty = self.targets[0]
-        assert chain._lockstep_target(_ScalarContact(), empty) is None
-        assert chain._lockstep_target(ContactModel(dimension=2), empty) is None
-        assert chain._lockstep_target(ContactModel(crowding_death=0.3), empty) is None
+        assert chain._lockstep_target(_ScalarContact(), empty, 100) is None
+        assert chain._lockstep_target(ContactModel(dimension=2), empty, 100) is None
+        assert chain._lockstep_target(ContactModel(crowding_death=0.3), empty, 100) is None
         mixed = TargetSet((LayerSet(0, EmptySingleton()), ExactPointTarget((0.0,))))
-        assert chain._lockstep_target(ContactModel(), mixed) is None
+        assert chain._lockstep_target(ContactModel(), mixed, 100) is None
 
     # Live rows below which a block hands its tail to the scalar kernel:
     # never (pure lockstep arithmetic), the default, and from the start.
@@ -733,7 +733,7 @@ class TestBirthRedrawLimit:
         model = model_type(**CROWDED)
         # A box target keeps the hitting estimate on the scalar kernel.
         box = TargetSet((LayerSet(1, AllInRegion(BoxRegion((5.0,), (6.0,)))),))
-        assert chain._lockstep_target(model, box) is None
+        assert chain._lockstep_target(model, box, 50) is None
         with alarm(5):
             with pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
                 simulate(EMPTY, model, None, 50, 1)
@@ -743,7 +743,7 @@ class TestBirthRedrawLimit:
     def test_lockstep_hitting_raises(self, monkeypatch):
         model = ContactModel(**CROWDED)
         empty = TargetSet((LayerSet(0, EmptySingleton()),))
-        assert chain._lockstep_target(model, empty) is not None
+        assert chain._lockstep_target(model, empty, 50) is not None
         # Every row stays in the lockstep block to the end.
         monkeypatch.setattr(_lockstep, "_TAIL", 0)
         with alarm(5), pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
@@ -774,10 +774,21 @@ class TestJumpMassOverflow:
                 probability()
 
     def test_lockstep_hitting_raises(self):
+        # The model could leave the float range within the budget, so the scalar kernel runs it.
         model = ContactModel(neighbor_intensity=8e307)
         empty = TargetSet((LayerSet(0, EmptySingleton()),))
-        assert chain._lockstep_target(model, empty) is not None
+        assert chain._lockstep_target(model, empty, 2 + 20) is None
         with pytest.raises(DegenerateStateError, match=r"2 points has total jump rate inf under contact"):
+            hitting_estimate(Configuration([[0.1], [0.2]]), empty, model, 20, 600, 1)
+
+    def test_a_runaway_model_never_enters_the_lockstep_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the lockstep block ran a model whose jump rate overflows")
+
+        monkeypatch.setattr(_lockstep, "count_hits", refuse)
+        model = ContactModel(neighbor_intensity=8e307)
+        empty = TargetSet((LayerSet(0, EmptySingleton()),))
+        with pytest.raises(DegenerateStateError, match=r"a state of 2 points has total jump rate inf under contact"):
             hitting_estimate(Configuration([[0.1], [0.2]]), empty, model, 20, 600, 1)
 
     @pytest.mark.parametrize("max_steps", [1, 4, 5, 12])
@@ -797,8 +808,9 @@ class TestJumpMassOverflow:
 
 class TestChunkedReads:
     # Contact walks take the fused kernel, and walks that own their
-    # generator read uniforms in chunks in every dimension; _ScalarContact
-    # steps with _advance and reads draw by draw, the reference.
+    # generator (scalar hitting and the null audit) read uniforms in
+    # chunks in every dimension; simulate on _ScalarContact steps with
+    # _advance and reads draw by draw, the reference.
     @pytest.mark.parametrize("crowding", [0.0, 0.4])
     def test_simulate_equals_per_draw_reads(self, crowding):
         rng = np.random.default_rng(0)
@@ -807,16 +819,14 @@ class TestChunkedReads:
             per_draw = _ScalarContact(dimension=dimension, crowding_death=crowding)
             pad = [0.0] * (dimension - 1)
             start = Configuration([[0.0] + pad, [0.5] + pad])
-            center = Configuration([[-0.4] + pad, [0.6] + pad])
-            target = TargetSet((LayerSet(len(center), BallSet(RhoBall(center, 0.2))),))
-            reads_chunks = isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
-            assert reads_chunks
+            assert isinstance(chain._own_stream(rng, chunked), _lockstep.Reader)
             assert chain._own_stream(rng, per_draw) is rng
             for seed, max_steps in itertools.product(range(200), [1, 2, 3, 80]):
-                for initial, goal in ((EMPTY, None), (start, target)):
-                    fast = simulate(initial, chunked, goal, max_steps, seed)
-                    slow = simulate(initial, per_draw, goal, max_steps, seed)
-                    assert fast == slow, (dimension, seed, max_steps)
+                for initial in (EMPTY, start):
+                    reader = chain._own_stream(np.random.default_rng(seed), chunked)
+                    fast = [(kind, point) for _, kind, point in chain._walk(initial, chunked, reader, max_steps)]
+                    slow = simulate(initial, per_draw, None, max_steps, seed)
+                    assert fast == [(e.kind, e.point) for e in slow.events], (dimension, seed, max_steps)
 
     def test_birth_component_is_clamped_like_sample_birth_location(self):
         # A component uniform just below one rounds to the index n = 17

@@ -415,6 +415,17 @@ class TestConfigErrors:
         assert "config error" in err and field in err and "hitprob.target" in err
         assert "Traceback" not in err
 
+    def test_a_target_object_is_one_piece(self, tmp_path, capsys):
+        # A "pieces" key spells no list of pieces: the object itself is the piece.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["hitprob"]["target"] = {"pieces": [{"kind": "empty"}]}
+        path = write_config(tmp_path, config)
+        assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "missing key 'hitprob.target.kind'" in err and "Traceback" not in err
+        ball = {"kind": "ball", "center": [[0.0]], "radius": 0.2, "pieces": [{"kind": "empty"}]}
+        assert _parse_target(ball, "target", ContactModel()).label() == "ball(center=[[0.0]], radius=0.2)"
+
     def test_bad_target_kind_exits_2(self, tmp_path, capsys):
         overrides = {
             "hitprob": {"initial": [], "target": [{"kind": "wormhole"}], "replicas": 5}

@@ -90,6 +90,16 @@ def test_only_chain_words_a_dimension_refusal():
     assert wordings == []
 
 
+def test_only_chain_raises_a_stuck_state():
+    # The scalar kernel is the one kernel that refuses a state; rates.py defines the error.
+    namers = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
+        if name != "rates.py" and "_stuck_state" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                                     getattr(node, "name", None))
+    ]
+    assert namers == []
+
+
 def _concrete_subclasses(base: type) -> set[type]:
     found, stack = set(), [base]
     while stack:
