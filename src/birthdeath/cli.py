@@ -80,12 +80,23 @@ def _read_json(path: str, what: str) -> Any:
         raise ConfigError(f"{what} is not valid JSON: {err}") from err
 
 
-def _section(mapping: dict, key: str, context: str | None = None) -> dict:
-    """``mapping[key]``, which must be an object, or ``{}`` when absent."""
+def _settings(mapping: dict, keys: tuple[str, ...], context: str | None) -> dict:
+    """``mapping``, every key of which must be one of ``keys``."""
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"{_name(context, key)} is not a setting: {context or 'the config'} "
+                              f"takes {', '.join(keys)}")
+    return mapping
+
+
+def _section(mapping: dict, key: str, keys: tuple[str, ...] | None, context: str | None = None) -> dict:
+    """``mapping[key]``, an object of settings among ``keys``, or ``{}`` when absent.
+
+    ``keys`` None leaves the keys to the constructor that the section feeds."""
     section = mapping.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{_name(context, key)} must be an object, got {section!r}")
-    return section
+    return section if keys is None else _settings(section, keys, _name(context, key))
 
 
 def _json_number(value: Any) -> Any:
@@ -116,12 +127,11 @@ def _number(section: dict, key: str, default: Any, context: str | None,
 
 def build_model(config: dict) -> ContactModel:
     _require(config, "model")
-    section = _section(config, "model")
+    # ContactModel refuses a parameter it does not take.
+    section = _section(config, "model", None)
     name = section.get("name", "contact")
     if name != "contact":
         raise ConfigError(f"unknown model '{name}' (only 'contact' is built in)")
-    if "dimension" in config:
-        raise ConfigError("dimension is not a top-level setting: set model.dimension")
     kwargs = {k: v for k, v in section.items() if k != "name"}
     with _config_error("bad model parameters: "):
         return ContactModel(**kwargs)
@@ -198,15 +208,13 @@ def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
 
 
 def _parse_measure_set(raw: Any, context: str, model: RateModel) -> tuple[str, LayerSet]:
-    """A measure set that fits the model: its id and its layer set; a ``window`` key is refused."""
+    """A measure set that fits the model: its id and its layer set."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object")
-    if "window" in raw:
-        raise ConfigError(f"{context}.window is not a setting: a ball is estimated over its own "
-                          "bounding box, and every other shape is exact")
+    _settings(raw, ("id", "layer", "shape"), context)
     set_id = str(raw.get("id", "set"))
     layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
-    shape = _section(raw, "shape", context)
+    shape = _section(raw, "shape", None, context)
     layer_set = _parse_layer_set(shape, f"{context}.shape", layer)
     with _config_error(f"bad {context}: "):
         _check_target([layer_set], model)
@@ -215,11 +223,7 @@ def _parse_measure_set(raw: Any, context: str, model: RateModel) -> tuple[str, L
 
 def _conditions(model: ContactModel, config: dict) -> ConditionReport:
     """The standing conditions, proved on states of at most ``validate.max_size`` points."""
-    section = _section(config, "validate")
-    for key in ("trial_states", "probe_points", "intensity", "window"):
-        if key in section:
-            raise ConfigError(f"validate.{key} is not a setting: the standing conditions are proved "
-                              "from the model's parameters, and no state is drawn")
+    section = _section(config, "validate", ("max_size",))
     # Every chain leaves the empty state by a birth, so a cap below 1 would cover no move.
     return model.conditions(_number(section, "max_size", 12, "validate", minimum=1))
 
@@ -228,7 +232,7 @@ def _conditions(model: ContactModel, config: dict) -> ConditionReport:
 
 
 def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    section = _section(config, "simulate")
+    section = _section(config, "simulate", ("initial", "max_steps", "target"))
     initial = _parse_configuration(section.get("initial"), "simulate.initial", model)
     max_steps = _number(section, "max_steps", 200, "simulate", minimum=0)
     target = _parse_target(section["target"], "simulate.target", model) if section.get("target") else None
@@ -250,7 +254,7 @@ def _cmd_simulate(config: dict, model: RateModel, seed: int, outdir: str) -> int
 
 
 def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    section = _section(config, "hitprob")
+    section = _section(config, "hitprob", ("initial", "target", "max_steps", "replicas"))
     initial = _parse_configuration(section.get("initial"), "hitprob.initial", model)
     target = _parse_target(_require(section, "target", "hitprob"), "hitprob.target", model)
     max_steps = _number(section, "max_steps", 500, "hitprob", minimum=1)
@@ -277,10 +281,11 @@ def _cmd_hitprob(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 
 def _cmd_path(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    section = _section(config, "path")
+    section = _section(config, "path", ("goal",))
     goal = _parse_configuration(_require(section, "goal", "path"), "path.goal", model)
     radius = model.interaction_radius
-    ball_radius = _number(section, "ball_radius", radius / 8.0, "path", float)
+    # The bound is certified for the ball of an eighth radius inside the pipeline's quarter-radius target.
+    ball_radius = radius / 8.0
     with _config_error("path: "):
         path = build_path(goal, radius, model.immigration_region.center)
         bound = corridor_prob_lower_bound(path, ball_radius, model)
@@ -306,7 +311,7 @@ def _cmd_validate(config: dict, model: ContactModel, seed: int, outdir: str) -> 
 
 
 def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    section = _section(config, "measure")
+    section = _section(config, "measure", ("samples", "sets"))
     samples = _number(section, "samples", 20_000, "measure", minimum=1)
     raw_sets = _require(section, "sets", "measure")
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -338,8 +343,8 @@ def _cmd_measure(config: dict, model: RateModel, seed: int, outdir: str) -> int:
 
 
 def _cmd_lab(config: dict, model: RateModel, seed: int, outdir: str) -> int:
-    section = _section(config, "lab")
-    # SuiteSizes declares the budgets; it names the field first in each of its errors.
+    section = _section(config, "lab", None)
+    # SuiteSizes declares the budgets, refuses any other key, and names the field first in each of its errors.
     with _config_error("lab."):
         sizes = SuiteSizes(**{name: _json_number(value) for name, value in section.items()})
     # A start, target or goal that the suite builds from the model and the library refuses.
@@ -417,6 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _read_json(args.config, "config")
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
+        _settings(config, ("seed", "workers", "out", "model", "simulate", "hitprob", "path", "validate",
+                           "measure", "lab"), None)
         model = build_model(config)
         flags = {key: value for key in ("seed", "workers", "out") if (value := getattr(args, key)) is not None}
         settings = {**config, **flags}

@@ -31,7 +31,6 @@ __all__ = [
     "as_point",
     "distance_rho",
     "in_ball",
-    "symmetric_difference_size",
     "unit_ball_volume",
 ]
 
@@ -257,11 +256,7 @@ def distance_rho(first: Configuration, second: Configuration) -> float:
     if len(a[0]) == 1:
         return max([abs(x - y) for (x,), (y,) in zip(a, b)])
     dist = math.dist
-    if n == 1:
-        return dist(a[0], b[0])
     rows = [[dist(x, y) for y in b] for x in a]
-    if n == 2:
-        return min(max(rows[0][0], rows[1][1]), max(rows[0][1], rows[1][0]))
     floor = max(max(map(min, rows)), max(map(min, zip(*rows))))
     candidates = sorted({v for row in rows for v in row if v >= floor})
     lo, hi, mid = 0, len(candidates) - 1, 0
@@ -330,13 +325,6 @@ def in_ball(candidate: Configuration, ball: RhoBall) -> bool:
     return _perfect_matching_exists(
         [[j for j, y in enumerate(b) if dist(x, y) <= radius] for x in a]
     )
-
-
-def symmetric_difference_size(first: Configuration, second: Configuration) -> int:
-    """Number of points in exactly one of the two configurations."""
-    if len(first) and len(second):
-        _check_same_dimension(first, second)
-    return len(set(first.points) ^ set(second.points))
 
 
 def unit_ball_volume(dimension: int) -> float:

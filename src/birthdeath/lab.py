@@ -43,7 +43,7 @@ from .chain import (
     hitting_estimate,
     simulate,
 )
-from .configurations import EMPTY, Configuration, Point, RhoBall, _real, _whole_number
+from .configurations import EMPTY, Configuration, Point, RhoBall, _whole_number
 from .measure import (
     BallSet,
     BoxRegion,
@@ -373,7 +373,6 @@ def one_step_null_preservation(
 def theorem_pipeline(
     model: RateModel,
     goal: Configuration,
-    ball_radius: float | None = None,
     extra_steps: int | None = None,
     replicas: int = 10_000,
     seed: int = 0,
@@ -387,28 +386,24 @@ def theorem_pipeline(
     consistent with the bound: upper limit at or above it and lower
     limit above zero.  Where no positive bound can be certified (a
     zero death floor, or underflow) the row FAILs with bound 0.0.  The
-    certified bound uses a ball radius strictly
-    below a quarter of the interaction radius; when the requested
-    target ball is wider, the bound is computed for an inscribed ball,
-    which only makes it more conservative.  The step budget is the
-    path's span plus ``extra_steps``, a nonnegative integer that
-    defaults to 50 spans.
+    target ball has a quarter interaction radius, and the bound is
+    certified for the ball of an eighth inside it, which only makes it
+    more conservative.  The step budget is the path's span plus
+    ``extra_steps``, a nonnegative integer that defaults to 50 spans.
     """
     if len(goal) == 0:
         raise ExperimentSetupError("the pipeline needs a nonempty goal configuration")
     if extra_steps is not None:
         extra_steps = _whole_number(extra_steps, "extra_steps", 0)
     radius = model.interaction_radius
-    target_radius = radius / 4.0 if ball_radius is None else _real(ball_radius, "ball_radius", 0.0, strict=True)
-    certified_radius = target_radius if target_radius < radius / 4.0 else radius / 8.0
     path = build_path(goal, radius, model.immigration_region.center)
     try:
-        bound = corridor_prob_lower_bound(path, certified_radius, model)
+        bound = corridor_prob_lower_bound(path, radius / 8.0, model)
     except ValueError:
         bound = 0.0
     span = path.length + 2 * len(goal)
     max_steps = span + (50 * span if extra_steps is None else extra_steps)
-    target_piece = LayerSet(len(goal), BallSet(RhoBall(goal, target_radius)))
+    target_piece = LayerSet(len(goal), BallSet(RhoBall(goal, radius / 4.0)))
     case_seed = _replica_seed(seed, 0)
     estimate = hitting_estimate(
         EMPTY, TargetSet((target_piece,)), model, max_steps, replicas, case_seed
@@ -431,20 +426,18 @@ class SuiteSizes:
     null_replicas: int = 5_000
     preservation_draws: int = 2_000
     pipeline_replicas: int = 4_000
-    pipeline_extra_steps: int | None = None
     extinction_replicas: int = 400
     extinction_max_steps: int = 4_000
     measure_samples: int = 10_000
-    poisson_intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        """Read every count as a whole number; a budget no experiment can run fails before the suite."""
+        """Read every budget as a whole number of at least 1, so one no experiment can run fails first."""
         for name, value in asdict(self).items():
-            if name == "poisson_intensity":
-                value = _real(value, name, 0.0, strict=True)
-            elif not (name == "pipeline_extra_steps" and value is None):
-                value = _whole_number(value, name, 0 if name == "pipeline_extra_steps" else 1)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _whole_number(value, name, 1))
+
+
+# Intensity of the suite's Poisson starts and of the one-step audit's states.
+POISSON_INTENSITY = 1.0
 
 
 def default_window(model: RateModel) -> BoxRegion:
@@ -453,15 +446,15 @@ def default_window(model: RateModel) -> BoxRegion:
     return ball_window(RhoBall(Configuration([model.immigration_region.center]), reach))
 
 
-def default_starts(model: RateModel, seed: int, intensity: float = 1.0) -> list[Configuration]:
+def default_starts(model: RateModel, seed: int) -> list[Configuration]:
     """The default spread of starting states: empty, the anchor singleton,
-    and three Poisson draws from :func:`default_window`."""
+    and three Poisson draws of intensity ``POISSON_INTENSITY`` from :func:`default_window`."""
     center = model.immigration_region.center
     window = default_window(model)
     starts = [EMPTY, Configuration([center])]
     for index in range(3):
         rng = np.random.default_rng(_replica_seed(seed, 20_000 + index))
-        starts.append(sample_poisson_config(intensity, window, rng))
+        starts.append(sample_poisson_config(POISSON_INTENSITY, window, rng))
     return starts
 
 
@@ -511,7 +504,7 @@ def run_default_suite(
     goal.  Deterministic for a fixed (model, seed, sizes) triple.
     """
     center = model.immigration_region.center
-    starts = default_starts(model, seed, intensity=sizes.poisson_intensity)
+    starts = default_starts(model, seed)
     reports = [
         positive_measure_experiment(
             model,
@@ -544,7 +537,7 @@ def run_default_suite(
     window = default_window(model)
     draw_rng = np.random.default_rng(_replica_seed(seed, 30_000))
     preservation_states = [
-        sample_poisson_config(sizes.poisson_intensity, window, draw_rng)
+        sample_poisson_config(POISSON_INTENSITY, window, draw_rng)
         for _ in range(sizes.preservation_draws)
     ]
     reports.append(
@@ -558,7 +551,6 @@ def run_default_suite(
             model,
             goal,
             replicas=sizes.pipeline_replicas,
-            extra_steps=sizes.pipeline_extra_steps,
             seed=seed + 2,
         )
     )
@@ -573,7 +565,6 @@ def run_default_suite(
         measure_samples=sizes.measure_samples,
     )
     reports.append(_report(
-        "extinction", model, seed + 3,
-        [replace(row, experiment="extinction") for row in extinction.rows], extinction.failures,
+        "extinction", model, seed + 3, [replace(row, experiment="extinction") for row in extinction.rows]
     ))
     return reports

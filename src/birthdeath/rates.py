@@ -215,7 +215,6 @@ class ContactModel(RateModel):
         crowding_death: float = 0.0,
         immigration_center: Sequence[float] | None = None,
         immigration_radius: float = 0.5,
-        birth_floor: float | None = None,
     ) -> None:
         self.dimension = _whole_number(dimension, "dimension", 1)
         self.interaction_radius = _real(interaction_radius, "interaction_radius", 0.0, strict=True)
@@ -232,13 +231,10 @@ class ContactModel(RateModel):
         if any(c - radius == c + radius for c in center):
             raise ValueError(f"immigration_radius {radius!r} is below the spacing of doubles at immigration_center")
         self.immigration_region = BallRegion(center, radius)
-        if birth_floor is None:
-            birth_floor = 0.5 * min(self.immigration_intensity, self.neighbor_intensity)
-        self.birth_floor = _real(birth_floor, "birth_floor")
-        if not 0 < self.birth_floor < min(self.immigration_intensity, self.neighbor_intensity):
-            raise ValueError(
-                "birth_floor must sit strictly between zero and the smaller intensity"
-            )
+        # Half the smaller intensity: strictly below both unless it underflows to 0.
+        self.birth_floor = 0.5 * min(self.immigration_intensity, self.neighbor_intensity)
+        if self.birth_floor == 0.0:
+            raise ValueError("the birth floor, half the smaller intensity, underflows to 0")
         # Both masses must be positive and finite, so every state has a
         # positive total jump mass and the chain can always move.
         try:
@@ -309,7 +305,11 @@ class ContactModel(RateModel):
     def conditions(self, max_size: int) -> ConditionReport:
         """The four standing assumptions on states of at most ``max_size`` points, proved from the parameters.
 
-        The witnesses are the proved extremes: margin, death cap, death floor, least birth rate near mass."""
+        The witnesses are the proved extremes: margin, death cap, death floor, least birth rate near mass.
+        A subclass may override the rates the proof reads, so it raises ``NotImplementedError``."""
+        if type(self) is not ContactModel:
+            raise NotImplementedError(f"{type(self).__name__} may override the contact rates: "
+                                      "probe its conditions with validate_conditions")
         m = _whole_number(max_size, "max_size", 0)
         bound, cap = self.birth_mass_slope * m + self.birth_mass_offset, self.death_rate_sup(m)
         floor, least_birth = self.baseline_death, min(self.immigration_intensity, self.neighbor_intensity)

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birthdeath import ContactModel, LayerSet
@@ -167,8 +167,6 @@ class TestConfigErrors:
         [
             ("hitprob", "max_steps", "ten"),
             ("hitprob", "replicas", 0),
-            ("lab", "pipeline_extra_steps", "x"),
-            ("lab", "poisson_intensity", [1.0]),
             ("measure", "samples", None),
             ("hitprob", "replicas", 2.5),
             ("lab", "replicas", 40.7),
@@ -177,10 +175,6 @@ class TestConfigErrors:
             ("lab", "measure_samples", 0),
             ("lab", "preservation_draws", 0),
             ("lab", "null_max_steps", 0),
-            ("lab", "pipeline_extra_steps", -1000),
-            ("lab", "poisson_intensity", 0),
-            ("lab", "poisson_intensity", math.nan),
-            ("lab", "poisson_intensity", math.inf),
         ],
     )
     def test_bad_number_exits_2(self, tmp_path, capsys, command, key, value):
@@ -208,7 +202,7 @@ class TestConfigErrors:
             pytest.param("hitprob", ("seed",), 1.9, "seed", id="seed-fraction"),
             pytest.param("hitprob", ("workers",), 1.5, "workers", id="workers-fraction"),
             # model.dimension is the only dimension setting.
-            pytest.param("simulate", ("dimension",), 2, "model.dimension", id="top-level-dimension"),
+            pytest.param("simulate", ("dimension",), 2, "dimension is not a setting", id="top-level-dimension"),
             pytest.param("measure", ("measure", "sets", 1, "layer"), 1.5, "measure.sets[1].layer",
                          id="layer-fraction"),
             pytest.param("measure", ("measure", "sets", 1, "layer"), True, "measure.sets[1].layer",
@@ -292,6 +286,42 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error: measure.sets[2].window is not a setting" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "measure.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, keys, value, name",
+        [
+            # A misspelling of every kind of object: the config, a section, and a measure set.
+            pytest.param("hitprob", ("sead",), 5, "sead is not a setting", id="sead"),
+            pytest.param("simulate", ("simulate", "max_step"), 5, "simulate.max_step is not a setting",
+                         id="simulate.max_step"),
+            pytest.param("hitprob", ("hitprob", "replica"), 5, "hitprob.replica is not a setting", id="hitprob.replica"),
+            pytest.param("path", ("path", "ball_radus"), 0.1, "path.ball_radus is not a setting", id="path.ball_radus"),
+            pytest.param("measure", ("measure", "sampels"), 20, "measure.sampels is not a setting",
+                         id="measure.sampels"),
+            pytest.param("measure", ("measure", "sets", 1, "colour"), "red", "measure.sets[1].colour is not a setting",
+                         id="measure-set-colour"),
+            # Retired settings: the floor, the path's ball and the lab's Poisson intensity are constants,
+            # and the lab runs the pipeline at its default budget.
+            pytest.param("validate", ("model", "birth_floor"), 0.05, "'birth_floor'", id="model.birth_floor"),
+            pytest.param("path", ("path", "ball_radius"), 0.1, "path.ball_radius is not a setting",
+                         id="path.ball_radius"),
+            *(pytest.param("lab", ("lab", key), value, f"'{key}'", id=f"lab.{key}-{value!r}")
+              for key, value in [("pipeline_extra_steps", "x"), ("poisson_intensity", [1.0]),
+                                 ("pipeline_extra_steps", -1000), ("poisson_intensity", 0),
+                                 ("poisson_intensity", math.nan), ("poisson_intensity", math.inf)]),
+        ],
+    )
+    def test_a_key_the_cli_does_not_read_exits_2_naming_it(self, tmp_path, capsys, command, keys, value, name):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        node = config
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err and "Traceback" not in err
+        assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
 
     def test_a_lab_key_that_is_no_budget_exits_2_naming_it(self, tmp_path, capsys):
         # SuiteSizes declares the budgets, so a misspelt one is refused, not ignored.
@@ -380,14 +410,6 @@ class TestConfigErrors:
         a.write_text(json.dumps([[0.0]]))
         b.write_text(json.dumps([[1.0, 2.0]]))
         assert main(["metric", str(a), str(b)]) == 2
-
-    @pytest.mark.parametrize("ball_radius", [5, 0.25, 0.0, -0.1])
-    def test_path_ball_radius_outside_quarter_radius_exits_2(self, tmp_path, capsys, ball_radius):
-        config = json.loads(json.dumps(BASE_CONFIG))
-        config["path"]["ball_radius"] = ball_radius
-        path = write_config(tmp_path, config)
-        assert main(["path", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "ball_radius" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "piece, field",
@@ -747,7 +769,7 @@ FUZZ_BASE = {
     },
     "simulate": {"initial": [], "max_steps": 5, "target": [{"kind": "empty"}]},
     "hitprob": {"initial": [[0.1]], "target": [{"kind": "empty"}], "max_steps": 5, "replicas": 3},
-    "path": {"goal": [[0.2], [0.45]], "ball_radius": 0.1},
+    "path": {"goal": [[0.2], [0.45]]},
     "measure": {
         "samples": 20,
         "sets": [
@@ -756,8 +778,7 @@ FUZZ_BASE = {
         ],
     },
     "lab": {"max_steps": 5, "replicas": 2, "null_max_steps": 2, "null_replicas": 2, "preservation_draws": 2,
-            "pipeline_replicas": 2, "pipeline_extra_steps": 2, "extinction_replicas": 2,
-            "extinction_max_steps": 5, "measure_samples": 20, "poisson_intensity": 1.0},
+            "pipeline_replicas": 2, "extinction_replicas": 2, "extinction_max_steps": 5, "measure_samples": 20},
     "validate": {"max_size": 10},
 }
 
@@ -772,8 +793,8 @@ def _fuzz_paths(node, prefix=()):
 
 # Budgets take small or malformed values only: a huge budget is a long run, not a defect.
 _BUDGETS = {"seed", "workers", "dimension", "max_steps", "replicas", "samples", "layer", "max_size",
-            "null_max_steps", "null_replicas", "preservation_draws", "pipeline_replicas", "pipeline_extra_steps",
-            "extinction_replicas", "extinction_max_steps", "measure_samples"}
+            "null_max_steps", "null_replicas", "preservation_draws", "pipeline_replicas", "extinction_replicas",
+            "extinction_max_steps", "measure_samples"}
 _MALFORMED = [True, False, None, math.nan, math.inf, -math.inf, "x", "nan", [], {}, [1.0], {"kind": "mystery"}]
 _BUDGET_VALUES = st.sampled_from(_MALFORMED + [-1, 0.5, 2.5, "2"]) | st.integers(0, 3)
 # Sub-ulp and huge radii, coordinates and intensities.
@@ -830,3 +851,35 @@ class TestConfigFuzzer:
         assert code in (0, 1, 2)
         if code == 2:
             assert "config error" in err.getvalue()
+
+
+# Each object of FUZZ_BASE whose keys the CLI declares, with the commands that read it.
+_DECLARED = [((), command) for command in ("simulate", "hitprob", "path", "validate", "measure", "lab")] + [
+    (("simulate",), "simulate"), (("hitprob",), "hitprob"), (("path",), "path"), (("validate",), "validate"),
+    (("measure",), "measure"), (("measure", "sets", 0), "measure"), (("measure", "sets", 1), "measure"),
+]
+
+
+class TestUnknownKeys:
+    """One rule: a key the CLI does not read, in the config, a section or a measure set, exits 2."""
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(place=st.sampled_from(_DECLARED), key=st.text(min_size=1, max_size=12), value=_STRUCTURE_VALUES)
+    def test_an_unknown_key_exits_2_naming_it(self, place, key, value):
+        steps, command = place
+        config = json.loads(json.dumps(FUZZ_BASE))
+        node = config
+        for step in steps:
+            node = node[step]
+        # ``out`` is the one setting FUZZ_BASE leaves out.
+        assume(key not in node and not (node is config and key == "out"))
+        node[key] = copy.deepcopy(value)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "config.json")
+            with open(path, "w") as handle:
+                json.dump(config, handle)
+            err = io.StringIO()
+            with alarm(5), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", os.path.join(directory, "out")])
+        assert code == 2
+        assert "config error" in err.getvalue() and f"{key} is not a setting" in err.getvalue()

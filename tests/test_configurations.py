@@ -30,8 +30,6 @@ from birthdeath import (
     distance_rho,
     in_ball,
     sample_poisson_config,
-    symmetric_difference_size,
-    theorem_pipeline,
     unit_ball_volume,
     validate_conditions,
     wilson_interval,
@@ -373,13 +371,6 @@ class TestSymAndVolume:
         with pytest.raises(ValueError):
             Configuration([(0.0,), (0.0,)])
 
-    def test_symmetric_difference_size(self):
-        a = Configuration([[0.0], [1.0]])
-        b = Configuration([[1.0], [2.0]])
-        assert symmetric_difference_size(a, b) == 2
-        assert symmetric_difference_size(a, a) == 0
-        assert symmetric_difference_size(a, EMPTY) == 2
-
     def test_unit_ball_volume_known_values(self):
         assert unit_ball_volume(1) == pytest.approx(2.0, abs=1e-15)
         assert unit_ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
@@ -393,7 +384,6 @@ class TestSymAndVolume:
 _MODEL = ContactModel()
 _POINT = Configuration([[0.0]])
 _BOX = BoxRegion((0.0,), (1.0,))
-_GOAL = Configuration([[-1 / 6], [1 / 6]])
 
 # Entry points that read a finite real, each a factory of the value and the field its error names.
 _REALS = [
@@ -404,15 +394,13 @@ _REALS = [
     ("Path", lambda v: Path((EMPTY, _POINT), v, (0.0,)), "interaction_radius"),
     ("build_path", lambda v: build_path(_POINT, v, (0.0,)), "interaction_radius"),
     ("corridor_step_bound", lambda v: corridor_step_bound(_MODEL, v, 3), "ball_radius"),
-    ("theorem_pipeline", lambda v: theorem_pipeline(_MODEL, _GOAL, ball_radius=v, replicas=1), "ball_radius"),
     ("sample_poisson_config", lambda v: sample_poisson_config(v, _BOX, 1), "intensity"),
-    ("SuiteSizes", lambda v: SuiteSizes(poisson_intensity=v), "poisson_intensity"),
     ("ExactPointTarget", lambda v: ExactPointTarget((v,)), "point coordinate"),
     ("death_probability", lambda v: death_probability(_POINT, (v,), _MODEL), "point coordinate"),
 ] + [
     (f"ContactModel-{name}", lambda v, name=name: ContactModel(**{name: v}), name)
     for name in ("interaction_radius", "immigration_intensity", "neighbor_intensity", "baseline_death",
-                 "crowding_death", "immigration_radius", "birth_floor")
+                 "crowding_death", "immigration_radius")
 ]
 
 # Entry points that read a whole number.

@@ -419,13 +419,6 @@ class TestTheoremPipeline:
         row = theorem_pipeline(m, goal, extra_steps=3, replicas=300, seed=41).rows[0]
         assert (row.max_steps, row.hits, row.replicas, row.verdict) == (14, 14, 300, "PASS")
 
-    def test_explicit_radius_below_quarter_is_used_directly(self):
-        m = ContactModel()
-        goal = Configuration([[0.1]])
-        report = theorem_pipeline(m, goal, ball_radius=0.05, replicas=200, seed=23)
-        assert report.passed
-        assert "radius=0.05" in report.rows[0].target
-
 
 class _ImmigrationOnlyModel(ContactModel):
     """The contact model with neighbour births switched off: condition 4 broken.
@@ -464,6 +457,12 @@ class TestNegativeControls:
             assert [r.target for r in rows] == [near.label(), far.label()]
             verdicts[type(model)] = [r.verdict for r in rows]
         assert verdicts == {_ImmigrationOnlyModel: ["PASS", "FAIL"], ContactModel: ["PASS", "PASS"]}
+
+    def test_a_subclass_gets_no_proof(self):
+        # The proof reads the contact rates, which a subclass may override; this one breaks
+        # condition 4, and the proof used to report it PASS.
+        with pytest.raises(NotImplementedError, match="_ImmigrationOnlyModel"):
+            _ImmigrationOnlyModel().conditions(4)
 
     def test_zero_death_floor_certifies_nothing_and_fails(self):
         # Condition 3 broken: no point ever dies, so no positive corridor
@@ -553,22 +552,14 @@ class TestSuiteAndReports:
             ("null_replicas", -1),
             ("preservation_draws", 0),
             ("pipeline_replicas", 0),
-            ("pipeline_extra_steps", -1),
             ("extinction_replicas", 0),
             ("extinction_max_steps", 0),
             ("measure_samples", 0),
-            ("poisson_intensity", 0.0),
-            ("poisson_intensity", math.nan),
-            ("poisson_intensity", math.inf),
             ("replicas", True),
             ("null_max_steps", 2.5),
             ("extinction_max_steps", math.inf),
             ("preservation_draws", 1.5),
             ("measure_samples", math.nan),
-            ("pipeline_extra_steps", 0.5),
-            ("pipeline_extra_steps", False),
-            ("poisson_intensity", True),
-            pytest.param("poisson_intensity", np.True_, id="poisson_intensity-numpy-True"),
         ],
     )
     def test_suite_sizes_reject_budgets_no_experiment_can_run(self, field, value):
@@ -576,11 +567,10 @@ class TestSuiteAndReports:
             SuiteSizes(**{field: value})
 
     def test_suite_sizes_read_integral_counts_as_ints(self):
-        sizes = SuiteSizes(replicas=np.int64(7), preservation_draws=2.0, pipeline_extra_steps=0.0)
-        assert (sizes.replicas, sizes.preservation_draws, sizes.pipeline_extra_steps) == (7, 2, 0)
+        sizes = SuiteSizes(replicas=np.int64(7), preservation_draws=2.0, measure_samples=np.float64(30.0))
+        assert (sizes.replicas, sizes.preservation_draws, sizes.measure_samples) == (7, 2, 30)
         assert all(type(getattr(sizes, name)) is int
-                   for name in ("replicas", "preservation_draws", "pipeline_extra_steps"))
-        assert SuiteSizes(pipeline_extra_steps=None).pipeline_extra_steps is None
+                   for name in ("replicas", "preservation_draws", "measure_samples"))
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         m = ContactModel()

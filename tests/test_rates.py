@@ -52,8 +52,8 @@ class TestContactModelRates:
             ContactModel(neighbor_intensity=-1.0)
         with pytest.raises(ValueError):
             ContactModel(baseline_death=-0.1)
-        with pytest.raises(ValueError):
-            ContactModel(birth_floor=0.5)  # not below min(imm, nb) = 0.1
+        with pytest.raises(ValueError, match="birth floor"):
+            ContactModel(immigration_intensity=5e-324)  # half of it underflows to 0
         with pytest.raises(ValueError):
             ContactModel(dimension=0)
         with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ class TestContactModelRates:
         # that is not an integer, and birth masses that underflow to
         # zero or overflow.
         for name in ("interaction_radius", "immigration_intensity", "neighbor_intensity",
-                     "baseline_death", "crowding_death", "immigration_radius", "birth_floor"):
+                     "baseline_death", "crowding_death", "immigration_radius"):
             for value in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError):
                     ContactModel(**{name: value})
@@ -84,7 +84,7 @@ class TestContactModelRates:
     @pytest.mark.parametrize(
         "name",
         ["dimension", "interaction_radius", "immigration_intensity", "neighbor_intensity",
-         "baseline_death", "crowding_death", "immigration_radius", "birth_floor",
+         "baseline_death", "crowding_death", "immigration_radius",
          "immigration_center"],
     )
     def test_boolean_parameters_rejected(self, name, value):
@@ -297,7 +297,7 @@ class TestBirthSampler:
 
     def test_sampler_covers_all_neighbor_components(self):
         m = ContactModel(immigration_radius=0.05, immigration_intensity=0.05,
-                         neighbor_intensity=0.2, birth_floor=0.02)
+                         neighbor_intensity=0.2)
         state = Configuration([[5.0], [-5.0]])
         rng = np.random.default_rng(31)
         near_pos = near_neg = 0
@@ -326,13 +326,6 @@ class TestValidateConditions:
         assert report.passed
         assert [c.passed for c in report.checks] == [True] * 4
         assert "PASS" in report.summary()
-
-    @pytest.mark.parametrize("epsilon", [0.1, 0.5, 0.9])
-    def test_floor_fractions_pass(self, epsilon):
-        floor = epsilon * 0.1  # min(imm, nb) = 0.1 for the defaults
-        m = ContactModel(birth_floor=floor)
-        report = validate_conditions(m, 10, make_states(m, 25, max_size=10), seed=2)
-        assert report.passed
 
     def test_zero_death_floor_fails_condition_three(self):
         m = ContactModel(baseline_death=0.0)
