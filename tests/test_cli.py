@@ -323,6 +323,32 @@ class TestConfigErrors:
         assert "config error" in err and name in err and "Traceback" not in err
         assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
 
+    @pytest.mark.parametrize(
+        "command, keys, takes",
+        [
+            pytest.param("validate", (), "the config takes seed, workers, out, model, simulate, hitprob, path, "
+                         "validate, measure, lab", id="config"),
+            pytest.param("simulate", ("simulate",), "simulate takes initial, max_steps, target", id="simulate"),
+            pytest.param("hitprob", ("hitprob",), "hitprob takes initial, target, max_steps, replicas",
+                         id="hitprob"),
+            pytest.param("path", ("path",), "path takes goal", id="path"),
+            pytest.param("validate", ("validate",), "validate takes max_size", id="validate"),
+            pytest.param("measure", ("measure",), "measure takes samples, sets", id="measure"),
+            pytest.param("measure", ("measure", "sets", 0), "measure.sets[0] takes id, layer, shape",
+                         id="measure-set"),
+        ],
+    )
+    def test_the_refusal_lists_the_keys_the_object_takes(self, tmp_path, capsys, command, keys, takes):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        node = config
+        for key in keys:
+            node = node[key]
+        node["extra"] = 1
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"extra is not a setting: {takes}\n" in err and "Traceback" not in err
+
     def test_a_lab_key_that_is_no_budget_exits_2_naming_it(self, tmp_path, capsys):
         # SuiteSizes declares the budgets, so a misspelt one is refused, not ignored.
         path = write_config(tmp_path, {"lab": {"replica": 5}})

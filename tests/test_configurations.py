@@ -25,11 +25,13 @@ from birthdeath import (
     SuiteSizes,
     build_path,
     configurations,
+    corridor_prob_lower_bound,
     corridor_step_bound,
     death_probability,
     distance_rho,
     in_ball,
     sample_poisson_config,
+    theorem_pipeline,
     unit_ball_volume,
     validate_conditions,
     wilson_interval,
@@ -384,6 +386,7 @@ class TestSymAndVolume:
 _MODEL = ContactModel()
 _POINT = Configuration([[0.0]])
 _BOX = BoxRegion((0.0,), (1.0,))
+_PATH = build_path(_POINT, _MODEL.interaction_radius, _MODEL.immigration_region.center)
 
 # Entry points that read a finite real, each a factory of the value and the field its error names.
 _REALS = [
@@ -394,6 +397,7 @@ _REALS = [
     ("Path", lambda v: Path((EMPTY, _POINT), v, (0.0,)), "interaction_radius"),
     ("build_path", lambda v: build_path(_POINT, v, (0.0,)), "interaction_radius"),
     ("corridor_step_bound", lambda v: corridor_step_bound(_MODEL, v, 3), "ball_radius"),
+    ("corridor_prob_lower_bound", lambda v: corridor_prob_lower_bound(_PATH, v, _MODEL), "ball_radius"),
     ("sample_poisson_config", lambda v: sample_poisson_config(v, _BOX, 1), "intensity"),
     ("ExactPointTarget", lambda v: ExactPointTarget((v,)), "point coordinate"),
     ("death_probability", lambda v: death_probability(_POINT, (v,), _MODEL), "point coordinate"),
@@ -414,6 +418,8 @@ _COUNTS = [
     ("validate_conditions-probe_points",
      lambda v: validate_conditions(_MODEL, 2, [EMPTY], probe_points=v), "probe_points"),
     ("corridor_step_bound-max_size", lambda v: corridor_step_bound(_MODEL, 0.1, v), "max_size"),
+    ("theorem_pipeline-extra_steps", lambda v: theorem_pipeline(_MODEL, _POINT, extra_steps=v, replicas=1),
+     "extra_steps"),
     ("wilson_interval-hits", lambda v: wilson_interval(v, 3), "hits"),
     ("wilson_interval-total", lambda v: wilson_interval(1, v), "total"),
     ("SuiteSizes-replicas", lambda v: SuiteSizes(replicas=v), "replicas"),

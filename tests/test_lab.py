@@ -419,6 +419,14 @@ class TestTheoremPipeline:
         row = theorem_pipeline(m, goal, extra_steps=3, replicas=300, seed=41).rows[0]
         assert (row.max_steps, row.hits, row.replicas, row.verdict) == (14, 14, 300, "PASS")
 
+    def test_the_target_is_the_quarter_ball_and_the_bound_its_eighth(self):
+        m = ContactModel()
+        goal = Configuration([[0.1]])
+        row = theorem_pipeline(m, goal, extra_steps=3, replicas=50, seed=23).rows[0]
+        assert row.target == LayerSet(1, BallSet(RhoBall(goal, 0.25))).label()
+        path = build_path(goal, m.interaction_radius, m.immigration_region.center)
+        assert row.certified_bound == corridor_prob_lower_bound(path, 0.125, m)
+
 
 class _ImmigrationOnlyModel(ContactModel):
     """The contact model with neighbour births switched off: condition 4 broken.
@@ -571,6 +579,25 @@ class TestSuiteAndReports:
         assert (sizes.replicas, sizes.preservation_draws, sizes.measure_samples) == (7, 2, 30)
         assert all(type(getattr(sizes, name)) is int
                    for name in ("replicas", "preservation_draws", "measure_samples"))
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: ContactModel(birth_floor=0.05), "birth_floor", id="ContactModel-birth_floor"),
+            pytest.param(lambda: theorem_pipeline(ContactModel(), Configuration([[0.1]]), ball_radius=0.05,
+                                                  replicas=1), "ball_radius", id="theorem_pipeline-ball_radius"),
+            pytest.param(lambda: SuiteSizes(poisson_intensity=1.0), "poisson_intensity",
+                         id="SuiteSizes-poisson_intensity"),
+            pytest.param(lambda: SuiteSizes(pipeline_extra_steps=2), "pipeline_extra_steps",
+                         id="SuiteSizes-pipeline_extra_steps"),
+            pytest.param(lambda: lab.default_starts(ContactModel(), 1, intensity=1.0), "intensity",
+                         id="default_starts-intensity"),
+        ],
+    )
+    def test_a_retired_setting_is_refused(self, call, name):
+        # The floor, the pipeline's balls, the Poisson intensity and the lab's pipeline budget are fixed.
+        with pytest.raises(TypeError, match=name):
+            call()
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path):
         m = ContactModel()

@@ -327,6 +327,14 @@ class TestValidateConditions:
         assert [c.passed for c in report.checks] == [True] * 4
         assert "PASS" in report.summary()
 
+    @pytest.mark.parametrize("immigration, neighbor", [(0.8, 0.1), (0.1, 0.8), (0.3, 0.3)])
+    def test_the_half_minimum_floor_passes(self, immigration, neighbor):
+        # The floor is half the smaller intensity, whichever of the two that is.
+        m = ContactModel(immigration_intensity=immigration, neighbor_intensity=neighbor)
+        assert m.birth_floor == 0.5 * min(immigration, neighbor)
+        report = validate_conditions(m, 10, make_states(m, 25, max_size=10), seed=2)
+        assert report.passed
+
     def test_zero_death_floor_fails_condition_three(self):
         m = ContactModel(baseline_death=0.0)
         report = validate_conditions(m, 10, make_states(m, 25, max_size=10), seed=3)
