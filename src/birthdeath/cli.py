@@ -150,10 +150,18 @@ def _parse_configuration(raw: Any, context: str, model: RateModel | None = None)
     return config
 
 
-def _parse_box(raw: Any, context: str) -> BoxRegion:
-    """A box from ``raw['lower']`` and ``raw['upper']``."""
+# The keys of a piece of each kind besides ``kind``.  As a target piece, a layer set also takes ``layer``.
+_KIND_KEYS = {"empty": (), "ball": ("center", "radius"), "all_in_region": ("lower", "upper"),
+              "product_boxes": ("boxes",), "exact_point": ("point",), "hyperplane": ("axis", "value"),
+              "pair_distance": ("distance",)}
+
+
+def _parse_box(raw: Any, context: str, whole: bool = False) -> BoxRegion:
+    """A box from ``raw['lower']`` and ``raw['upper']``; a ``whole`` box holds no other key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{context} must be an object with 'lower' and 'upper'")
+    if whole:
+        _settings(raw, ("lower", "upper"), context)
     with _config_error(f"bad {context}: "):
         return BoxRegion(tuple(_require(raw, "lower", context)), tuple(_require(raw, "upper", context)))
 
@@ -168,7 +176,8 @@ def _parse_layer_set(raw: dict, context: str, layer: int | None) -> LayerSet:
             shape = AllInRegion(_parse_box(raw, context))
         elif kind == "product_boxes":
             boxes = _require(raw, "boxes", context)
-            shape = ProductOfDisjointBoxes(tuple(_parse_box(b, f"{context}.boxes") for b in boxes))
+            shape = ProductOfDisjointBoxes(tuple(_parse_box(box, f"{context}.boxes[{i}]", whole=True)
+                                                 for i, box in enumerate(boxes)))
         elif kind == "ball":
             center = _parse_configuration(_require(raw, "center", context), context)
             shape = BallSet(RhoBall(center, _number(raw, "radius", _REQUIRED, context, float)))
@@ -186,7 +195,7 @@ def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{context} must be a piece object or nonempty list of pieces")
     pieces = []
-    for item in raw:
+    for index, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"every piece of {context} must be an object")
         kind = _require(item, "kind", context)
@@ -202,6 +211,8 @@ def _parse_target(raw: Any, context: str, model: RateModel) -> TargetSet:
             else:
                 layer = _number(item, "layer", None, context, minimum=0)
                 piece = _parse_layer_set(item, context, layer)
+            layered = ("layer",) if isinstance(piece, LayerSet) else ()
+            _settings(item, ("kind", *_KIND_KEYS[kind], *layered), f"{context}[{index}]")
             _check_target([piece], model)
         pieces.append(piece)
     return TargetSet(tuple(pieces))
@@ -216,6 +227,7 @@ def _parse_measure_set(raw: Any, context: str, model: RateModel) -> tuple[str, L
     layer = _number(raw, "layer", _REQUIRED, context, minimum=0)
     shape = _section(raw, "shape", None, context)
     layer_set = _parse_layer_set(shape, f"{context}.shape", layer)
+    _settings(shape, ("kind", *_KIND_KEYS[shape["kind"]]), f"{context}.shape")
     with _config_error(f"bad {context}: "):
         _check_target([layer_set], model)
     return set_id, layer_set
@@ -415,6 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    made = None  # the output directory this run makes
     try:
         args = parser.parse_args(argv)
         if args.handler is _cmd_metric:
@@ -437,6 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = _conditions(model, config)
             if not report.passed:
                 raise ConfigError("model fails the standing conditions:\n" + report.summary())
+        made = None if os.path.isdir(outdir) else outdir
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as err:
@@ -444,6 +458,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(config, model, seed, outdir)
     # A chain that cannot move is a property of the configured model.
     except (ConfigError, DegenerateStateError) as err:
+        # A refused run removes the output directory it made, unless something was written into it.
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -1,16 +1,17 @@
 """Admissible single-change paths and certified corridor bounds.
 
-A path is a finite sequence of configurations in which consecutive
-entries differ by exactly one point.  An added point must fall within
-half the interaction radius of some point of the previous entry, and
-the only exit from the empty configuration is the designated anchor
-point.  :func:`build_path` constructs such a path from empty to any
-goal configuration by walking evenly spaced waypoints out from the
-anchor and deleting the scaffold afterwards, with a certified length
-cap.  The corridor machinery turns a valid path into an explicit lower
-bound on the probability that the chain tracks it inside bottleneck
-balls of a chosen radius, which is what makes reachability claims
-quantitative rather than anecdotal.
+A path is a finite sequence of configurations.  It is valid under a
+model when consecutive entries differ by exactly one point, an added
+point falls within half the model's interaction radius of some point
+of the previous entry, and the only exit from the empty configuration
+is the model's immigration center; :func:`check_path` judges a path
+against the model it is certified for.  :func:`build_path` constructs
+such a path from empty to any goal configuration by walking evenly
+spaced waypoints out from the anchor and deleting the scaffold
+afterwards, with a certified length cap.  The corridor machinery turns
+a valid path into an explicit lower bound on the probability that the
+chain tracks it inside bottleneck balls of a chosen radius, which is
+what makes reachability claims quantitative rather than anecdotal.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .rates import RateModel
 
 __all__ = [
     "Path",
-    "PathValidation",
-    "is_valid_path",
+    "check_path",
     "build_path",
     "path_length_cap",
     "corridor_step_bound",
@@ -52,17 +52,12 @@ class Path:
     """A sequence of configurations meant to differ by one point per step."""
 
     vertices: tuple[Configuration, ...]
-    interaction_radius: float
-    empty_exit: Point
 
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
         if not vertices:
             raise ValueError("a path needs at least one vertex")
-        radius = _real(self.interaction_radius, "interaction_radius", 0.0, strict=True)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "interaction_radius", radius)
-        object.__setattr__(self, "empty_exit", as_point(self.empty_exit))
 
     @property
     def length(self) -> int:
@@ -78,59 +73,31 @@ class Path:
         return self.vertices[-1]
 
 
-@dataclass(frozen=True)
-class PathValidation:
-    """Validity verdict with the index of the first offending vertex."""
+def check_path(path: Path, model: RateModel) -> None:
+    """Raise ``ValueError`` at the first step that breaks a single-change rule of ``model``.
 
-    valid: bool
-    violation_index: int | None = None
-    reason: str | None = None
-
-
-def is_valid_path(path: Path) -> PathValidation:
-    """Check the single-change rules; reports the first violation.
-
-    The offending index points at the later vertex of the first bad
-    transition.  Rules: consecutive vertices differ by exactly one
-    point; an added point lies within half the interaction radius of
-    some point of the previous vertex; the empty configuration exits
-    only to the singleton at the designated anchor.
+    The error names the later vertex of the first bad transition.
+    Rules: consecutive vertices differ by exactly one point; an added
+    point lies within half the model's interaction radius of some point
+    of the previous vertex; the empty configuration exits only to the
+    singleton at the model's immigration center.
     """
-    half = path.interaction_radius / 2.0
-    anchor = path.empty_exit
-    vertices = path.vertices
-    for k in range(len(vertices) - 1):
-        current = vertices[k]
-        nxt = vertices[k + 1]
-        if len(current) == 0:
-            if len(nxt) != 1 or nxt.points[0] != anchor:
-                return PathValidation(False, k + 1, "empty state must exit to the anchor point")
+    half = model.interaction_radius / 2.0
+    anchor = model.immigration_region.center
+    for k in range(1, len(path.vertices)):
+        before, after = set(path.vertices[k - 1].points), set(path.vertices[k].points)
+        added = after - before
+        if not before:
+            if after == {anchor}:
+                continue
+            reason = "empty state must exit to the immigration center"
+        elif len(added) + len(before - after) != 1:
+            reason = "consecutive vertices must differ by exactly one point"
+        elif any(min(math.dist(p, q) for q in before) > half for p in added):
+            reason = "added point sits farther than half the interaction radius from the previous vertex"
+        else:
             continue
-        cur_set = set(current.points)
-        nxt_set = set(nxt.points)
-        added = nxt_set - cur_set
-        removed = cur_set - nxt_set
-        if len(added) + len(removed) != 1:
-            return PathValidation(
-                False, k + 1, "consecutive vertices must differ by exactly one point"
-            )
-        if added:
-            (new_point,) = added
-            if min(math.dist(new_point, p) for p in current) > half:
-                return PathValidation(
-                    False,
-                    k + 1,
-                    "added point sits farther than half the interaction radius from the previous vertex",
-                )
-    return PathValidation(True)
-
-
-def _require_valid(path: Path) -> None:
-    check = is_valid_path(path)
-    if not check.valid:
-        raise ValueError(
-            f"path is invalid at vertex {check.violation_index}: {check.reason}"
-        )
+        raise ValueError(f"path is invalid at vertex {k}: {reason}")
 
 
 def path_length_cap(goal: Configuration, interaction_radius: float, anchor: Point) -> int:
@@ -169,7 +136,7 @@ def build_path(
     if len(goal) and len(anchor_pt) != goal.dimension:
         raise ValueError("anchor dimension must match the goal configuration")
     if len(goal) == 0:
-        return Path((EMPTY,), radius, anchor_pt)
+        return Path((EMPTY,))
     quarter = radius / 4.0
     reach = sum(math.dist(p, anchor_pt) for p in goal) / quarter if quarter else math.inf
     if not reach <= _MAX_QUARTERS:
@@ -208,7 +175,7 @@ def build_path(
     for point in reversed(scaffold):
         current.remove(point)
         vertices.append(Configuration(current))
-    return Path(tuple(vertices), radius, anchor_pt)
+    return Path(tuple(vertices))
 
 
 def corridor_step_bound(model: RateModel, ball_radius: float, max_size: int) -> float:
@@ -238,7 +205,7 @@ def corridor_step_bound(model: RateModel, ball_radius: float, max_size: int) -> 
 
 
 def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) -> float:
-    """Certified lower bound on the corridor event along a valid path.
+    """Certified lower bound on the corridor event along a path valid under ``model``.
 
     The corridor event keeps the chain inside the bottleneck ball of
     ``ball_radius`` around vertex k after step k, for every step.  The
@@ -246,19 +213,12 @@ def corridor_prob_lower_bound(path: Path, ball_radius: float, model: RateModel) 
     population cap set to one more than the largest vertex size.  A
     bound that is not positive (a zero death floor, or underflow)
     certifies nothing and raises ``ValueError``, and so does a path of
-    another dimension than the model.
+    another dimension than the model or one that :func:`check_path`
+    refuses.
     """
-    _require_valid(path)
     for vertex in path.vertices:
         _check_start(vertex, model)
-    exits_empty = any(
-        len(path.vertices[k]) == 0 for k in range(len(path.vertices) - 1)
-    )
-    if exits_empty and path.empty_exit != model.immigration_region.center:
-        raise ValueError(
-            "the certificate covers an exit from the empty state only when "
-            "the path anchor is the model's immigration center"
-        )
+    check_path(path, model)
     max_size = 1 + max(len(v) for v in path.vertices)
     bound = corridor_step_bound(model, ball_radius, max_size) ** path.length
     if not bound > 0:
@@ -273,16 +233,16 @@ def corridor_event_frequency(
     replicas: int,
     seed: int | np.random.SeedSequence | None,
 ) -> HittingEstimate:
-    """Empirical frequency of the corridor event along a valid path.
+    """Empirical frequency of the corridor event along a path.
 
     Starts replicas at the path's first vertex and counts the runs that
-    stay inside the per-step bottleneck balls the whole way; the count
+    stay inside the per-step bottleneck balls the whole way, whether or
+    not the path obeys the single-change rules; the count
     is wrapped in a Wilson 95% interval.  Lower bounds certified by
     :func:`corridor_prob_lower_bound` should land at or below this
     frequency up to Monte Carlo error.  A path of another dimension than
     the model raises ``ValueError`` before any replica runs.
     """
-    _require_valid(path)
     _check_start(path.start, model)
     replicas = _whole_number(replicas, "replicas", 1)
     cells = [

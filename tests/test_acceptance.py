@@ -34,12 +34,12 @@ from birthdeath import (
     SuiteSizes,
     birth_probability_region,
     build_path,
+    check_path,
     corridor_event_frequency,
     corridor_prob_lower_bound,
     death_probability,
     distance_rho,
     in_ball,
-    is_valid_path,
     lp_measure_estimate,
     lp_measure_exact,
     null_set_experiment,
@@ -310,7 +310,11 @@ def test_acceptance_06_path_construction():
         goal = random_config(rng, n, d)
         anchor = (0.0,) * d
         path = build_path(goal, radius, anchor)
-        verdict = is_valid_path(path)
+        try:
+            check_path(path, ContactModel(dimension=d))
+            valid = True
+        except ValueError:
+            valid = False
         # the advertised cap, written out: twice (waypoint ceilings + goal size)
         formula = 2 * (
             sum(math.ceil(4.0 * math.dist(p, anchor) / radius) for p in goal)
@@ -318,7 +322,7 @@ def test_acceptance_06_path_construction():
         )
         capped = path.length <= min(formula, path_length_cap(goal, radius, anchor))
         reaches = path.final == goal and path.start == EMPTY
-        if not (verdict.valid and capped and reaches):
+        if not (valid and capped and reaches):
             bad += 1
     ok = bad == 0
     line = record_acceptance(
@@ -350,7 +354,7 @@ def _random_valid_path(rng, model, max_len=6):
             if candidate not in current:
                 break
         vertices.append(current.with_point(candidate))
-    return Path(tuple(vertices), r, anchor)
+    return Path(tuple(vertices))
 
 
 def test_acceptance_07_corridor_bound_vs_empirical():
@@ -362,7 +366,7 @@ def test_acceptance_07_corridor_bound_vs_empirical():
     failures = []
     for k in range(20):
         path = _random_valid_path(rng, model)
-        assert is_valid_path(path).valid
+        check_path(path, model)
         bound = corridor_prob_lower_bound(path, a, model)
         freq = corridor_event_frequency(path, a, model, replicas, seed=3000 + k)
         if not (bound > 0.0 and bound <= freq.ci_high):

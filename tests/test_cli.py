@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birthdeath import ContactModel, LayerSet
-from birthdeath.cli import _parse_measure_set, _parse_target, main
+from birthdeath.cli import _KIND_KEYS, _parse_measure_set, _parse_target, main
 from conftest import alarm
 
 BASE_CONFIG = {
@@ -239,7 +239,7 @@ class TestConfigErrors:
         path = write_config(tmp_path)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "out" in err and "Traceback" not in err
+        assert "config error" in err and str(tmp_path / out) in err and "Traceback" not in err
         assert (tmp_path / "taken").read_text() == "not a directory"
 
     def test_numbers_read_as_before(self, tmp_path, capsys):
@@ -300,6 +300,22 @@ class TestConfigErrors:
                          id="measure.sampels"),
             pytest.param("measure", ("measure", "sets", 1, "colour"), "red", "measure.sets[1].colour is not a setting",
                          id="measure-set-colour"),
+            # Target pieces, measure-set shapes and boxes: each kind declares its keys.
+            pytest.param("hitprob", ("hitprob", "target"), [{"kind": "ball", "center": [[0.0]], "radius": 0.2,
+                                                              "layr": 1}],
+                         "hitprob.target[0].layr is not a setting", id="ball-piece-layr"),
+            pytest.param("hitprob", ("hitprob", "target"), [{"kind": "hyperplane", "axis": 0, "value": 0.1,
+                                                              "radius": 0.2}],
+                         "hitprob.target[0].radius is not a setting", id="hyperplane-piece-radius"),
+            pytest.param("hitprob", ("hitprob", "target"),
+                         [{"kind": "empty"}, {"kind": "product_boxes", "boxes": [{"lower": [0.0], "uper": [0.5]}]}],
+                         "hitprob.target.boxes[0].uper is not a setting", id="target-box-uper"),
+            pytest.param("measure", ("measure", "sets", 1),
+                         {"layer": 1, "shape": {"kind": "product_boxes",
+                                                "boxes": [{"lower": [0.0], "upper": [0.5], "uper": [0.6]}]}},
+                         "measure.sets[1].shape.boxes[0].uper is not a setting", id="measure-box-uper"),
+            pytest.param("measure", ("measure", "sets", 1, "shape", "layer"), 5,
+                         "measure.sets[1].shape.layer is not a setting", id="shape-layer"),
             # Retired settings: the floor, the path's ball and the lab's Poisson intensity are constants,
             # and the lab runs the pipeline at its default budget.
             pytest.param("validate", ("model", "birth_floor"), 0.05, "'birth_floor'", id="model.birth_floor"),
@@ -322,6 +338,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error" in err and name in err and "Traceback" not in err
         assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
+
+    @pytest.mark.parametrize("command, keys", [
+        ("simulate", ("simulate", "max_step")), ("hitprob", ("hitprob", "target", 0, "layer_")),
+        ("measure", ("measure", "sets", 0, "shape", "layer")), ("path", ("path", "goal", 0, 0)),
+    ])
+    def test_a_refused_config_leaves_no_out_directory(self, tmp_path, capsys, command, keys):
+        # The directory is made before the command reads its section; a refusal takes it away again.
+        config = json.loads(json.dumps(BASE_CONFIG))
+        node = config
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "x"
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # A directory the run did not make stays, empty as it was.
+        (tmp_path / "out").mkdir()
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert (tmp_path / "out").is_dir() and not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize(
         "command, keys, takes",
@@ -471,8 +507,11 @@ class TestConfigErrors:
         assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "missing key 'hitprob.target.kind'" in err and "Traceback" not in err
-        ball = {"kind": "ball", "center": [[0.0]], "radius": 0.2, "pieces": [{"kind": "empty"}]}
-        assert _parse_target(ball, "target", ContactModel()).label() == "ball(center=[[0.0]], radius=0.2)"
+        # A piece takes only its kind's keys, so a "pieces" key beside a ball is refused, not read.
+        config["hitprob"]["target"] = {"kind": "ball", "center": [[0.0]], "radius": 0.2, "pieces": [{"kind": "empty"}]}
+        path = write_config(tmp_path, config)
+        assert main(["hitprob", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "hitprob.target[0].pieces is not a setting" in capsys.readouterr().err
 
     def test_bad_target_kind_exits_2(self, tmp_path, capsys):
         overrides = {
@@ -762,8 +801,11 @@ class TestReadme:
 
     def test_every_listed_kind_is_parsed(self):
         kind_list = self.readme.split("share one kind list")[1].split("\n\n")[1]
-        listed = re.findall(r"^- `(\w+)`:", kind_list, re.M)
+        bullets = re.findall(r"^- `(\w+)`(?: \(([^)]*)\))?:", kind_list, re.M)
+        listed = [kind for kind, _ in bullets]
         assert sorted(listed) == sorted(self.examples)
+        # Each bullet names the keys the CLI's table declares for its kind.
+        assert {kind: tuple(re.findall(r"`(\w+)`", keys)) for kind, keys in bullets} == _KIND_KEYS
         layer_sets = 0
         for kind in listed:
             (piece,) = _parse_target([{"kind": kind, **self.examples[kind]}], "target", ContactModel()).pieces
@@ -801,6 +843,7 @@ FUZZ_BASE = {
         "sets": [
             {"id": "box", "layer": 2, "shape": {"kind": "all_in_region", "lower": [0.0], "upper": [1.0]}},
             {"id": "ball", "layer": 1, "shape": {"kind": "ball", "center": [[0.0]], "radius": 0.1}},
+            {"id": "boxes", "layer": 1, "shape": {"kind": "product_boxes", "boxes": [{"lower": [0.0], "upper": [0.5]}]}},
         ],
     },
     "lab": {"max_steps": 5, "replicas": 2, "null_max_steps": 2, "null_replicas": 2, "preservation_draws": 2,
@@ -883,11 +926,15 @@ class TestConfigFuzzer:
 _DECLARED = [((), command) for command in ("simulate", "hitprob", "path", "validate", "measure", "lab")] + [
     (("simulate",), "simulate"), (("hitprob",), "hitprob"), (("path",), "path"), (("validate",), "validate"),
     (("measure",), "measure"), (("measure", "sets", 0), "measure"), (("measure", "sets", 1), "measure"),
+    (("simulate", "target", 0), "simulate"), (("hitprob", "target", 0), "hitprob"),
+    (("measure", "sets", 0, "shape"), "measure"), (("measure", "sets", 1, "shape"), "measure"),
+    (("measure", "sets", 2, "shape"), "measure"), (("measure", "sets", 2, "shape", "boxes", 0), "measure"),
 ]
 
 
 class TestUnknownKeys:
-    """One rule: a key the CLI does not read, in the config, a section or a measure set, exits 2."""
+    """One rule: a key the CLI does not read, in the config, a section, a measure set, a target piece,
+    a measure-set shape or a box, exits 2."""
 
     @settings(max_examples=100, derandomize=True, database=None)
     @given(place=st.sampled_from(_DECLARED), key=st.text(min_size=1, max_size=12), value=_STRUCTURE_VALUES)
@@ -897,8 +944,8 @@ class TestUnknownKeys:
         node = config
         for step in steps:
             node = node[step]
-        # ``out`` is the one setting FUZZ_BASE leaves out.
-        assume(key not in node and not (node is config and key == "out"))
+        # FUZZ_BASE leaves out two settings: the config's ``out`` and the ``layer`` of its empty target pieces.
+        assume(key not in node and not (node is config and key == "out") and key != "layer")
         node[key] = copy.deepcopy(value)
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "config.json")

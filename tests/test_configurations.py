@@ -20,7 +20,6 @@ from birthdeath import (
     Configuration,
     ContactModel,
     ExactPointTarget,
-    Path,
     RhoBall,
     SuiteSizes,
     build_path,
@@ -394,7 +393,6 @@ _REALS = [
     ("BallRegion", lambda v: BallRegion((0.0,), v), "radius"),
     ("BallRegion-center", lambda v: BallRegion((v,), 1.0), "point coordinate"),
     ("Configuration", lambda v: Configuration([[0.0], [v]]), "point coordinate"),
-    ("Path", lambda v: Path((EMPTY, _POINT), v, (0.0,)), "interaction_radius"),
     ("build_path", lambda v: build_path(_POINT, v, (0.0,)), "interaction_radius"),
     ("corridor_step_bound", lambda v: corridor_step_bound(_MODEL, v, 3), "ball_radius"),
     ("corridor_prob_lower_bound", lambda v: corridor_prob_lower_bound(_PATH, v, _MODEL), "ball_radius"),
