@@ -624,18 +624,25 @@ def _replica_rngs(
 
 def _lockstep_target(
     model: RateModel, target: TargetSet, max_size: int
-) -> tuple[bool, list[tuple[np.ndarray, float]]] | None:
-    """The target as lockstep data, or None when the input needs the scalar kernel.
+) -> _lockstep.Target | None:
+    """The target as a lockstep test on block rows, or None when the input needs the scalar kernel.
 
-    The lockstep backend covers the plain d=1 contact model (no
-    crowding), with targets built from the empty singleton and balls as
-    layer sets (``hitting_estimate`` has refused balls of another
-    dimension); everything else, box shapes included, runs on the scalar
-    kernel.  So does a model whose total jump rate may overflow at up to
-    ``max_size`` (at most ``2**53``) points, so that kernel alone refuses:
-    the block's total at k points is at most ``(1 + k * 2**-53) * jump_rate_sup(k)``.
+    The lockstep backend covers the contact model itself (not a
+    subclass, which may override its rates) in d=1 and d=2, with or
+    without crowding, and targets built from the empty singleton and
+    balls as layer sets (``hitting_estimate`` has refused balls of
+    another dimension); everything else, box shapes and d >= 3
+    included, runs on the scalar kernel.  So does a model whose total
+    jump rate may overflow at up to ``max_size`` (at most ``2**53``)
+    points, so that kernel alone refuses.  A block's total at k points
+    is its exact value rounded at most ``k + 3`` times, so it is below
+    ``(1 + 2**-53) ** (k + 3) * jump_rate_sup(k)``, under twice the
+    bound at any size a block can hold.  Under crowding a point has at
+    most ``k - 1`` neighbours, so each summed death rate is at most
+    ``death_rate_sup(k)``, the cap that ``jump_rate_sup`` counts, before
+    its own two roundings.
     """
-    if (type(model) is not ContactModel or model.dimension != 1 or model.crowding_death != 0.0
+    if (type(model) is not ContactModel or model.dimension > 2
             or not 2.0 * model.jump_rate_sup(max_size) < math.inf):
         return None
     empty = False
@@ -645,11 +652,71 @@ def _lockstep_target(
         if type(shape) is EmptySingleton:
             empty = True
         elif type(shape) is BallSet:
-            center = np.array([p[0] for p in shape.ball.center.points])
-            balls.append((center, shape.ball.radius))
+            balls.append(shape.ball)
         else:
             return None
-    return empty, balls
+    return _lockstep.Target(empty, balls)
+
+
+@dataclass(frozen=True)
+class _Watch:
+    """What a replica loop checks after every step, and which replicas it counts.
+
+    Step ``k`` (from 0) is checked against cell ``min(k, len(cells) -
+    1)``, so a hitting target is one cell for every step.  With
+    ``enter`` set, a replica stops on entering its cell and counts (a
+    hit); otherwise it stops on leaving its cell, and counts when it
+    never does (a followed corridor).  ``lockstep`` holds the cells as
+    lockstep tests, or is None where the scalar kernel runs.
+    """
+
+    cells: tuple[TargetSet, ...]
+    enter: bool
+    lockstep: tuple[_lockstep.Target, ...] | None
+
+    def cell(self, step: int) -> int:
+        return min(step, len(self.cells) - 1)
+
+
+def _watch(model: RateModel, cells: Sequence[TargetSet], enter: bool, max_size: int) -> _Watch:
+    """A watch over ``cells``, in lockstep where every cell and the model allow it."""
+    targets = [_lockstep_target(model, cell, max_size) for cell in cells]
+    lockstep = tuple(targets) if targets and None not in targets else None
+    return _Watch(tuple(cells), enter, lockstep)
+
+
+def _count(
+    initial: Configuration,
+    model: RateModel,
+    watch: _Watch,
+    max_steps: int,
+    rngs: Iterable[np.random.Generator],
+) -> int:
+    """Replicas, one per generator, that ``watch`` counts within ``max_steps`` steps.
+
+    A lockstep block hands its last few live replicas back mid-run;
+    they finish on the scalar kernel from where the block left them,
+    under the same watch.
+    """
+    walks = ((initial, _own_stream(rng, model), 0) for rng in rngs)
+    count = 0
+    if watch.lockstep is not None:
+        cells = watch.lockstep
+
+        def stops(step: int, pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+            inside = cells[watch.cell(step)](pts, n)
+            return inside if watch.enter else ~inside
+
+        count, steps, tail = _lockstep.count_hits(initial.points, model, stops, watch.enter, max_steps, list(rngs))
+        walks = ((Configuration._wrap(points), reader, steps) for points, reader in tail)
+    for state, rng, done in walks:
+        for step, (moved, _, _) in enumerate(_walk(state, model, rng, max_steps - done), done):
+            if bool(watch.cells[watch.cell(step)].membership(moved)) == watch.enter:
+                count += watch.enter
+                break
+        else:
+            count += not watch.enter
+    return count
 
 
 def _count_hits(
@@ -659,28 +726,9 @@ def _count_hits(
     max_steps: int,
     rngs: Iterable[np.random.Generator],
 ) -> int:
-    """Replicas, one per generator, that enter ``target`` within ``max_steps``.
-
-    A lockstep block hands its last few live replicas back mid-run;
-    they finish on the scalar kernel from where the block left them.
-    """
-    walks = ((initial, _own_stream(rng, model), max_steps) for rng in rngs)
-    hits = 0
-    spec = _lockstep_target(model, target, min(len(initial) + max_steps, 2**53))
-    if spec is not None:
-        initial_xs = [p[0] for p in initial.points]
-        hits, steps, tail = _lockstep.count_hits(initial_xs, model, *spec, max_steps, list(rngs))
-        walks = (
-            (Configuration._wrap(tuple((x,) for x in xs)), reader, max_steps - steps)
-            for xs, reader in tail
-        )
-    member = target.membership
-    for state, rng, budget in walks:
-        for moved, _, _ in _walk(state, model, rng, budget):
-            if member(moved):
-                hits += 1
-                break
-    return hits
+    """Replicas, one per generator, that enter ``target`` within ``max_steps``."""
+    watch = _watch(model, (target,), True, min(len(initial) + max_steps, 2**53))
+    return _count(initial, model, watch, max_steps, rngs)
 
 
 def hitting_estimate(
@@ -704,11 +752,11 @@ def hitting_estimate(
     ``ValueError`` before any replica runs.
 
     Replicas run in blocks of at most 512, one after another in this
-    process.  For a :class:`~birthdeath.rates.ContactModel` in d=1
-    without crowding and a target made of empty-singleton and ball
-    :class:`LayerSet` pieces, a block advances in lockstep as NumPy
-    arrays; every other input runs the scalar kernel one replica at a
-    time.  Each replica reads its stream in the scalar kernel's order,
+    process.  For a :class:`~birthdeath.rates.ContactModel` in d=1 or
+    d=2, with or without crowding, and a target made of empty-singleton
+    and ball :class:`LayerSet` pieces, a block advances in lockstep as
+    NumPy arrays; every other input runs the scalar kernel one replica
+    at a time.  Each replica reads its stream in the scalar kernel's order,
     so both backends give bit-identical hit counts, which do not depend
     on where the blocks split.
     """

@@ -427,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    made = None  # the output directory this run makes
+    made: list[str] = []  # the output directory and parents this run makes, deepest first
     try:
         args = parser.parse_args(argv)
         if args.handler is _cmd_metric:
@@ -450,7 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = _conditions(model, config)
             if not report.passed:
                 raise ConfigError("model fails the standing conditions:\n" + report.summary())
-        made = None if os.path.isdir(outdir) else outdir
+        path = os.path.normpath(outdir)
+        while path and not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as err:
@@ -458,10 +461,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(config, model, seed, outdir)
     # A chain that cannot move is a property of the configured model.
     except (ConfigError, DegenerateStateError) as err:
-        # A refused run removes the output directory it made, unless something was written into it.
-        if made:
+        # A refused run removes the directories it made, deepest first, while each is empty.
+        for path in made:
             with contextlib.suppress(OSError):
-                os.rmdir(made)
+                os.rmdir(path)
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

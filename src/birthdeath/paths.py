@@ -22,7 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import HittingEstimate, _check_start, _check_target, _replica_rngs, _root_seed, _walk
+from .chain import (
+    _BLOCK,
+    HittingEstimate,
+    TargetSet,
+    _check_start,
+    _check_target,
+    _count,
+    _replica_rngs,
+    _root_seed,
+    _watch,
+)
 from .configurations import (
     EMPTY,
     Configuration,
@@ -242,6 +252,13 @@ def corridor_event_frequency(
     :func:`corridor_prob_lower_bound` should land at or below this
     frequency up to Monte Carlo error.  A path of another dimension than
     the model raises ``ValueError`` before any replica runs.
+
+    Replicas run in blocks of at most 512 on the replica loop of
+    :func:`~birthdeath.chain.hitting_estimate`, which stops a replica
+    once it leaves the ball of its step: in lockstep for the
+    :class:`~birthdeath.rates.ContactModel` itself in d=1 and d=2, with
+    or without crowding, and on the scalar kernel otherwise, with
+    bit-identical counts.
     """
     _check_start(path.start, model)
     replicas = _whole_number(replicas, "replicas", 1)
@@ -250,11 +267,11 @@ def corridor_event_frequency(
         for vertex in path.vertices[1:]
     ]
     _check_target(cells, model)
-    hits = 0
-    for rng in _replica_rngs(_root_seed(seed), range(replicas)):
-        for cell, (state, _, _) in zip(cells, _walk(path.start, model, rng, len(cells))):
-            if not cell.contains(state):
-                break
-        else:
-            hits += 1
-    return HittingEstimate.from_counts(hits, replicas, len(cells))
+    steps = len(cells)
+    watch = _watch(model, [TargetSet((cell,)) for cell in cells], False, min(len(path.start) + steps, 2**53))
+    root = _root_seed(seed)
+    hits = sum(
+        _count(path.start, model, watch, steps, _replica_rngs(root, range(k, min(k + _BLOCK, replicas))))
+        for k in range(0, replicas, _BLOCK)
+    )
+    return HittingEstimate.from_counts(hits, replicas, steps)

@@ -626,8 +626,8 @@ class TestLockstepBackend:
         assert all(_spec(t) is None for t in self.box_targets)
         empty = self.targets[0]
         assert chain._lockstep_target(_ScalarContact(), empty, 100) is None
-        assert chain._lockstep_target(ContactModel(dimension=2), empty, 100) is None
-        assert chain._lockstep_target(ContactModel(crowding_death=0.3), empty, 100) is None
+        assert chain._lockstep_target(ContactModel(dimension=2, crowding_death=0.3), empty, 100) is not None
+        assert chain._lockstep_target(ContactModel(dimension=3), empty, 100) is None
         mixed = TargetSet((LayerSet(0, EmptySingleton()), ExactPointTarget((0.0,))))
         assert chain._lockstep_target(ContactModel(), mixed, 100) is None
 
@@ -698,6 +698,61 @@ class TestLockstepBackend:
         center_xs = np.array([p[0] for p in ball.center.points])
         got = _lockstep.ball_members(rows, counts, center_xs, ball.radius)
         assert got.tolist() == [in_ball(c, ball) for c in configs]
+
+    @pytest.mark.parametrize("crowding", [0.0, 0.3])
+    def test_d2_hits_and_corridors_equal_the_scalar_kernel(self, crowding, monkeypatch):
+        # Small blocks, every tail rule, and balls of one to three points.
+        from birthdeath import build_path, corridor_event_frequency
+
+        monkeypatch.setattr(chain, "_BLOCK", 16)
+        lockstep = ContactModel(dimension=2, crowding_death=crowding)
+        scalar = _ScalarContact(dimension=2, crowding_death=crowding)
+        one = Configuration([(0.1, 0.0)])
+        two = Configuration([(-0.15, 0.05), (0.15, -0.05)])
+        three = Configuration([(-0.2, 0.0), (0.0, 0.2), (0.2, 0.0)])
+        targets = [TargetSet((LayerSet(0, EmptySingleton()),)),
+                   TargetSet((LayerSet(1, BallSet(RhoBall(one, 0.3))), LayerSet(2, BallSet(RhoBall(two, 0.3))))),
+                   TargetSet((LayerSet(3, BallSet(RhoBall(three, 0.4))),))]
+        goal = Configuration([(0.1, 0.1), (-0.1, 0.2), (0.2, -0.1)])
+        path = build_path(goal, 1.0, (0.0, 0.0))
+        for tail in (0, _lockstep._TAIL, 10**9):
+            monkeypatch.setattr(_lockstep, "_TAIL", tail)
+            for start, target in itertools.product([EMPTY, two], targets):
+                fast = hitting_estimate(start, target, lockstep, 30, 40, 3)
+                assert fast == hitting_estimate(start, target, scalar, 30, 40, 3), (tail, target.label())
+            for radius in (0.2, 0.45):
+                fast = corridor_event_frequency(path, radius, lockstep, 40, 5)
+                assert fast == corridor_event_frequency(path, radius, scalar, 40, 5), (tail, radius)
+
+    def test_d2_collision_redraws_match_the_scalar_kernel(self, monkeypatch):
+        # Eighths put newborns on their parents and on the ball's sphere.
+        model = ContactModel(dimension=2, crowding_death=0.3, immigration_intensity=2.0, neighbor_intensity=0.5)
+        scalar = _ScalarContact(dimension=2, crowding_death=0.3, immigration_intensity=2.0, neighbor_intensity=0.5)
+        start = Configuration([(0.0, 0.0), (0.5, 0.5)])
+        target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([(0.25, 0.0), (0.5, 0.25)]), 0.25))),))
+        for tail in (0, _lockstep._TAIL):
+            monkeypatch.setattr(_lockstep, "_TAIL", tail)
+            for max_steps in (1, 10, 60):
+                fast = chain._count_hits(start, model, target, max_steps, [_Lattice(s) for s in range(24)])
+                slow = chain._count_hits(start, scalar, target, max_steps, [_Lattice(s) for s in range(24)])
+                assert fast == slow, (tail, max_steps)
+
+    coordinates = st.integers(-64, 64).map(lambda k: k / 8) | st.floats(-2, 2) | st.floats(-1e154, 1e154)
+
+    @settings(max_examples=300)
+    @given(x=st.tuples(coordinates, coordinates), y=st.tuples(coordinates, coordinates),
+           radius=st.integers(1, 64).map(lambda k: k / 8) | st.floats(1e-300, 1e-150) | st.floats(1e-3, 1e155))
+    def test_distance_rule_equals_math_dist(self, x, y, radius):
+        got = _lockstep.within(np.array(x)[:, None], np.array(y)[:, None], radius)
+        assert got.tolist() == [math.dist(x, y) <= radius]
+        # Points at exactly the radius, on the eighths lattice.
+        edge = (x[0] + 0.375, x[1] + 0.5)
+        if math.dist(x, edge) == 0.625:
+            assert _lockstep.within(np.array(x)[:, None], np.array(edge)[:, None], 0.625).tolist() == [True]
+
+    def test_numpy_sqrt_equals_math_sqrt(self):
+        sample = np.random.default_rng(2).random(10_000)
+        assert np.sqrt(sample).tolist() == [math.sqrt(v) for v in sample.tolist()]
 
     def test_reused_seed_sequence_gives_the_same_estimate(self):
         target = TargetSet((LayerSet(0, EmptySingleton()),))

@@ -359,6 +359,19 @@ class TestConfigErrors:
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert (tmp_path / "out").is_dir() and not any((tmp_path / "out").iterdir())
 
+    def test_a_refused_run_removes_the_parents_it_made(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["simulate"]["max_step"] = 3
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+        assert "simulate.max_step" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        # A parent that already held something stays, with what it held.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "kept.txt").write_text("x")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "a" / "b" / "c")]) == 2
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["kept.txt"]
+
     @pytest.mark.parametrize(
         "command, keys, takes",
         [
