@@ -99,12 +99,15 @@ def within(x: np.ndarray, y: np.ndarray, radius: float) -> np.ndarray:
     radius, which is then inside for sure, or overflows, which is then
     outside.  So NumPy's comparison is ``math.dist``'s except within the
     relative margin ``_MARGIN`` of ``radius**2``.  Those pairs, and all
-    pairs at any other radius, are decided by ``math.dist`` itself.
+    pairs at any other radius, are decided by ``math.dist`` itself.  A
+    difference that overflows is ``inf``, like ``math.dist`` of its pair,
+    so NumPy's overflow warnings are silenced.
     """
-    diff = x - y
-    if len(diff) == 1:
-        return np.abs(diff[0]) <= radius
-    square = (diff * diff).sum(axis=0)
+    with np.errstate(over="ignore"):
+        diff = x - y
+        if len(diff) == 1:
+            return np.abs(diff[0]) <= radius
+        square = (diff * diff).sum(axis=0)
     bound = radius * radius
     inside = square < bound
     if _LOW <= bound <= _HIGH:
@@ -131,12 +134,14 @@ def ball_members(
     d=1 the sorted pairing is an optimal bottleneck matching, and
     rounding is monotone, so comparing ``max |a_i - c_i|`` with the
     radius decides exactly what
-    :func:`~birthdeath.configurations.in_ball` decides.
+    :func:`~birthdeath.configurations.in_ball` decides; a difference
+    that overflows is ``inf``, outside, with no warning.
     """
     m = len(center)
     inside = counts == m
     if inside.any():
-        inside[inside] = np.abs(rows[inside, :m] - center).max(axis=1) <= radius
+        with np.errstate(over="ignore"):
+            inside[inside] = np.abs(rows[inside, :m] - center).max(axis=1) <= radius
     return inside
 
 

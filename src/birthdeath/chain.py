@@ -19,7 +19,7 @@ import functools
 import math
 from bisect import bisect, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import dist
 from typing import Iterable, Iterator, Sequence
 
@@ -603,9 +603,9 @@ def _replica_rngs(
 
     Seed words are derived a block at a time by :func:`_replica_words` and each
     generator is built only when the loop asks for it.  The first index
-    is checked against ``_replica_seed`` itself, and a mismatch raises
-    ``RuntimeError``; an index outside ``0 <= i < 2**32`` raises
-    ``ValueError``, since it would take more than one spawn-key word.
+    of every block is checked against ``_replica_seed`` itself, and a
+    mismatch raises ``RuntimeError``; an index outside ``0 <= i < 2**32``
+    raises ``ValueError``, since it would take more than one spawn-key word.
     """
     seeded = _words_seed_type()
     for k in range(0, len(indices), _BLOCK):
@@ -613,11 +613,10 @@ def _replica_rngs(
         if batch.min() < 0 or batch.max() > _MASK32:
             raise ValueError("replica indices must lie in [0, 2**32)")
         words = _replica_words(root, batch)
-        if k == 0:
-            expected = _replica_seed(root, int(batch[0])).generate_state(4, np.uint64)
-            if words[0].tolist() != expected.tolist():
-                raise RuntimeError(f"batch seed words of replica {batch[0]} differ from "
-                                   "its SeedSequence's")
+        expected = _replica_seed(root, int(batch[0])).generate_state(4, np.uint64)
+        if words[0].tolist() != expected.tolist():
+            raise RuntimeError(f"batch seed words of replica {batch[0]} differ from "
+                               "its SeedSequence's")
         for row in words:
             yield np.random.Generator(np.random.PCG64(seeded(row)))
 
@@ -658,77 +657,63 @@ def _lockstep_target(
     return _lockstep.Target(empty, balls)
 
 
-@dataclass(frozen=True)
-class _Watch:
-    """What a replica loop checks after every step, and which replicas it counts.
+def _count(
+    initial: Configuration,
+    model: RateModel,
+    cells: Sequence[TargetSet],
+    enter: bool,
+    max_steps: int,
+    rngs: Iterable[np.random.Generator],
+) -> int:
+    """Replicas, one per generator, that ``cells`` count within ``max_steps`` steps.
 
     Step ``k`` (from 0) is checked against cell ``min(k, len(cells) -
     1)``, so a hitting target is one cell for every step.  With
     ``enter`` set, a replica stops on entering its cell and counts (a
     hit); otherwise it stops on leaving its cell, and counts when it
-    never does (a followed corridor).  ``lockstep`` holds the cells as
-    lockstep tests, or is None where the scalar kernel runs.
+    never does (a followed corridor).
+
+    This is the one replica loop, and it picks the backend.  When every
+    cell has a lockstep test (:func:`_lockstep_target`), and there is
+    at least one cell, the generators run in blocks of ``_BLOCK`` through
+    :func:`_lockstep.count_hits`, and each block hands its last few live
+    replicas back mid-run to finish on the scalar kernel from where the
+    block left them.  Otherwise every replica runs on the scalar kernel,
+    one generator at a time.  Each replica reads its stream in the
+    scalar kernel's order, so both backends give bit-identical counts,
+    which do not depend on where the blocks split.
     """
+    last = len(cells) - 1
 
-    cells: tuple[TargetSet, ...]
-    enter: bool
-    lockstep: tuple[_lockstep.Target, ...] | None
+    def finish(walks: Iterable[tuple]) -> int:
+        # Each walk is a state, its stream and the steps it has taken.
+        count = 0
+        for state, rng, done in walks:
+            for step, (moved, _, _) in enumerate(_walk(state, model, rng, max_steps - done), done):
+                if bool(cells[min(step, last)].membership(moved)) == enter:
+                    count += enter
+                    break
+            else:
+                count += not enter
+        return count
 
-    def cell(self, step: int) -> int:
-        return min(step, len(self.cells) - 1)
+    max_size = min(len(initial) + max_steps, 2**53)
+    tests = [_lockstep_target(model, cell, max_size) for cell in cells]
+    if not tests or None in tests:
+        return finish((initial, _own_stream(rng, model), 0) for rng in rngs)
 
+    def stops(step: int, pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+        inside = tests[min(step, last)](pts, n)
+        return inside if enter else ~inside
 
-def _watch(model: RateModel, cells: Sequence[TargetSet], enter: bool, max_size: int) -> _Watch:
-    """A watch over ``cells``, in lockstep where every cell and the model allow it."""
-    targets = [_lockstep_target(model, cell, max_size) for cell in cells]
-    lockstep = tuple(targets) if targets and None not in targets else None
-    return _Watch(tuple(cells), enter, lockstep)
-
-
-def _count(
-    initial: Configuration,
-    model: RateModel,
-    watch: _Watch,
-    max_steps: int,
-    rngs: Iterable[np.random.Generator],
-) -> int:
-    """Replicas, one per generator, that ``watch`` counts within ``max_steps`` steps.
-
-    A lockstep block hands its last few live replicas back mid-run;
-    they finish on the scalar kernel from where the block left them,
-    under the same watch.
-    """
-    walks = ((initial, _own_stream(rng, model), 0) for rng in rngs)
     count = 0
-    if watch.lockstep is not None:
-        cells = watch.lockstep
-
-        def stops(step: int, pts: np.ndarray, n: np.ndarray) -> np.ndarray:
-            inside = cells[watch.cell(step)](pts, n)
-            return inside if watch.enter else ~inside
-
-        count, steps, tail = _lockstep.count_hits(initial.points, model, stops, watch.enter, max_steps, list(rngs))
-        walks = ((Configuration._wrap(points), reader, steps) for points, reader in tail)
-    for state, rng, done in walks:
-        for step, (moved, _, _) in enumerate(_walk(state, model, rng, max_steps - done), done):
-            if bool(watch.cells[watch.cell(step)].membership(moved)) == watch.enter:
-                count += watch.enter
-                break
-        else:
-            count += not watch.enter
+    source = iter(rngs)
+    while block := list(islice(source, _BLOCK)):
+        hits, steps, tail = _lockstep.count_hits(initial.points, model, stops, enter, max_steps, block)
+        # Free this block's generators before the next block builds its own.
+        del block
+        count += hits + finish((Configuration._wrap(points), reader, steps) for points, reader in tail)
     return count
-
-
-def _count_hits(
-    initial: Configuration,
-    model: RateModel,
-    target: TargetSet,
-    max_steps: int,
-    rngs: Iterable[np.random.Generator],
-) -> int:
-    """Replicas, one per generator, that enter ``target`` within ``max_steps``."""
-    watch = _watch(model, (target,), True, min(len(initial) + max_steps, 2**53))
-    return _count(initial, model, watch, max_steps, rngs)
 
 
 def hitting_estimate(
@@ -743,31 +728,22 @@ def hitting_estimate(
 
     Runs independent replicas, each on its own stream derived from the
     seed by replica index (the seed itself is left untouched), and
-    wraps the hit count in a Wilson 95% interval.  A block's streams
-    are derived in one batch, bit-identical to ``_replica_seed`` and
-    self-checked against it.  Truncation at ``max_steps`` makes this a
-    lower-bound proxy for the untruncated hitting probability.
-    ``max_steps`` and ``replicas`` must be integers of at least 1, and
-    a start or target piece of another dimension than the model's raises
-    ``ValueError`` before any replica runs.
+    wraps the hit count in a Wilson 95% interval.  Streams are derived
+    a block at a time, bit-identical to ``_replica_seed`` and
+    self-checked against it on every block.  Truncation at
+    ``max_steps`` makes this a lower-bound proxy for the untruncated
+    hitting probability.  ``max_steps`` and ``replicas`` must be
+    integers of at least 1, and a start or target piece of another
+    dimension than the model's raises ``ValueError`` before any replica
+    runs.
 
-    Replicas run in blocks of at most 512, one after another in this
-    process.  For a :class:`~birthdeath.rates.ContactModel` in d=1 or
-    d=2, with or without crowding, and a target made of empty-singleton
-    and ball :class:`LayerSet` pieces, a block advances in lockstep as
-    NumPy arrays; every other input runs the scalar kernel one replica
-    at a time.  Each replica reads its stream in the scalar kernel's order,
-    so both backends give bit-identical hit counts, which do not depend
-    on where the blocks split.
+    Replicas run one after another in this process on :func:`_count`,
+    the one replica loop, which picks the lockstep or the scalar
+    backend; both give bit-identical hit counts.
     """
     _check_start(initial, model)
     _check_target(target.pieces, model)
     max_steps = _whole_number(max_steps, "max_steps", 1)
     replicas = _whole_number(replicas, "replicas", 1)
-    root = _root_seed(seed)
-    hits = sum(
-        _count_hits(initial, model, target, max_steps,
-                    _replica_rngs(root, range(k, min(k + _BLOCK, replicas))))
-        for k in range(0, replicas, _BLOCK)
-    )
+    hits = _count(initial, model, (target,), True, max_steps, _replica_rngs(_root_seed(seed), range(replicas)))
     return HittingEstimate.from_counts(hits, replicas, max_steps)

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    _BLOCK,
     HittingEstimate,
     TargetSet,
     _check_start,
@@ -31,7 +30,6 @@ from .chain import (
     _count,
     _replica_rngs,
     _root_seed,
-    _watch,
 )
 from .configurations import (
     EMPTY,
@@ -253,25 +251,22 @@ def corridor_event_frequency(
     frequency up to Monte Carlo error.  A path of another dimension than
     the model raises ``ValueError`` before any replica runs.
 
-    Replicas run in blocks of at most 512 on the replica loop of
-    :func:`~birthdeath.chain.hitting_estimate`, which stops a replica
-    once it leaves the ball of its step: in lockstep for the
-    :class:`~birthdeath.rates.ContactModel` itself in d=1 and d=2, with
-    or without crowding, and on the scalar kernel otherwise, with
-    bit-identical counts.
+    ``ball_radius`` must be a finite number above 0, checked before any
+    replica runs, even on a path with no ball cell.
+
+    Replicas run on :func:`~birthdeath.chain._count`, the replica loop
+    of :func:`~birthdeath.chain.hitting_estimate`, which stops a replica
+    once it leaves the ball of its step and picks the backend; a path of
+    one vertex takes no step and counts every replica.
     """
     _check_start(path.start, model)
+    radius = _real(ball_radius, "ball_radius", 0.0, strict=True)
     replicas = _whole_number(replicas, "replicas", 1)
     cells = [
-        LayerSet(len(vertex), BallSet(RhoBall(vertex, ball_radius)) if len(vertex) else EmptySingleton())
+        LayerSet(len(vertex), BallSet(RhoBall(vertex, radius)) if len(vertex) else EmptySingleton())
         for vertex in path.vertices[1:]
     ]
     _check_target(cells, model)
-    steps = len(cells)
-    watch = _watch(model, [TargetSet((cell,)) for cell in cells], False, min(len(path.start) + steps, 2**53))
-    root = _root_seed(seed)
-    hits = sum(
-        _count(path.start, model, watch, steps, _replica_rngs(root, range(k, min(k + _BLOCK, replicas))))
-        for k in range(0, replicas, _BLOCK)
-    )
-    return HittingEstimate.from_counts(hits, replicas, steps)
+    hits = _count(path.start, model, [TargetSet((cell,)) for cell in cells], False, len(cells),
+                  _replica_rngs(_root_seed(seed), range(replicas)))
+    return HittingEstimate.from_counts(hits, replicas, len(cells))

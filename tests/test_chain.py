@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -672,7 +672,7 @@ class TestLockstepBackend:
             redrawn += rng.used > deaths + 3 * births
             for tail, max_steps in itertools.product(self.tails, (1, 2, 10, 45, 60)):
                 monkeypatch.setattr(_lockstep, "_TAIL", tail)
-                lockstep = chain._count_hits(start, model, target, max_steps, [_Lattice(seed)])
+                lockstep = chain._count(start, model, (target,), True, max_steps, [_Lattice(seed)])
                 assert lockstep == int(first is not None and first <= max_steps), (seed, tail)
             hits += first is not None
         assert 0 < hits < 40 and redrawn >= 10
@@ -733,8 +733,8 @@ class TestLockstepBackend:
         for tail in (0, _lockstep._TAIL):
             monkeypatch.setattr(_lockstep, "_TAIL", tail)
             for max_steps in (1, 10, 60):
-                fast = chain._count_hits(start, model, target, max_steps, [_Lattice(s) for s in range(24)])
-                slow = chain._count_hits(start, scalar, target, max_steps, [_Lattice(s) for s in range(24)])
+                fast = chain._count(start, model, (target,), True, max_steps, [_Lattice(s) for s in range(24)])
+                slow = chain._count(start, scalar, (target,), True, max_steps, [_Lattice(s) for s in range(24)])
                 assert fast == slow, (tail, max_steps)
 
     coordinates = st.integers(-64, 64).map(lambda k: k / 8) | st.floats(-2, 2) | st.floats(-1e154, 1e154)
@@ -742,6 +742,10 @@ class TestLockstepBackend:
     @settings(max_examples=300)
     @given(x=st.tuples(coordinates, coordinates), y=st.tuples(coordinates, coordinates),
            radius=st.integers(1, 64).map(lambda k: k / 8) | st.floats(1e-300, 1e-150) | st.floats(1e-3, 1e155))
+    # Differences whose squares overflow, and differences that overflow themselves.
+    @example(x=(8.053156844443862e+153, 0.0), y=(-5.3546510854987345e+153, 0.0), radius=0.125)
+    @example(x=(1e308, 0.0), y=(-1e308, 0.0), radius=0.125)
+    @example(x=(0.0, -1e308), y=(0.0, 1e308), radius=1e155)
     def test_distance_rule_equals_math_dist(self, x, y, radius):
         got = _lockstep.within(np.array(x)[:, None], np.array(y)[:, None], radius)
         assert got.tolist() == [math.dist(x, y) <= radius]
@@ -749,6 +753,43 @@ class TestLockstepBackend:
         edge = (x[0] + 0.375, x[1] + 0.5)
         if math.dist(x, edge) == 0.625:
             assert _lockstep.within(np.array(x)[:, None], np.array(edge)[:, None], 0.625).tolist() == [True]
+
+    # Points whose squared distance overflows in d=2, or whose difference overflows.
+    far_starts = [[(8.053156844443862e+153, 0.0), (-5.3546510854987345e+153, 0.0)],
+                  [(1e154, 0.0), (-1e154, 0.0)],
+                  [(1e308,), (-1e308,)],
+                  [(1e308, 0.0), (-1e308, 0.0)]]
+
+    @pytest.mark.parametrize("points", far_starts)
+    def test_overflowing_distances_read_outside(self, points):
+        x, y = (np.array(p)[:, None] for p in points)
+        assert _lockstep.within(x, y, 0.125).tolist() == [False]
+        assert _lockstep.ball_members(x[:1].T, np.array([1]), y[0], 0.125).tolist() == [False]
+
+    @pytest.mark.parametrize("points", far_starts)
+    def test_far_apart_starts_equal_the_scalar_kernel(self, points, monkeypatch):
+        # Crowding counts neighbours from the start on, and the corridor's ball
+        # sits on one of the two far points; any refusal must read the same.
+        # Blocks of 32 run one lockstep block and one that starts as a tail.
+        from birthdeath import Path, corridor_event_frequency
+
+        monkeypatch.setattr(chain, "_BLOCK", 32)
+        start = Configuration(points)
+        d = start.dimension
+        first = Configuration(points[:1])
+        targets = [TargetSet((LayerSet(0, EmptySingleton()),)),
+                   TargetSet((LayerSet(1, BallSet(RhoBall(first, 0.25))),)),
+                   TargetSet((LayerSet(2, BallSet(RhoBall(start, 0.25))),))]
+        runs = [lambda m, t=t: hitting_estimate(start, t, m, 20, 40, 1) for t in targets]
+        runs.append(lambda m: corridor_event_frequency(Path((start, first, start)), 0.25, m, 40, 2))
+        for run in runs:
+            results = []
+            for model in (ContactModel(dimension=d, crowding_death=0.3), _ScalarContact(dimension=d, crowding_death=0.3)):
+                try:
+                    results.append(run(model))
+                except DegenerateStateError as err:
+                    results.append(str(err))
+            assert results[0] == results[1]
 
     def test_numpy_sqrt_equals_math_sqrt(self):
         sample = np.random.default_rng(2).random(10_000)
@@ -972,6 +1013,23 @@ class TestBatchSeeding:
     def test_index_outside_one_word_raises(self, index):
         with pytest.raises(ValueError):
             next(chain._replica_rngs(np.random.SeedSequence(1), [0, index]))
+
+    def test_self_check_covers_every_block(self, monkeypatch):
+        # Every block after the first derives a wrong first row.
+        derive = chain._replica_words
+
+        def corrupt(root, indices):
+            words = derive(root, indices)
+            if indices[0]:
+                words[0] ^= np.uint64(1)
+            return words
+
+        monkeypatch.setattr(chain, "_replica_words", corrupt)
+        rngs = chain._replica_rngs(np.random.SeedSequence(7), range(2 * chain._BLOCK))
+        for _ in range(chain._BLOCK):
+            next(rngs)
+        with pytest.raises(RuntimeError, match=f"replica {chain._BLOCK}"):
+            next(rngs)
 
     def test_self_check_catches_a_wrong_pool(self):
         root = np.random.SeedSequence(7)

@@ -20,10 +20,12 @@ from birthdeath import (
     Configuration,
     ContactModel,
     ExactPointTarget,
+    Path,
     RhoBall,
     SuiteSizes,
     build_path,
     configurations,
+    corridor_event_frequency,
     corridor_prob_lower_bound,
     corridor_step_bound,
     death_probability,
@@ -396,6 +398,7 @@ _REALS = [
     ("build_path", lambda v: build_path(_POINT, v, (0.0,)), "interaction_radius"),
     ("corridor_step_bound", lambda v: corridor_step_bound(_MODEL, v, 3), "ball_radius"),
     ("corridor_prob_lower_bound", lambda v: corridor_prob_lower_bound(_PATH, v, _MODEL), "ball_radius"),
+    ("corridor_event_frequency", lambda v: corridor_event_frequency(Path((EMPTY,)), v, _MODEL, 1, 1), "ball_radius"),
     ("sample_poisson_config", lambda v: sample_poisson_config(v, _BOX, 1), "intensity"),
     ("ExactPointTarget", lambda v: ExactPointTarget((v,)), "point coordinate"),
     ("death_probability", lambda v: death_probability(_POINT, (v,), _MODEL), "point coordinate"),

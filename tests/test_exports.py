@@ -100,6 +100,17 @@ def test_only_chain_raises_a_stuck_state():
     assert namers == []
 
 
+def test_only_chain_runs_replica_blocks():
+    # chain._count is the one replica loop: it alone splits replicas into blocks and
+    # picks the lockstep backend, whose module is _lockstep.py.
+    namers = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
+        if name != "_lockstep.py" and {"_BLOCK", "_lockstep"} & {
+            part for attr in ("id", "attr", "name", "module") for part in (getattr(node, attr, None) or "").split(".")}
+    ]
+    assert namers == []
+
+
 def _concrete_subclasses(base: type) -> set[type]:
     found, stack = set(), [base]
     while stack:

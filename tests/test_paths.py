@@ -20,7 +20,7 @@ from birthdeath import (
     path_length_cap,
     theorem_pipeline,
 )
-from birthdeath import paths
+from birthdeath import _lockstep, paths
 
 
 def random_goal(rng, n, d, spread=1.5):
@@ -294,6 +294,24 @@ class TestCorridorFrequency:
         for bad in (True, 2.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="replicas"):
                 corridor_event_frequency(path, 0.1, m, replicas=bad, seed=1)
+
+    @pytest.mark.parametrize("radius", [0, 0.0, -1, "x"])
+    def test_ball_radius_is_read_on_every_path(self, radius, monkeypatch):
+        # Paths with no ball cell too, and before any replica runs.
+        monkeypatch.setattr(paths, "_replica_rngs", lambda *args: pytest.fail("a replica ran"))
+        for path in (Path((EMPTY,)), Path((EMPTY, EMPTY)), Path((EMPTY, Configuration([[0.0]])))):
+            with pytest.raises(ValueError, match="ball_radius"):
+                corridor_event_frequency(path, radius, ContactModel(), replicas=10, seed=1)
+
+    def test_a_one_vertex_path_counts_every_replica_on_the_scalar_loop(self, monkeypatch):
+        class ScalarContact(ContactModel):
+            """The contact model under another type, which keeps it off the lockstep backend."""
+
+        monkeypatch.setattr(_lockstep, "count_hits", lambda *args: pytest.fail("a lockstep block ran"))
+        for model in (ContactModel(), ScalarContact()):
+            for start in (EMPTY, Configuration([[0.1]])):
+                freq = corridor_event_frequency(Path((start,)), 0.1, model, replicas=600, seed=1)
+                assert (freq.hits, freq.replicas, freq.max_steps) == (600, 600, 0)
 
 
 class TestPinnedReplicaCounts:
