@@ -15,11 +15,10 @@ sits inside the target.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 from bisect import bisect, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import dist
 from typing import Iterable, Iterator, Sequence
 
@@ -528,30 +527,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-# Replicas per block.  A lockstep block keeps a generator and rows of
-# uniforms and points alive for each of its replicas, and
-# :func:`_replica_rngs` hashes the seed words of one block in one NumPy
-# pass, so the size bounds the memory of both whatever the replica count.
+# Replicas per batch of seed words.  :func:`_word_batches` hashes the
+# seed words of one batch in one NumPy pass, and the lockstep window
+# holds no more rows than a batch, each with its row of uniforms and
+# points, so the size bounds the memory of both whatever the replica
+# count.
 _BLOCK = 512
-
-
-@functools.cache
-def _words_seed_type() -> type:
-    """A seed sequence type that hands its bit generator precomputed state words.
-
-    It is built on first use: importing ``numpy.random`` while the
-    package loads, rather than later, raised peak memory by about 0.7 MB.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _Words(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words
-
-    return _Words
 
 
 def _word_count(value: object) -> int:
@@ -596,18 +577,15 @@ def _replica_words(root: np.random.SeedSequence, indices: np.ndarray) -> np.ndar
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-def _replica_rngs(
-    root: np.random.SeedSequence, indices: Sequence[int]
-) -> Iterator[np.random.Generator]:
-    """One generator per replica index, each on its ``_replica_seed`` stream.
+def _word_batches(root: np.random.SeedSequence, indices: Sequence[int]) -> Iterator[np.ndarray]:
+    """The seed words of each replica index, ``_BLOCK`` rows at a time, each batch self-checked.
 
-    Seed words are derived a block at a time by :func:`_replica_words` and each
-    generator is built only when the loop asks for it.  The first index
-    of every block is checked against ``_replica_seed`` itself, and a
-    mismatch raises ``RuntimeError``; an index outside ``0 <= i < 2**32``
-    raises ``ValueError``, since it would take more than one spawn-key word.
+    Each batch's words come from one :func:`_replica_words` pass, and
+    its first index is checked against ``_replica_seed`` itself: a
+    mismatch raises ``RuntimeError``.  An index outside ``0 <= i <
+    2**32`` raises ``ValueError``, since it would take more than one
+    spawn-key word.
     """
-    seeded = _words_seed_type()
     for k in range(0, len(indices), _BLOCK):
         batch = np.asarray(indices[k:k + _BLOCK], dtype=np.int64)
         if batch.min() < 0 or batch.max() > _MASK32:
@@ -617,8 +595,20 @@ def _replica_rngs(
         if words[0].tolist() != expected.tolist():
             raise RuntimeError(f"batch seed words of replica {batch[0]} differ from "
                                "its SeedSequence's")
+        yield words
+
+
+def _replica_rngs(
+    root: np.random.SeedSequence, indices: Sequence[int]
+) -> Iterator[np.random.Generator]:
+    """One generator per replica index, each on its ``_replica_seed`` stream.
+
+    The seed words come from :func:`_word_batches`, and each generator
+    is built only when the loop asks for it.
+    """
+    for words in _word_batches(root, indices):
         for row in words:
-            yield np.random.Generator(np.random.PCG64(seeded(row)))
+            yield _lockstep.generator(row)
 
 
 def _lockstep_target(
@@ -663,26 +653,30 @@ def _count(
     cells: Sequence[TargetSet],
     enter: bool,
     max_steps: int,
-    rngs: Iterable[np.random.Generator],
+    root: np.random.SeedSequence,
+    replicas: int,
 ) -> int:
-    """Replicas, one per generator, that ``cells`` count within ``max_steps`` steps.
+    """Replicas ``0 .. replicas - 1`` below ``root`` that ``cells`` count within ``max_steps`` steps.
 
     Step ``k`` (from 0) is checked against cell ``min(k, len(cells) -
     1)``, so a hitting target is one cell for every step.  With
     ``enter`` set, a replica stops on entering its cell and counts (a
     hit); otherwise it stops on leaving its cell, and counts when it
-    never does (a followed corridor).
+    never does (a followed corridor).  With no cell there is no step to
+    check (a one-vertex path takes none), and no stream is built.
 
     This is the one replica loop, and it picks the backend.  When every
-    cell has a lockstep test (:func:`_lockstep_target`), and there is
-    at least one cell, the generators run in blocks of ``_BLOCK`` through
-    :func:`_lockstep.count_hits`, and each block hands its last few live
-    replicas back mid-run to finish on the scalar kernel from where the
-    block left them.  Otherwise every replica runs on the scalar kernel,
-    one generator at a time.  Each replica reads its stream in the
-    scalar kernel's order, so both backends give bit-identical counts,
-    which do not depend on where the blocks split.
+    cell has a lockstep test (:func:`_lockstep_target`), the replicas'
+    seed words stream, a ``_BLOCK`` batch at a time, through one
+    :func:`_lockstep.count_hits` window, which hands its last few live
+    replicas back to finish on the scalar kernel from where each one
+    left off.  Otherwise every replica runs on the scalar kernel, one
+    generator at a time.  Each replica reads its stream in the scalar
+    kernel's order, so both backends give bit-identical counts, which
+    do not depend on the batch size.
     """
+    if not cells:
+        return 0 if enter else replicas
     last = len(cells) - 1
 
     def finish(walks: Iterable[tuple]) -> int:
@@ -699,21 +693,11 @@ def _count(
 
     max_size = min(len(initial) + max_steps, 2**53)
     tests = [_lockstep_target(model, cell, max_size) for cell in cells]
-    if not tests or None in tests:
-        return finish((initial, _own_stream(rng, model), 0) for rng in rngs)
-
-    def stops(step: int, pts: np.ndarray, n: np.ndarray) -> np.ndarray:
-        inside = tests[min(step, last)](pts, n)
-        return inside if enter else ~inside
-
-    count = 0
-    source = iter(rngs)
-    while block := list(islice(source, _BLOCK)):
-        hits, steps, tail = _lockstep.count_hits(initial.points, model, stops, enter, max_steps, block)
-        # Free this block's generators before the next block builds its own.
-        del block
-        count += hits + finish((Configuration._wrap(points), reader, steps) for points, reader in tail)
-    return count
+    if None in tests:
+        return finish((initial, _own_stream(rng, model), 0) for rng in _replica_rngs(root, range(replicas)))
+    count, tail = _lockstep.count_hits(initial.points, model, tests, enter, max_steps,
+                                       _word_batches(root, range(replicas)))
+    return count + finish((Configuration._wrap(points), reader, done) for points, reader, done in tail)
 
 
 def hitting_estimate(
@@ -728,22 +712,22 @@ def hitting_estimate(
 
     Runs independent replicas, each on its own stream derived from the
     seed by replica index (the seed itself is left untouched), and
-    wraps the hit count in a Wilson 95% interval.  Streams are derived
-    a block at a time, bit-identical to ``_replica_seed`` and
-    self-checked against it on every block.  Truncation at
+    wraps the hit count in a Wilson 95% interval.  Seed words are
+    derived a batch at a time, bit-identical to ``_replica_seed`` and
+    self-checked against it on every batch.  Truncation at
     ``max_steps`` makes this a lower-bound proxy for the untruncated
     hitting probability.  ``max_steps`` and ``replicas`` must be
     integers of at least 1, and a start or target piece of another
     dimension than the model's raises ``ValueError`` before any replica
     runs.
 
-    Replicas run one after another in this process on :func:`_count`,
-    the one replica loop, which picks the lockstep or the scalar
-    backend; both give bit-identical hit counts.
+    Replicas run in this process on :func:`_count`, the one replica
+    loop, which picks the lockstep or the scalar backend; both give
+    bit-identical hit counts.
     """
     _check_start(initial, model)
     _check_target(target.pieces, model)
     max_steps = _whole_number(max_steps, "max_steps", 1)
     replicas = _whole_number(replicas, "replicas", 1)
-    hits = _count(initial, model, (target,), True, max_steps, _replica_rngs(_root_seed(seed), range(replicas)))
+    hits = _count(initial, model, (target,), True, max_steps, _root_seed(seed), replicas)
     return HittingEstimate.from_counts(hits, replicas, max_steps)

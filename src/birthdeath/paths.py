@@ -28,7 +28,6 @@ from .chain import (
     _check_start,
     _check_target,
     _count,
-    _replica_rngs,
     _root_seed,
 )
 from .configurations import (
@@ -268,5 +267,5 @@ def corridor_event_frequency(
     ]
     _check_target(cells, model)
     hits = _count(path.start, model, [TargetSet((cell,)) for cell in cells], False, len(cells),
-                  _replica_rngs(_root_seed(seed), range(replicas)))
+                  _root_seed(seed), replicas)
     return HittingEstimate.from_counts(hits, replicas, len(cells))

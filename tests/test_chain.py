@@ -595,6 +595,22 @@ class _Lattice:
         return float(values) if size is None else values
 
 
+def _lattice_streams(monkeypatch):
+    """Give every replica a ``_Lattice`` stream keyed by its seed words, in both backends.
+
+    Returns the function that gives a row of seed words its stream.  The
+    lockstep backend's first uniforms come from the same stream, so its
+    self-check still holds.
+    """
+    def stream(words):
+        return _Lattice(words.tolist())
+
+    monkeypatch.setattr(_lockstep, "generator", stream)
+    monkeypatch.setattr(_lockstep, "first_uniforms",
+                        lambda words, count: np.array([stream(w).random(count) for w in words]))
+    return stream
+
+
 def _spec(target):
     return chain._lockstep_target(ContactModel(), target, 2**53)
 
@@ -657,10 +673,12 @@ class TestLockstepBackend:
         start = Configuration([[0.0], [0.5]])
         target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([[0.25], [0.75]]), 0.3))),))
         member = target.membership
+        stream = _lattice_streams(monkeypatch)
         hits = redrawn = 0
         for seed in range(40):
-            # The scalar first-hit step of this replica, if any, within 60 steps.
-            rng, state, first = _Lattice(seed), start, None
+            # The scalar first-hit step of replica 0 below the seed, if any, within 60 steps.
+            root = np.random.SeedSequence(seed)
+            rng, state, first = stream(next(chain._word_batches(root, range(1)))[0]), start, None
             births = deaths = 0
             for step_index in range(1, 61):
                 state, kind, _ = chain._advance(state, model, rng)
@@ -672,7 +690,7 @@ class TestLockstepBackend:
             redrawn += rng.used > deaths + 3 * births
             for tail, max_steps in itertools.product(self.tails, (1, 2, 10, 45, 60)):
                 monkeypatch.setattr(_lockstep, "_TAIL", tail)
-                lockstep = chain._count(start, model, (target,), True, max_steps, [_Lattice(seed)])
+                lockstep = chain._count(start, model, (target,), True, max_steps, root, 1)
                 assert lockstep == int(first is not None and first <= max_steps), (seed, tail)
             hits += first is not None
         assert 0 < hits < 40 and redrawn >= 10
@@ -730,12 +748,61 @@ class TestLockstepBackend:
         scalar = _ScalarContact(dimension=2, crowding_death=0.3, immigration_intensity=2.0, neighbor_intensity=0.5)
         start = Configuration([(0.0, 0.0), (0.5, 0.5)])
         target = TargetSet((LayerSet(2, BallSet(RhoBall(Configuration([(0.25, 0.0), (0.5, 0.25)]), 0.25))),))
+        _lattice_streams(monkeypatch)
+        root = np.random.SeedSequence(0)
         for tail in (0, _lockstep._TAIL):
             monkeypatch.setattr(_lockstep, "_TAIL", tail)
             for max_steps in (1, 10, 60):
-                fast = chain._count(start, model, (target,), True, max_steps, [_Lattice(s) for s in range(24)])
-                slow = chain._count(start, scalar, (target,), True, max_steps, [_Lattice(s) for s in range(24)])
+                fast = chain._count(start, model, (target,), True, max_steps, root, 24)
+                slow = chain._count(start, scalar, (target,), True, max_steps, root, 24)
                 assert fast == slow, (tail, max_steps)
+
+    @pytest.mark.parametrize("block", [8, 16])
+    @pytest.mark.parametrize("d, crowding", [(1, 0.0), (1, 0.3), (2, 0.0), (2, 0.3)])
+    def test_window_counts_equal_the_scalar_kernel(self, d, crowding, block, monkeypatch):
+        # 37 replicas stream through windows of 8 or 16 rows and a short
+        # last batch; rows leave at every step and hand back tails of
+        # mixed ages, under every tail rule.
+        from birthdeath import Path, corridor_event_frequency
+
+        monkeypatch.setattr(chain, "_BLOCK", block)
+        lockstep = ContactModel(dimension=d, crowding_death=crowding)
+        scalar = _ScalarContact(dimension=d, crowding_death=crowding)
+        pad = (0.0,) * (d - 1)
+        one, two = Configuration([(0.0,) + pad]), Configuration([(-0.2,) + pad, (0.2,) + pad])
+        three = Configuration([(-0.3,) + pad, (0.0,) + pad, (0.3,) + pad])
+        target = TargetSet((LayerSet(2, BallSet(RhoBall(two, 0.25))), LayerSet(3, BallSet(RhoBall(three, 0.3)))))
+        corridor = Path((EMPTY, one, two, one))
+        for tail in (0, 16, 10**9):
+            monkeypatch.setattr(_lockstep, "_TAIL", tail)
+            for start in (EMPTY, one, two):
+                fast = hitting_estimate(start, target, lockstep, 10, 37, 4)
+                assert fast == hitting_estimate(start, target, scalar, 10, 37, 4), (tail, start)
+                assert 0 < fast.hits < 37
+            for radius in (0.45, 0.6):
+                fast = corridor_event_frequency(corridor, radius, lockstep, 37, 6)
+                assert fast == corridor_event_frequency(corridor, radius, scalar, 37, 6), (tail, radius)
+                assert 0 < fast.hits < 37
+
+    def test_a_step_zero_collision_redraws_alike_in_both_kernels(self, monkeypatch):
+        # From the point 1.0, a step-0 birth in CROWDED's immigration ball
+        # lands on 1.0 for most replicas, so its redraw reads past the
+        # uniforms computed from the seed words; at step 1 both doubles
+        # of the ball are occupied and the birth raises.
+        start, empty = Configuration([[1.0]]), TargetSet((LayerSet(0, EmptySingleton()),))
+        draws = [rng.random(3) for rng in chain._replica_rngs(chain._root_seed(1), range(40))]
+        assert sum(1.0 + 1e-16 * (2.0 * u[2] - 1.0) == 1.0 for u in draws) >= 20
+        monkeypatch.setattr(_lockstep, "_TAIL", 0)
+        for max_steps in (1, 2):
+            results = []
+            for model in (ContactModel(**CROWDED), _ScalarContact(**CROWDED)):
+                try:
+                    with alarm(5):
+                        results.append(hitting_estimate(start, empty, model, max_steps, 40, 1))
+                except DegenerateStateError as err:
+                    results.append(str(err))
+            assert results[0] == results[1]
+            assert isinstance(results[0], str) == (max_steps == 2)
 
     coordinates = st.integers(-64, 64).map(lambda k: k / 8) | st.floats(-2, 2) | st.floats(-1e154, 1e154)
 
@@ -845,6 +912,18 @@ class TestBirthRedrawLimit:
         with alarm(5), pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
             hitting_estimate(EMPTY, empty, model, 50, 64, 1)
 
+    def test_lockstep_hitting_raises_in_d2_with_crowding(self, monkeypatch):
+        # In d=2 a radius of 1e-300 makes the per-neighbour birth mass
+        # underflow to 0; at 1e-160 it is a subnormal that still counts.
+        crowded = dict(CROWDED, dimension=2, immigration_center=[1.0, 1.0], interaction_radius=1e-160,
+                       crowding_death=0.3)
+        empty = TargetSet((LayerSet(0, EmptySingleton()),))
+        assert chain._lockstep_target(ContactModel(**crowded), empty, 50) is not None
+        monkeypatch.setattr(_lockstep, "_TAIL", 0)
+        for model in (ContactModel(**crowded), _ScalarContact(**crowded)):
+            with alarm(5), pytest.raises(DegenerateStateError, match="1000 birth draws in a row"):
+                hitting_estimate(EMPTY, empty, model, 50, 64, 1)
+
 
 class TestJumpMassOverflow:
     """A total jump rate past the float range raises DegenerateStateError naming the model, in every kernel."""
@@ -894,6 +973,21 @@ class TestJumpMassOverflow:
         start, empty = Configuration([[0.1]]), TargetSet((LayerSet(0, EmptySingleton()),))
         results = []
         for model in (ContactModel(neighbor_intensity=2e307), _ScalarContact(neighbor_intensity=2e307)):
+            try:
+                results.append(hitting_estimate(start, empty, model, max_steps, 64, 3))
+            except DegenerateStateError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+        assert isinstance(results[0], str) == (max_steps >= 5)
+
+    @pytest.mark.parametrize("max_steps", [1, 4, 5, 12])
+    def test_lockstep_raises_exactly_where_the_scalar_kernel_does_in_d2_with_crowding(self, max_steps):
+        # About 4e307 per neighbour again, with crowding deaths that stay
+        # negligible beside it.
+        start, empty = Configuration([(0.1, 0.0)]), TargetSet((LayerSet(0, EmptySingleton()),))
+        params = dict(dimension=2, crowding_death=0.3, neighbor_intensity=4e307 / math.pi)
+        results = []
+        for model in (ContactModel(**params), _ScalarContact(**params)):
             try:
                 results.append(hitting_estimate(start, empty, model, max_steps, 64, 3))
             except DegenerateStateError as err:
@@ -1037,3 +1131,128 @@ class TestBatchSeeding:
                                 pool_size=root.pool_size, pool=root.pool ^ np.uint32(1))
         with pytest.raises(RuntimeError):
             next(chain._replica_rngs(wrong, range(3)))
+
+
+def _pcg64_reference(words, count):
+    """NumPy's PCG64 on Python integers: seeding from four words, then ``count`` ``random()`` doubles.
+
+    The 128-bit LCG with increment ``(w2, w3) << 1 | 1``, seeded at
+    ``(inc + (w0, w1)) * M + inc``; each draw steps it and outputs the
+    XSL-RR rotation (O'Neill 2014), whose top 53 bits make the double.
+    """
+    mask = 2**128 - 1
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & mask
+    state = ((inc + (words[0] << 64 | words[1])) * mult + inc) & mask
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & mask
+        hi, lo = state >> 64, state & (2**64 - 1)
+        x, turn = hi ^ lo, hi >> 58
+        output = ((x >> turn) | (x << (64 - turn))) & (2**64 - 1)
+        out.append((output >> 11) * 2.0**-53)
+    return out
+
+
+class TestFirstUniforms:
+    """A replica's first uniforms come from its seed words, and its generator takes over exactly."""
+
+    words = st.integers(0, 2**32 - 1)
+    wide = st.integers(2**32, 2**64)
+
+    @settings(max_examples=60)
+    @given(
+        entropy=words | st.integers(2**64, 2**128 - 1) | st.lists(words | wide, max_size=9) | st.none(),
+        spawn_key=st.lists(words | wide, max_size=3),
+        pool_size=st.sampled_from([4, 8]),
+        extra=words,
+        count=st.integers(1, 4),
+    )
+    def test_first_uniforms_equal_the_replica_generators(self, entropy, spawn_key, pool_size, extra, count):
+        root = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key), pool_size=pool_size)
+        indices = [0, 2**31, 2**32 - 1, extra]
+        got = _lockstep.first_uniforms(chain._replica_words(root, np.array(indices)), count)
+        for index, row in zip(indices, got, strict=True):
+            reference = np.random.Generator(np.random.PCG64(chain._replica_seed(root, index)))
+            assert row.tolist() == reference.random(count).tolist()
+
+    fixed_words = [
+        [0, 0, 0, 0],
+        [2**64 - 1] * 4,
+        [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0],
+        [1, 2**63, 2**63 - 1, 2**32],
+    ]
+
+    @pytest.mark.parametrize("words", fixed_words)
+    def test_a_big_int_reference_pins_numpys_pcg64(self, words):
+        # A NumPy whose PCG64 seeds or outputs otherwise fails here first.
+        reference = _pcg64_reference(words, 8)
+        row = np.array(words, dtype=np.uint64)
+        assert _lockstep.generator(row).random(8).tolist() == reference
+        assert _lockstep.first_uniforms(row[None], 8)[0].tolist() == reference
+
+    def test_the_self_check_raises_on_a_corrupted_later_batch(self, monkeypatch):
+        # Batches of 8: the third batch's first uniforms come out one ulp off.
+        monkeypatch.setattr(chain, "_BLOCK", 8)
+        compute, calls = _lockstep.first_uniforms, []
+
+        def corrupt(words, count):
+            heads = compute(words, count)
+            calls.append(len(words))
+            if len(calls) == 3:
+                heads[0, 1] = np.nextafter(heads[0, 1], 2.0)
+            return heads
+
+        monkeypatch.setattr(_lockstep, "first_uniforms", corrupt)
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
+        with pytest.raises(RuntimeError, match="first uniforms"):
+            hitting_estimate(Configuration([[0.1]]), target, ContactModel(), 40, 40, 3)
+        assert calls == [8, 8, 8]
+
+    def test_the_window_checks_the_seed_words_of_every_batch(self, monkeypatch):
+        monkeypatch.setattr(chain, "_BLOCK", 8)
+        derive = chain._replica_words
+
+        def corrupt(root, indices):
+            words = derive(root, indices)
+            if indices[0] == 16:
+                words[0] ^= np.uint64(1)
+            return words
+
+        monkeypatch.setattr(chain, "_replica_words", corrupt)
+        target = TargetSet((LayerSet(0, EmptySingleton()),))
+        with pytest.raises(RuntimeError, match="replica 16"):
+            hitting_estimate(Configuration([[0.1]]), target, ContactModel(), 40, 40, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_row_hands_its_stream_to_its_generator_exactly(self, d):
+        head = 2 + d
+        words = chain._replica_words(np.random.SeedSequence(5), np.arange(3))
+        streams = [_lockstep.generator(row).random(200).tolist() for row in words]
+
+        def window():
+            draws = _lockstep._Uniforms(3, head)
+            draws.enter(np.arange(3), words, _lockstep.first_uniforms(words, head))
+            return draws
+
+        # Step 0 reads the computed uniforms and builds no generator.
+        draws = window()
+        assert draws.take(head).T.tolist() == [stream[:head] for stream in streams]
+        assert draws.rngs.tolist() == [None] * 3
+        # A death at step 0 gives back 1 + d uniforms, which the next step reads first.
+        draws.pos -= 1 + d
+        assert draws.take(head).T.tolist() == [stream[1:1 + head] for stream in streams]
+        assert None not in draws.rngs.tolist()
+        # A newborn that collides at step 0 redraws past the computed uniforms.
+        draws = window()
+        draws.take(head)
+        rows = np.array([0, 2])
+        assert draws.take(1 + d, rows).T.tolist() == [streams[k][head:head + 1 + d] for k in (0, 2)]
+        assert draws.rngs[1] is None
+        # A tail row's reader continues its stream, whether or not it has a generator yet.
+        draws = window()
+        draws.take(head)
+        draws.pos[1] -= 1 + d
+        for row, first in ((1, 1), (2, head)):
+            reader = draws.reader(row)
+            assert [reader.random() for _ in range(150)] == streams[row][first:first + 150]

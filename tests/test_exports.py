@@ -101,12 +101,23 @@ def test_only_chain_raises_a_stuck_state():
 
 
 def test_only_chain_runs_replica_blocks():
-    # chain._count is the one replica loop: it alone splits replicas into blocks and
+    # chain._count is the one replica loop: it alone splits replicas into batches and
     # picks the lockstep backend, whose module is _lockstep.py.
     namers = [
         f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
         if name != "_lockstep.py" and {"_BLOCK", "_lockstep"} & {
             part for attr in ("id", "attr", "name", "module") for part in (getattr(node, attr, None) or "").split(".")}
+    ]
+    assert namers == []
+
+
+def test_only_chain_and_lockstep_name_pcg64():
+    # Replica streams have one path: _lockstep.generator builds them from the seed words
+    # that chain derives, and _lockstep.first_uniforms computes their first uniforms.
+    namers = [
+        f"{name}:{node.lineno}" for name, node in _nodes_outside_chain()
+        if name != "_lockstep.py" and "PCG64" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                                  getattr(node, "name", None))
     ]
     assert namers == []
 

@@ -282,7 +282,7 @@ class TestCorridorFrequency:
     def test_a_path_of_another_dimension_is_refused_before_any_replica(self, monkeypatch):
         # The path starts empty, so only its corridor cells show the 2-D points.
         path = build_path(Configuration([[0.1, 0.1], [0.2, 0.1]]), 1.0, (0.0, 0.0))
-        monkeypatch.setattr(paths, "_replica_rngs", lambda *args: pytest.fail("a replica ran"))
+        monkeypatch.setattr(paths, "_count", lambda *args: pytest.fail("a replica ran"))
         with pytest.raises(ValueError, match="is 2-D, the model is 1-D"):
             corridor_event_frequency(path, 0.1, ContactModel(), replicas=10, seed=1)
 
@@ -298,7 +298,7 @@ class TestCorridorFrequency:
     @pytest.mark.parametrize("radius", [0, 0.0, -1, "x"])
     def test_ball_radius_is_read_on_every_path(self, radius, monkeypatch):
         # Paths with no ball cell too, and before any replica runs.
-        monkeypatch.setattr(paths, "_replica_rngs", lambda *args: pytest.fail("a replica ran"))
+        monkeypatch.setattr(paths, "_count", lambda *args: pytest.fail("a replica ran"))
         for path in (Path((EMPTY,)), Path((EMPTY, EMPTY)), Path((EMPTY, Configuration([[0.0]])))):
             with pytest.raises(ValueError, match="ball_radius"):
                 corridor_event_frequency(path, radius, ContactModel(), replicas=10, seed=1)
@@ -312,6 +312,12 @@ class TestCorridorFrequency:
             for start in (EMPTY, Configuration([[0.1]])):
                 freq = corridor_event_frequency(Path((start,)), 0.1, model, replicas=600, seed=1)
                 assert (freq.hits, freq.replicas, freq.max_steps) == (600, 600, 0)
+
+    def test_a_one_vertex_path_builds_no_stream(self, monkeypatch):
+        # No step runs, so no replica needs a generator.
+        monkeypatch.setattr(np.random, "PCG64", lambda *args: pytest.fail("a replica stream was built"))
+        freq = corridor_event_frequency(Path((EMPTY,)), 0.1, ContactModel(), replicas=600, seed=1)
+        assert (freq.hits, freq.replicas) == (600, 600)
 
 
 class TestPinnedReplicaCounts:
